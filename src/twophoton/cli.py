@@ -224,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mode-locked two-photon correlation and interferometry scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_threads = os.environ.get("TWOPHOTON_THREADS")
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", required=True, help="path to a key = value config file")
@@ -233,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=int(env_threads) if env_threads else 1,
-            help="worker threads for Monte Carlo chunks (results do not depend on it)",
+            help="worker threads for Monte Carlo chunks (default: $TWOPHOTON_THREADS or 1; "
+            "results do not depend on it)",
         )
     return parser
 
@@ -250,11 +249,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"twophoton: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("twophoton: --threads must be >= 1", file=sys.stderr)
+    threads, source = args.threads, "--threads"
+    if threads is None:
+        source = "TWOPHOTON_THREADS"
+        try:
+            threads = int(os.environ.get(source) or "1")
+        except ValueError:
+            threads = 0
+    if threads < 1:
+        print(f"twophoton: {source} must be an integer >= 1", file=sys.stderr)
         return 2
     try:
-        written = _DISPATCH[args.command](cfg, Path(args.out), args.threads)
+        written = _DISPATCH[args.command](cfg, Path(args.out), threads)
     except NumericsError as exc:
         print(f"twophoton: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
+from .correlation import MAX_QUAD_POINTS
 from .errors import ConfigError
 from .montecarlo import DetectorModel
 from .spectral import ModeComb, Shape, SpectralAmplitude
@@ -27,91 +29,169 @@ COMMANDS = ("correlation", "homscan", "fringe", "engineer", "mc")
 
 _TWO_PI = 2.0 * math.pi
 
-# keys carrying an angular frequency, rescaled under the ordinary convention
-_FREQUENCY_KEYS = {
-    "comb.mode_spacing",
-    "comb.pump_frequency",
-    "comb.linewidth",
-    "comb.center",
-    "engineering.wideband_halfwidth",
-}
+# echo rules: every resolved value, only values off their default, or none
+ALWAYS, CHANGED, NEVER = "always", "changed", "never"
 
-_COMMON_KEYS = (
-    "run.command",
-    "seed",
-    "units.frequency",
-    "comb.n_side_modes",
-    "comb.mode_spacing",
-    "comb.round_trip_time",
-    "comb.pump_frequency",
-    "comb.linewidth",
-    "comb.shape",
-    "comb.center",
-    "comb.mode_phases",
-    "comb.phase_seed",
+
+@dataclass(frozen=True)
+class _Type:
+    expected: str                  # what the error message says a value must be
+    parse: Callable[[str], Any]    # raises ValueError on text it cannot read
+
+
+@dataclass(frozen=True)
+class _Rule:
+    text: str
+    holds: Callable[[Any], bool]
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def _units(text: str) -> str:
+    if text not in ("angular", "ordinary"):
+        raise ValueError(text)
+    return text
+
+
+INT = _Type("an integer", int)
+FLOAT = _Type("a finite number", float)
+FLOATS = _Type(
+    "comma-separated finite numbers",
+    lambda text: tuple(float(p) for p in text.split(",") if p.strip() != ""),
+)
+BOOL = _Type("true or false", _bool)
+SHAPE = _Type("one of " + ", ".join(s.value for s in Shape), Shape)
+UNITS = _Type("angular or ordinary", _units)
+
+NONNEGATIVE = _Rule(">= 0", lambda v: v >= 0)
+POSITIVE = _Rule("> 0", lambda v: v > 0)
+UNIT_INTERVAL = _Rule("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+SCAN_POINTS = _Rule(f"in [2, {MAX_QUAD_POINTS}]", lambda v: 2 <= v <= MAX_QUAD_POINTS)
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: how it is read, checked, stored and echoed.
+
+    A ``None`` default means the key is optional or derived from other keys
+    by ``resolve_config``.  ``rule`` is checked on the value as read, before
+    any other key is derived from it.
+    """
+
+    name: str
+    type: _Type
+    default: Any = None
+    field: str | None = None    # RunConfig attribute that receives the value
+    frequency: bool = False     # angular; x 2*pi under units.frequency = ordinary
+    echo: str = ALWAYS
+    rule: _Rule | None = None
+
+    def read(self, text: str | None, ordinary: bool):
+        if text is None:
+            return self.default
+        try:
+            value = self.type.parse(text)
+            if self.frequency and ordinary:
+                value *= _TWO_PI
+            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+                raise ValueError(text)
+        except ValueError:
+            raise ConfigError(f"{self.name}: expected {self.type.expected}, got {text!r}") from None
+        if self.rule is not None and not self.rule.holds(value):
+            raise ConfigError(f"{self.name}: must be {self.rule.text}, got {_fmt(value)}")
+        return value
+
+
+_COMMON = (
+    Key("seed", INT, 0, field="seed", rule=NONNEGATIVE),
+    Key("units.frequency", UNITS, "angular"),
+    Key("comb.n_side_modes", INT, 10, rule=NONNEGATIVE),
+    Key("comb.round_trip_time", FLOAT, 1e-12, echo=NEVER, rule=POSITIVE),
+    Key("comb.mode_spacing", FLOAT, frequency=True),
+    Key("comb.pump_frequency", FLOAT, 3.54e15, frequency=True),
+    Key("comb.linewidth", FLOAT, frequency=True),
+    Key("comb.shape", SHAPE, Shape.LORENTZIAN),
+    Key("comb.center", FLOAT, 0.0, frequency=True, echo=CHANGED),
+    Key("comb.mode_phases", FLOATS, (), echo=CHANGED),
+    Key("comb.phase_seed", INT, echo=NEVER, rule=NONNEGATIVE),
 )
 
-_KEYS_BY_COMMAND = {
-    "correlation": _COMMON_KEYS
-    + (
-        "scan.points",
-        "scan.tau_min",
-        "scan.tau_max",
-        "scan.tau_min_tr",
-        "scan.tau_max_tr",
-        "scan.include_coherence",
+
+def _table(*rows: Key) -> dict:
+    return {key.name: key for key in _COMMON + rows}
+
+
+def _tau_keys(default_min_tr, default_max_tr):
+    return (
+        Key("scan.tau_min_tr", FLOAT, default_min_tr, echo=NEVER),
+        Key("scan.tau_min", FLOAT, field="tau_min"),
+        Key("scan.tau_max_tr", FLOAT, default_max_tr, echo=NEVER),
+        Key("scan.tau_max", FLOAT, field="tau_max"),
+    )
+
+
+def _scan_points(default: int) -> Key:
+    return Key("scan.points", INT, default, field="scan_points", rule=SCAN_POINTS)
+
+
+_RESOLUTION_TIME = Key("detector.resolution_time", FLOAT, 1e-8, rule=POSITIVE)
+_MODE_MATCH = Key("interferometer.mode_match", FLOAT, 1.0, field="mode_match", rule=UNIT_INTERVAL)
+
+#: per command, every key it accepts, in the order of the header echo
+KEY_TABLES = {
+    "correlation": _table(
+        _scan_points(4096),
+        *_tau_keys(-2.0, 2.0),
+        Key("scan.include_coherence", BOOL, True, field="include_coherence"),
     ),
-    "homscan": _COMMON_KEYS
-    + (
-        "detector.resolution_time",
-        "interferometer.mode_match",
-        "interferometer.pump_phase",
-        "scan.points",
-        "scan.delay_min",
-        "scan.delay_max",
-        "scan.delay_min_tr",
-        "scan.delay_max_tr",
-        "scan.dithered",
-        "output.delay_to_mm",
+    "homscan": _table(
+        _RESOLUTION_TIME,
+        _MODE_MATCH,
+        Key("interferometer.pump_phase", FLOAT, 0.0, field="pump_phase"),
+        _scan_points(261),
+        Key("scan.delay_min_tr", FLOAT, 0.0, echo=NEVER, rule=NONNEGATIVE),
+        Key("scan.delay_min", FLOAT, field="delay_min", rule=NONNEGATIVE),
+        Key("scan.delay_max_tr", FLOAT, 1.3, echo=NEVER),
+        Key("scan.delay_max", FLOAT, field="delay_max"),
+        Key("scan.dithered", BOOL, True, field="dithered"),
+        Key("output.delay_to_mm", FLOAT, 0.0, field="delay_to_mm", echo=CHANGED),
     ),
-    "fringe": _COMMON_KEYS
-    + (
-        "detector.resolution_time",
-        "interferometer.mode_match",
-        "scan.points",
-        "scan.delay",
-        "scan.delay_tr",
-        "scan.phase_min",
-        "scan.phase_max",
+    "fringe": _table(
+        _RESOLUTION_TIME,
+        _MODE_MATCH,
+        _scan_points(181),
+        Key("scan.delay_tr", FLOAT, 1.0, echo=NEVER, rule=NONNEGATIVE),
+        Key("scan.delay", FLOAT, field="delay", rule=NONNEGATIVE),
+        Key("scan.phase_min", FLOAT, 0.0, field="phase_min"),
+        Key("scan.phase_max", FLOAT, 4.0 * math.pi, field="phase_max"),
     ),
-    "engineer": _COMMON_KEYS
-    + (
-        "engineering.target_peak",
-        "engineering.wideband_shape",
-        "engineering.wideband_halfwidth",
-        "engineering.optimize_width",
-        "scan.points",
-        "scan.tau_min",
-        "scan.tau_max",
-        "scan.tau_min_tr",
-        "scan.tau_max_tr",
+    "engineer": _table(
+        Key("engineering.target_peak", INT, 1, field="target_peak"),
+        Key("engineering.wideband_shape", SHAPE, Shape.RECTANGULAR, field="wideband_shape"),
+        Key(
+            "engineering.wideband_halfwidth", FLOAT, 0.0, field="wideband_halfwidth",
+            frequency=True, rule=NONNEGATIVE,
+        ),
+        Key("engineering.optimize_width", BOOL, True, field="optimize_width"),
+        _scan_points(16384),
+        *_tau_keys(None, None),  # default: 1.5 round trips beyond the target peak
     ),
-    "mc": _COMMON_KEYS
-    + (
-        "detector.resolution_time",
-        "detector.coincidence_window",
-        "detector.efficiency",
-        "detector.dark_rate",
-        "scan.points",
-        "scan.tau_min",
-        "scan.tau_max",
-        "scan.tau_min_tr",
-        "scan.tau_max_tr",
-        "mc.n_events",
-        "mc.bin_width",
-        "mc.range_min",
-        "mc.range_max",
-        "mc.duration",
+    "mc": _table(
+        replace(_RESOLUTION_TIME, rule=NONNEGATIVE),  # 0 is an ideal detector
+        Key("detector.coincidence_window", FLOAT, 1e-8),
+        Key("detector.efficiency", FLOAT, 1.0),
+        Key("detector.dark_rate", FLOAT, 0.0),
+        _scan_points(131073),
+        *_tau_keys(-2.0, 2.0),
+        Key("mc.n_events", INT, 100000, field="mc_events", rule=NONNEGATIVE),
+        Key("mc.bin_width", FLOAT, field="mc_bin_width", rule=POSITIVE),
+        Key("mc.range_min", FLOAT),
+        Key("mc.range_max", FLOAT),
+        Key("mc.duration", FLOAT, 0.0, field="mc_duration", rule=NONNEGATIVE),
     ),
 }
 
@@ -160,68 +240,11 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(repr(p) for p in value)
+    if isinstance(value, Shape):
+        return value.value
     return str(value)
-
-
-class _Resolver:
-    def __init__(self, raw: dict, command: str):
-        self.raw = dict(raw)
-        self.command = command
-        allowed = set(_KEYS_BY_COMMAND[command])
-        for key in raw:
-            if key not in allowed:
-                raise ConfigError(f"key {key!r} is not valid for command {command!r}")
-        claimed_command = self.raw.pop("run.command", command)
-        if claimed_command != command:
-            raise ConfigError(
-                f"config was written for command {claimed_command!r}, not {command!r}"
-            )
-        self.ordinary = self._str("units.frequency", "angular") in ("ordinary",)
-
-    def _take(self, key: str):
-        return self.raw.pop(key, None)
-
-    def _str(self, key: str, default: str) -> str:
-        val = self._take(key)
-        return default if val is None else val
-
-    def _float(self, key: str, default: float | None) -> float | None:
-        val = self._take(key)
-        if val is None:
-            return default
-        try:
-            out = float(val)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {val!r}") from None
-        if key in _FREQUENCY_KEYS and self.ordinary:
-            out *= _TWO_PI
-        return out
-
-    def _int(self, key: str, default: int | None) -> int | None:
-        val = self._take(key)
-        if val is None:
-            return default
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {val!r}") from None
-
-    def _bool(self, key: str, default: bool) -> bool:
-        val = self._take(key)
-        if val is None:
-            return default
-        if val not in ("true", "false"):
-            raise ConfigError(f"{key}: expected true or false, got {val!r}")
-        return val == "true"
-
-    def _floats(self, key: str):
-        val = self._take(key)
-        if val is None:
-            return None
-        try:
-            return tuple(float(p) for p in val.split(",") if p.strip() != "")
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {val!r}") from None
 
 
 @dataclass
@@ -259,217 +282,102 @@ class RunConfig:
         return [f"# {key} = {val}" for key, val in self._echo]
 
 
+def _one_of(raw: dict, key: str, alternative: str) -> None:
+    if key in raw and alternative in raw:
+        raise ConfigError(f"give {key} or {alternative}, not both")
+
+
+def _detector(values: dict) -> DetectorModel:
+    # homscan and fringe set only the resolving time; the rest keep mc's defaults
+    fields = {k: key.default for k, key in KEY_TABLES["mc"].items() if k.startswith("detector.")}
+    fields.update((k, v) for k, v in values.items() if k.startswith("detector."))
+    try:
+        return DetectorModel(**{k.removeprefix("detector."): v for k, v in fields.items()})
+    except ValueError as exc:
+        raise ConfigError(f"detector: {exc}") from None
+
+
 def resolve_config(raw: dict, command: str, seed_override: int | None = None) -> RunConfig:
     """Validate and resolve a parsed configuration for one command."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    r = _Resolver(raw, command)
-    echo = [("run.command", command)]
-
-    seed = r._int("seed", 0)
+    table = KEY_TABLES[command]
+    for key in raw:
+        if key not in table and key != "run.command":
+            raise ConfigError(f"key {key!r} is not valid for command {command!r}")
+    claimed_command = raw.get("run.command", command)
+    if claimed_command != command:
+        raise ConfigError(f"config was written for command {claimed_command!r}, not {command!r}")
+    values = {}
+    for name, key in table.items():
+        values[name] = key.read(raw.get(name), values.get("units.frequency") == "ordinary")
     if seed_override is not None:
-        seed = seed_override
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
-    echo.append(("seed", seed))
-    echo.append(("units.frequency", "angular"))
+        values["seed"] = table["seed"].read(str(seed_override), False)
+    values["units.frequency"] = "angular"  # every frequency is now angular
 
-    n_side = r._int("comb.n_side_modes", 10)
-    spacing = r._float("comb.mode_spacing", None)
-    t_r_in = r._float("comb.round_trip_time", None)
-    if spacing is not None and t_r_in is not None:
-        raise ConfigError("give comb.mode_spacing or comb.round_trip_time, not both")
-    if spacing is None:
-        spacing = _TWO_PI / (t_r_in if t_r_in is not None else 1e-12)
-    pump = r._float("comb.pump_frequency", 3.54e15)
-    linewidth = r._float("comb.linewidth", None)
-    if linewidth is None:
-        linewidth = 0.01 * spacing
-    shape_name = r._str("comb.shape", "lorentzian")
-    try:
-        shape = Shape(shape_name)
-    except ValueError:
-        raise ConfigError(f"comb.shape: unknown shape {shape_name!r}") from None
-    center = r._float("comb.center", 0.0)
-    phases = r._floats("comb.mode_phases")
-    phase_seed = r._int("comb.phase_seed", None)
-    if phases is not None and phase_seed is not None:
-        raise ConfigError("give comb.mode_phases or comb.phase_seed, not both")
-    if phase_seed is not None:
-        rng = np.random.default_rng(phase_seed)
-        phases = tuple(float(p) for p in rng.uniform(0.0, _TWO_PI, 2 * n_side + 1))
+    _one_of(raw, "comb.mode_spacing", "comb.round_trip_time")
+    if values["comb.mode_spacing"] is None:
+        values["comb.mode_spacing"] = _TWO_PI / values["comb.round_trip_time"]
+    if values["comb.linewidth"] is None:
+        values["comb.linewidth"] = 0.01 * values["comb.mode_spacing"]
+    _one_of(raw, "comb.mode_phases", "comb.phase_seed")
+    n_side = values["comb.n_side_modes"]
+    if values["comb.phase_seed"] is not None:
+        rng = np.random.default_rng(values["comb.phase_seed"])
+        values["comb.mode_phases"] = tuple(
+            float(p) for p in rng.uniform(0.0, _TWO_PI, 2 * n_side + 1)
+        )
     try:
         comb = ModeComb(
             n_side_modes=n_side,
-            mode_spacing=spacing,
-            pump_frequency=pump,
-            single_mode=SpectralAmplitude(shape=shape, halfwidth=linewidth, center=center),
-            mode_phases=phases if phases is not None else (),
+            mode_spacing=values["comb.mode_spacing"],
+            pump_frequency=values["comb.pump_frequency"],
+            single_mode=SpectralAmplitude(
+                shape=values["comb.shape"],
+                halfwidth=values["comb.linewidth"],
+                center=values["comb.center"],
+            ),
+            mode_phases=values["comb.mode_phases"],
         )
     except ValueError as exc:
         raise ConfigError(f"comb: {exc}") from None
+    values["comb.mode_phases"] = () if comb.is_locked else comb.mode_phases
     t_r = comb.round_trip_time
-    echo.append(("comb.n_side_modes", n_side))
-    echo.append(("comb.mode_spacing", spacing))
-    echo.append(("comb.pump_frequency", pump))
-    echo.append(("comb.linewidth", linewidth))
-    echo.append(("comb.shape", shape.value))
-    if center != 0.0:
-        echo.append(("comb.center", center))
-    if not comb.is_locked:
-        echo.append(("comb.mode_phases", ",".join(repr(p) for p in comb.mode_phases)))
 
-    cfg = RunConfig(command=command, seed=seed, comb=comb)
+    if command == "engineer":
+        span = abs(values["engineering.target_peak"]) + 1.5
+        for name, sign in (("scan.tau_min_tr", -1.0), ("scan.tau_max_tr", 1.0)):
+            if values[name] is None:
+                values[name] = sign * span
+    for name in [name for name in table if name + "_tr" in table]:
+        _one_of(raw, name, name + "_tr")
+        if values[name] is None:
+            values[name] = values[name + "_tr"] * t_r
+    if command == "mc":
+        if values["mc.bin_width"] is None:
+            values["mc.bin_width"] = t_r / 100.0
+        pad = values["detector.resolution_time"]
+        if values["mc.range_min"] is None:
+            values["mc.range_min"] = values["scan.tau_min"] - pad
+        if values["mc.range_max"] is None:
+            values["mc.range_max"] = values["scan.tau_max"] + pad
+    for low in [name for name in table if name.endswith("_min")]:
+        high = low.removesuffix("_min") + "_max"
+        if not values[high] > values[low]:
+            raise ConfigError(f"{high} must exceed {low}, got {values[low]} .. {values[high]}")
 
-    def tau_pair(key_s: str, key_tr: str, default_tr: float):
-        sec = r._float(key_s, None)
-        in_tr = r._float(key_tr, None)
-        if sec is not None and in_tr is not None:
-            raise ConfigError(f"give {key_s} or {key_tr}, not both")
-        if sec is None:
-            sec = (in_tr if in_tr is not None else default_tr) * t_r
-        return sec
-
-    if command in ("homscan", "fringe", "mc"):
-        res_time = r._float("detector.resolution_time", 1e-8)
-        window = r._float("detector.coincidence_window", 1e-8)
-        efficiency = r._float("detector.efficiency", 1.0)
-        dark = r._float("detector.dark_rate", 0.0)
-        try:
-            cfg.detector = DetectorModel(
-                resolution_time=res_time,
-                coincidence_window=window,
-                efficiency=efficiency,
-                dark_rate=dark,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"detector: {exc}") from None
-        echo.append(("detector.resolution_time", res_time))
-        if command == "mc":
-            echo.append(("detector.coincidence_window", window))
-            echo.append(("detector.efficiency", efficiency))
-            echo.append(("detector.dark_rate", dark))
-
-    if command == "correlation":
-        cfg.scan_points = r._int("scan.points", 4096)
-        cfg.tau_min = tau_pair("scan.tau_min", "scan.tau_min_tr", -2.0)
-        cfg.tau_max = tau_pair("scan.tau_max", "scan.tau_max_tr", 2.0)
-        cfg.include_coherence = r._bool("scan.include_coherence", True)
-        echo.append(("scan.points", cfg.scan_points))
-        echo.append(("scan.tau_min", cfg.tau_min))
-        echo.append(("scan.tau_max", cfg.tau_max))
-        echo.append(("scan.include_coherence", cfg.include_coherence))
-    elif command == "homscan":
-        cfg.mode_match = r._float("interferometer.mode_match", 1.0)
-        cfg.pump_phase = r._float("interferometer.pump_phase", 0.0)
-        cfg.scan_points = r._int("scan.points", 261)
-        cfg.delay_min = tau_pair("scan.delay_min", "scan.delay_min_tr", 0.0)
-        cfg.delay_max = tau_pair("scan.delay_max", "scan.delay_max_tr", 1.3)
-        cfg.dithered = r._bool("scan.dithered", True)
-        cfg.delay_to_mm = r._float("output.delay_to_mm", 0.0)
-        echo.append(("interferometer.mode_match", cfg.mode_match))
-        echo.append(("interferometer.pump_phase", cfg.pump_phase))
-        echo.append(("scan.points", cfg.scan_points))
-        echo.append(("scan.delay_min", cfg.delay_min))
-        echo.append(("scan.delay_max", cfg.delay_max))
-        echo.append(("scan.dithered", cfg.dithered))
-        if cfg.delay_to_mm != 0.0:
-            echo.append(("output.delay_to_mm", cfg.delay_to_mm))
-    elif command == "fringe":
-        cfg.mode_match = r._float("interferometer.mode_match", 1.0)
-        cfg.scan_points = r._int("scan.points", 181)
-        cfg.delay = tau_pair("scan.delay", "scan.delay_tr", 1.0)
-        cfg.phase_min = r._float("scan.phase_min", 0.0)
-        cfg.phase_max = r._float("scan.phase_max", 4.0 * math.pi)
-        echo.append(("interferometer.mode_match", cfg.mode_match))
-        echo.append(("scan.points", cfg.scan_points))
-        echo.append(("scan.delay", cfg.delay))
-        echo.append(("scan.phase_min", cfg.phase_min))
-        echo.append(("scan.phase_max", cfg.phase_max))
-    elif command == "engineer":
-        cfg.target_peak = r._int("engineering.target_peak", 1)
-        wb_shape_name = r._str("engineering.wideband_shape", "rectangular")
-        try:
-            cfg.wideband_shape = Shape(wb_shape_name)
-        except ValueError:
-            raise ConfigError(
-                f"engineering.wideband_shape: unknown shape {wb_shape_name!r}"
-            ) from None
-        cfg.wideband_halfwidth = r._float("engineering.wideband_halfwidth", 0.0)
-        cfg.optimize_width = r._bool("engineering.optimize_width", True)
-        span = abs(cfg.target_peak) + 1.5
-        cfg.scan_points = r._int("scan.points", 16384)
-        cfg.tau_min = tau_pair("scan.tau_min", "scan.tau_min_tr", -span)
-        cfg.tau_max = tau_pair("scan.tau_max", "scan.tau_max_tr", span)
-        echo.append(("engineering.target_peak", cfg.target_peak))
-        echo.append(("engineering.wideband_shape", cfg.wideband_shape.value))
-        echo.append(("engineering.wideband_halfwidth", cfg.wideband_halfwidth))
-        echo.append(("engineering.optimize_width", cfg.optimize_width))
-        echo.append(("scan.points", cfg.scan_points))
-        echo.append(("scan.tau_min", cfg.tau_min))
-        echo.append(("scan.tau_max", cfg.tau_max))
-    elif command == "mc":
-        cfg.scan_points = r._int("scan.points", 131073)
-        cfg.tau_min = tau_pair("scan.tau_min", "scan.tau_min_tr", -2.0)
-        cfg.tau_max = tau_pair("scan.tau_max", "scan.tau_max_tr", 2.0)
-        cfg.mc_events = r._int("mc.n_events", 100000)
-        bin_width = r._float("mc.bin_width", None)
-        cfg.mc_bin_width = bin_width if bin_width is not None else t_r / 100.0
-        pad = cfg.detector.resolution_time
-        lo = r._float("mc.range_min", None)
-        hi = r._float("mc.range_max", None)
-        cfg.mc_range = (
-            lo if lo is not None else cfg.tau_min - pad,
-            hi if hi is not None else cfg.tau_max + pad,
-        )
-        cfg.mc_duration = r._float("mc.duration", 0.0)
-        echo.append(("scan.points", cfg.scan_points))
-        echo.append(("scan.tau_min", cfg.tau_min))
-        echo.append(("scan.tau_max", cfg.tau_max))
-        echo.append(("mc.n_events", cfg.mc_events))
-        echo.append(("mc.bin_width", cfg.mc_bin_width))
-        echo.append(("mc.range_min", cfg.mc_range[0]))
-        echo.append(("mc.range_max", cfg.mc_range[1]))
-        echo.append(("mc.duration", cfg.mc_duration))
-
-    if r.raw:
-        stray = ", ".join(sorted(r.raw))
-        raise ConfigError(f"unused keys for command {command!r}: {stray}")
-
-    _validate(cfg)
-    cfg._echo = [(k, _fmt(v)) for k, v in echo]
+    cfg = RunConfig(
+        command=command,
+        comb=comb,
+        **{key.field: values[name] for name, key in table.items() if key.field},
+    )
+    if "detector.resolution_time" in table:
+        cfg.detector = _detector(values)
+    if command == "mc":
+        cfg.mc_range = (values["mc.range_min"], values["mc.range_max"])
+    cfg._echo = [("run.command", command)] + [
+        (name, _fmt(values[name]))
+        for name, key in table.items()
+        if key.echo == ALWAYS or (key.echo == CHANGED and values[name] != key.default)
+    ]
     return cfg
-
-
-def _validate(cfg: RunConfig):
-    if cfg.scan_points < 2:
-        raise ConfigError(f"scan.points: must be >= 2, got {cfg.scan_points}")
-    if cfg.command in ("correlation", "engineer", "mc") and not cfg.tau_max > cfg.tau_min:
-        raise ConfigError(f"scan.tau_max must exceed scan.tau_min, got "
-                          f"{cfg.tau_min} .. {cfg.tau_max}")
-    if cfg.command == "homscan":
-        if not cfg.delay_max > cfg.delay_min:
-            raise ConfigError("scan.delay_max must exceed scan.delay_min")
-        if cfg.delay_min < 0:
-            raise ConfigError(f"scan.delay_min: must be >= 0, got {cfg.delay_min}")
-        if not 0.0 < cfg.mode_match <= 1.0:
-            raise ConfigError(f"interferometer.mode_match: must be in (0, 1], got {cfg.mode_match}")
-    if cfg.command == "fringe":
-        if cfg.delay < 0:
-            raise ConfigError(f"scan.delay: must be >= 0, got {cfg.delay}")
-        if not cfg.phase_max > cfg.phase_min:
-            raise ConfigError("scan.phase_max must exceed scan.phase_min")
-        if not 0.0 < cfg.mode_match <= 1.0:
-            raise ConfigError(f"interferometer.mode_match: must be in (0, 1], got {cfg.mode_match}")
-    if cfg.command == "engineer":
-        if cfg.wideband_halfwidth < 0:
-            raise ConfigError("engineering.wideband_halfwidth: must be >= 0")
-    if cfg.command == "mc":
-        if cfg.mc_events < 0:
-            raise ConfigError(f"mc.n_events: must be >= 0, got {cfg.mc_events}")
-        if not cfg.mc_bin_width > 0:
-            raise ConfigError(f"mc.bin_width: must be > 0, got {cfg.mc_bin_width}")
-        if not cfg.mc_range[1] > cfg.mc_range[0]:
-            raise ConfigError(f"mc.range_max must exceed mc.range_min, got {cfg.mc_range}")
-        if cfg.mc_duration < 0:
-            raise ConfigError(f"mc.duration: must be >= 0, got {cfg.mc_duration}")

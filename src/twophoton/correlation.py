@@ -27,6 +27,8 @@ from .spectral import ModeComb, Shape, SpectralAmplitude, TimeGrid
 #: half-span of the quadrature window in units of the halfwidth
 QUAD_SPAN_HALFWIDTHS = 50.0
 QUAD_POINTS = 100_001
+#: node cap of every Simpson rule, and the largest scan a config may request
+MAX_QUAD_POINTS = 4_194_305
 
 
 class TraceKind(str, enum.Enum):
@@ -117,13 +119,22 @@ def envelope_support(s: SpectralAmplitude, intensity_eps: float = 1e-12) -> floa
     return 1.0 / (hw * math.sqrt(intensity_eps))
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of nodes >= 3")
+def simpson_rule(lo: float, hi: float, n_min: int):
+    """Composite Simpson nodes and weights on [lo, hi].
+
+    Uses the smallest odd node count >= max(n_min, 3); more than
+    MAX_QUAD_POINTS nodes is a GridError, raised before anything is allocated.
+    """
+    n = max(n_min + 1 - n_min % 2, 3)
+    if n > MAX_QUAD_POINTS:
+        raise GridError(
+            f"quadrature over [{lo:.3e}, {hi:.3e}] needs {n} nodes; cap is {MAX_QUAD_POINTS}"
+        )
+    x = np.linspace(lo, hi, n)
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    return x, w * ((x[1] - x[0]) / 3.0)
 
 
 def _lorentzian_tail(hw: float, a: float, tau: np.ndarray) -> np.ndarray:
@@ -149,9 +160,14 @@ def _lorentzian_tail(hw: float, a: float, tau: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spectral_span(s: SpectralAmplitude, span_halfwidths: float) -> float:
+    """Highest detuning a transform carries: the quadrature span, which for
+    the compactly supported rectangle is just the halfwidth itself."""
+    return s.halfwidth if s.shape is Shape.RECTANGULAR else span_halfwidths * s.halfwidth
+
+
 def _cosine_transform_quadrature(
-    shape: Shape,
-    hw: float,
+    s: SpectralAmplitude,
     power: int,
     tau: np.ndarray,
     span_halfwidths: float,
@@ -164,19 +180,16 @@ def _cosine_transform_quadrature(
     transform.  The heavy Lorentzian tail outside the Simpson window is added
     back analytically.
     """
-    if shape is Shape.RECTANGULAR:
-        a = hw  # compact support
-    else:
-        a = span_halfwidths * hw
-    n = n_points if n_points % 2 == 1 else n_points + 1
-    u = np.linspace(-a, a, n)
+    shape, hw = s.shape, s.halfwidth
+    a = _spectral_span(s, span_halfwidths)
+    u, w = simpson_rule(-a, a, n_points)
     if shape is Shape.LORENTZIAN:
         f = 1.0 / (1.0 + (u / hw) ** 2)  # same profile for amplitude and intensity
     elif shape is Shape.GAUSSIAN:
         f = np.exp(-power * u**2 / (2.0 * hw**2))
     else:
         f = np.ones_like(u)
-    w = _simpson_weights(n, u[1] - u[0]) * f
+    w = w * f
     out = np.array([np.sum(w * np.cos(u * t)) for t in np.atleast_1d(tau)])
     if shape is Shape.LORENTZIAN:
         out = out + _lorentzian_tail(hw, a, np.atleast_1d(tau))
@@ -195,6 +208,26 @@ def _closed_cosine_transform(shape: Shape, hw: float, power: int, tau: np.ndarra
     return 2.0 * hw * np.sinc(hw * t / math.pi), 2.0 * hw
 
 
+def _line_transform(s, tau, power, method, span_halfwidths, quad_points):
+    """Transform of the line profile to the ``power``, normalized to 1 at tau = 0.
+
+    The pair envelope (power 1) carries e^{-i*center*tau} and the coherence
+    envelope (power 2) e^{+i*center*tau}.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if method == "closed":
+        core, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, tau)
+    elif method == "quadrature":
+        core = _cosine_transform_quadrature(s, power, tau, span_halfwidths, quad_points)
+        scale = float(
+            _cosine_transform_quadrature(s, power, np.zeros(1), span_halfwidths, quad_points)[0]
+        )
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    carrier = -1j if power == 1 else 1j
+    return (core / scale) * np.exp(carrier * s.center * tau)
+
+
 def pair_envelope(
     s: SpectralAmplitude,
     tau,
@@ -206,21 +239,7 @@ def pair_envelope(
 
     A line centered off zero contributes the carrier e^{-i*center*tau}.
     """
-    tau = np.asarray(tau, dtype=float)
-    if method == "closed":
-        core, scale = _closed_cosine_transform(s.shape, s.halfwidth, 1, tau)
-    elif method == "quadrature":
-        core = _cosine_transform_quadrature(
-            s.shape, s.halfwidth, 1, tau, span_halfwidths, quad_points
-        )
-        scale = float(
-            _cosine_transform_quadrature(
-                s.shape, s.halfwidth, 1, np.zeros(1), span_halfwidths, quad_points
-            )[0]
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return (core / scale) * np.exp(-1j * s.center * tau)
+    return _line_transform(s, tau, 1, method, span_halfwidths, quad_points)
 
 
 def coherence_envelope(
@@ -231,33 +250,25 @@ def coherence_envelope(
     quad_points: int = QUAD_POINTS,
 ):
     """Normalized field-coherence envelope G(tau): transform of the line intensity."""
-    tau = np.asarray(tau, dtype=float)
-    if method == "closed":
-        core, scale = _closed_cosine_transform(s.shape, s.halfwidth, 2, tau)
-    elif method == "quadrature":
-        core = _cosine_transform_quadrature(
-            s.shape, s.halfwidth, 2, tau, span_halfwidths, quad_points
-        )
-        scale = float(
-            _cosine_transform_quadrature(
-                s.shape, s.halfwidth, 2, np.zeros(1), span_halfwidths, quad_points
-            )[0]
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return (core / scale) * np.exp(1j * s.center * tau)
+    return _line_transform(s, tau, 2, method, span_halfwidths, quad_points)
 
 
-def _check_nyquist(s: SpectralAmplitude, grid: TimeGrid, span_halfwidths: float):
-    # highest detuning carried by the transform: the quadrature span, which for
-    # the compactly supported rectangle is just the halfwidth itself
-    span = s.halfwidth if s.shape is Shape.RECTANGULAR else span_halfwidths * s.halfwidth
+def comb_amplitude(tau, comb: ModeComb, method: str = "closed"):
+    """Pair time amplitude X(tau) = g(tau) F(tau)."""
+    return pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
+
+
+def _envelope_trace(s, grid, power, method, span_halfwidths, quad_points) -> CorrelationTrace:
+    span = _spectral_span(s, span_halfwidths)
     limit = math.pi / (10.0 * span)
     if grid.spacing >= limit:
         raise NyquistError(
             f"grid spacing {grid.spacing:.3e} s undersamples the spectrum: "
             f"needs < {limit:.3e} s for spectral content out to {span:.3e} rad/s"
         )
+    vals = _line_transform(s, grid.values, power, method, span_halfwidths, quad_points)
+    _, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, np.zeros(1))
+    return CorrelationTrace(grid, vals, TraceKind.AMPLITUDE, normalization=scale)
 
 
 def envelope_g(
@@ -268,10 +279,7 @@ def envelope_g(
     quad_points: int = QUAD_POINTS,
 ) -> CorrelationTrace:
     """Pair envelope sampled on a grid, normalized to g(0) = 1."""
-    _check_nyquist(s, grid, span_halfwidths)
-    vals = pair_envelope(s, grid.values, method, span_halfwidths, quad_points)
-    _, scale = _closed_cosine_transform(s.shape, s.halfwidth, 1, np.zeros(1))
-    return CorrelationTrace(grid, vals, TraceKind.AMPLITUDE, normalization=scale)
+    return _envelope_trace(s, grid, 1, method, span_halfwidths, quad_points)
 
 
 def envelope_G(
@@ -282,10 +290,7 @@ def envelope_G(
     quad_points: int = QUAD_POINTS,
 ) -> CorrelationTrace:
     """Field-coherence envelope sampled on a grid, normalized to G(0) = 1."""
-    _check_nyquist(s, grid, span_halfwidths)
-    vals = coherence_envelope(s, grid.values, method, span_halfwidths, quad_points)
-    _, scale = _closed_cosine_transform(s.shape, s.halfwidth, 2, np.zeros(1))
-    return CorrelationTrace(grid, vals, TraceKind.AMPLITUDE, normalization=scale)
+    return _envelope_trace(s, grid, 2, method, span_halfwidths, quad_points)
 
 
 def _check_peak_resolution(comb: ModeComb, grid: TimeGrid, samples_per_peak: int = 8):
@@ -304,10 +309,7 @@ def gamma2_mode_locked(comb: ModeComb, grid: TimeGrid, method: str = "closed") -
     at every round trip, with the envelope decay on top.
     """
     _check_peak_resolution(comb, grid)
-    tau = grid.values
-    g = pair_envelope(comb.single_mode, tau, method)
-    F = generalized_F(tau, comb)
-    samples = np.abs(g * F) ** 2
+    samples = np.abs(comb_amplitude(grid.values, comb, method)) ** 2
     return CorrelationTrace(
         grid,
         samples,

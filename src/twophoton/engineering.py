@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationTrace, TraceKind, generalized_F, pair_envelope
+from .correlation import (
+    CorrelationTrace,
+    TraceKind,
+    comb_amplitude,
+    pair_envelope,
+    simpson_rule,
+)
 from .errors import GridError, PoorMatch, UnreachablePeak
 from .spectral import ModeComb, Shape, SpectralAmplitude, TimeGrid
 
@@ -87,7 +93,7 @@ def combined_gamma2(
         )
     _check_wideband_resolves(w, grid)
     tau = grid.values
-    locked_amp = pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
+    locked_amp = comb_amplitude(tau, comb, method)
     wide_amp = pair_envelope(w.spectrum, tau - w.delay, method)
     samples = np.abs(eta * locked_amp + zeta * wide_amp) ** 2
     return CorrelationTrace(
@@ -101,19 +107,12 @@ def _peak_window(comb: ModeComb, peak: int, grid: TimeGrid):
     center = peak * t_r
     spacing = min(grid.spacing, t_r / (32.0 * comb.n_modes))
     n = int(math.ceil((t_r / 2.0) / spacing)) + 1
-    if n % 2 == 0:
-        n += 1
-    tau = np.linspace(center - t_r / 4.0, center + t_r / 4.0, n)
-    h = tau[1] - tau[0]
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return tau, w * (h / 3.0)
+    return simpson_rule(center - t_r / 4.0, center + t_r / 4.0, n)
 
 
 def _window_energies(comb, wideband, delay, zeta, peak, grid, method):
     tau, w = _peak_window(comb, peak, grid)
-    a = pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
+    a = comb_amplitude(tau, comb, method)
     f = pair_envelope(wideband, tau - delay, method)
     before = float(np.sum(w * np.abs(a) ** 2))
     after = float(np.sum(w * np.abs(a + zeta * f) ** 2))
@@ -147,7 +146,7 @@ def solve_excision(
         )
 
     tau, w = _peak_window(comb, target_peak, grid)
-    a = pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
+    a = comb_amplitude(tau, comb, method)
     pre = float(np.sum(w * np.abs(a) ** 2))
 
     if optimize_width:
@@ -223,7 +222,7 @@ def excision_grid_search(
     t_r = comb.round_trip_time
     delay = target_peak * t_r
     tau, w = _peak_window(comb, target_peak, grid)
-    a = pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
+    a = comb_amplitude(tau, comb, method)
     f = pair_envelope(wideband, tau - delay, method)
     pre = float(np.sum(w * np.abs(a) ** 2))
     mag_max = 2.0 * float(np.max(np.abs(a))) / float(np.max(np.abs(f)))

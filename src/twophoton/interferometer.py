@@ -20,14 +20,14 @@ import numpy as np
 
 from .correlation import (
     coherence_envelope,
+    comb_amplitude,
     envelope_support,
     generalized_F,
-    pair_envelope,
+    simpson_rule,
 )
-from .errors import GridError, ResolutionError
+from .errors import NumericsError, ResolutionError
 from .spectral import ModeComb
 
-MAX_QUAD_POINTS = 4_194_305
 SUPPORT_INTENSITY_EPS = 1e-14
 
 
@@ -109,11 +109,6 @@ def bs_two_photon_state(transmission: float = 0.5) -> np.ndarray:
     return np.array([state[index[(2, 0)]], state[index[(0, 2)]], state[index[(1, 1)]]])
 
 
-def _comb_amplitude(tau, comb: ModeComb, method: str = "closed"):
-    """Pair time amplitude X(tau) = g(tau) F(tau)."""
-    return pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
-
-
 def _route_amplitudes(cfg: InterferometerConfig):
     t, r = cfg.splitter_ratios
     a = t - r * np.exp(1j * cfg.pump_phase)          # short-short minus long-long
@@ -131,9 +126,9 @@ def gamma12(tau, cfg: InterferometerConfig, method: str = "closed"):
     a, b, tr_prod = _route_amplitudes(cfg)
     m = cfg.mode_match
     tau = np.asarray(tau, dtype=float)
-    x0 = _comb_amplitude(tau, cfg.comb, method)
-    xp = _comb_amplitude(tau + cfg.delay, cfg.comb, method)
-    xm = _comb_amplitude(tau - cfg.delay, cfg.comb, method)
+    x0 = comb_amplitude(tau, cfg.comb, method)
+    xp = comb_amplitude(tau + cfg.delay, cfg.comb, method)
+    xm = comb_amplitude(tau - cfg.delay, cfg.comb, method)
     term_ss_ll = np.abs(a) ** 2 * np.abs(x0) ** 2
     term_hom = tr_prod * (
         np.abs(xp) ** 2 + np.abs(xm) ** 2 - 2.0 * m * np.real(xp * np.conj(xm))
@@ -143,54 +138,39 @@ def gamma12(tau, cfg: InterferometerConfig, method: str = "closed"):
     return out if np.ndim(out) else float(out)
 
 
-def _quad_grid(cfg: InterferometerConfig, samples_per_peak: int):
+def _window_amplitudes(cfg: InterferometerConfig, method: str, samples_per_peak: int):
+    """Simpson weights over the resolving window and X(tau), X(tau+D), X(tau-D) on its nodes.
+
+    The window is truncated to the delay plus the envelope support; the
+    integrated-rate model needs it to cover the delay.
+    """
+    if cfg.resolution_time < cfg.delay:
+        raise ResolutionError(
+            f"resolution_time {cfg.resolution_time:.3e} s is shorter than the "
+            f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
+        )
     comb = cfg.comb
-    t_r = comb.round_trip_time
     support = envelope_support(comb.single_mode, SUPPORT_INTENSITY_EPS)
     half = min(cfg.resolution_time / 2.0, abs(cfg.delay) + support)
-    dt_target = t_r / (comb.n_modes * samples_per_peak)
-    n = int(math.ceil(2.0 * half / dt_target)) + 1
-    if n % 2 == 0:
-        n += 1
-    if n > MAX_QUAD_POINTS:
-        raise GridError(
-            f"coincidence quadrature needs {n} samples "
-            f"(window {2 * half:.3e} s at {dt_target:.3e} s); "
-            f"cap is {MAX_QUAD_POINTS}"
-        )
-    n = max(n, 3)
-    tau = np.linspace(-half, half, n)
-    h = tau[1] - tau[0]
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return tau, w * (h / 3.0)
+    dt_target = comb.round_trip_time / (comb.n_modes * samples_per_peak)
+    tau, w = simpson_rule(-half, half, int(math.ceil(2.0 * half / dt_target)) + 1)
+    x0 = comb_amplitude(tau, comb, method)
+    xp = comb_amplitude(tau + cfg.delay, comb, method)
+    xm = comb_amplitude(tau - cfg.delay, comb, method)
+    return w, x0, xp, xm
 
 
-@dataclass(frozen=True)
-class _WindowIntegrals:
-    r0: float
-    r_plus: float
-    r_minus: float
-    overlap: float        # Re int X(tau+D) X*(tau-D) dtau
-    cross: float
-
-
-def _window_integrals(
-    cfg: InterferometerConfig, method: str = "closed", samples_per_peak: int = 16
-) -> _WindowIntegrals:
-    tau, w = _quad_grid(cfg, samples_per_peak)
-    comb = cfg.comb
-    x0 = _comb_amplitude(tau, comb, method)
-    xp = _comb_amplitude(tau + cfg.delay, comb, method)
-    xm = _comb_amplitude(tau - cfg.delay, comb, method)
-    a, b, _ = _route_amplitudes(cfg)
+def _r0_and_visibility(cfg: InterferometerConfig, w, x0, xp, xm):
+    """Window integral R0 of |X|^2 and the overlap visibility V(Delta), mode match included."""
     r0 = float(np.sum(w * np.abs(x0) ** 2))
-    r_plus = float(np.sum(w * np.abs(xp) ** 2))
-    r_minus = float(np.sum(w * np.abs(xm) ** 2))
     overlap = float(np.sum(w * np.real(xp * np.conj(xm))))
-    cross = float(np.sum(w * np.real(np.conj(a) * b * np.conj(x0) * (xp - xm))))
-    return _WindowIntegrals(r0, r_plus, r_minus, overlap, cross)
+    return r0, cfg.mode_match * overlap / r0
+
+
+def _checked_rate(rate: float, r0: float, v: float, cross_int: float) -> CoincidenceResult:
+    if rate < -1e-9 * r0:
+        raise NumericsError(f"negative coincidence rate {rate:.3e}; quadrature inconsistent")
+    return CoincidenceResult(max(rate, 0.0), r0, v, cross_int)
 
 
 def coincidence_rate(
@@ -199,31 +179,25 @@ def coincidence_rate(
     """Coincidence rate integrated over the detector resolving window.
 
     Returns the rate together with the baseline R0 and the overlap visibility
-    V(Delta).  The pointwise cross term must integrate away; this is asserted
-    against 1e-6 * R0.
+    V(Delta).  The pointwise cross term must integrate away to within
+    1e-6 * R0; otherwise this raises NumericsError.
     """
-    if cfg.resolution_time < cfg.delay:
-        raise ResolutionError(
-            f"resolution_time {cfg.resolution_time:.3e} s is shorter than the "
-            f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
-        )
-    ints = _window_integrals(cfg, method, samples_per_peak)
-    a, _, tr_prod = _route_amplitudes(cfg)
-    m = cfg.mode_match
-    v = m * ints.overlap / ints.r0
-    cross_int = 2.0 * m * ints.cross
-    assert abs(cross_int) < 1e-6 * ints.r0, (
-        f"cross term {cross_int:.3e} did not integrate away (R0 = {ints.r0:.3e})"
-    )
+    w, x0, xp, xm = _window_amplitudes(cfg, method, samples_per_peak)
+    r0, v = _r0_and_visibility(cfg, w, x0, xp, xm)
+    a, b, tr_prod = _route_amplitudes(cfg)
+    r_plus = float(np.sum(w * np.abs(xp) ** 2))
+    r_minus = float(np.sum(w * np.abs(xm) ** 2))
+    cross = float(np.sum(w * np.real(np.conj(a) * b * np.conj(x0) * (xp - xm))))
+    cross_int = 2.0 * cfg.mode_match * cross
+    if not abs(cross_int) < 1e-6 * r0:
+        raise NumericsError(f"cross term {cross_int:.3e} did not integrate away (R0 = {r0:.3e})")
     rate = (
-        float(np.abs(a) ** 2) * ints.r0
-        + tr_prod * (ints.r_plus + ints.r_minus)
-        - 2.0 * tr_prod * v * ints.r0
+        float(np.abs(a) ** 2) * r0
+        + tr_prod * (r_plus + r_minus)
+        - 2.0 * tr_prod * v * r0
         + cross_int
     )
-    if rate < -1e-9 * ints.r0:
-        raise ArithmeticError(f"negative coincidence rate {rate:.3e}; quadrature inconsistent")
-    return CoincidenceResult(max(rate, 0.0), ints.r0, v, cross_int)
+    return _checked_rate(rate, r0, v, cross_int)
 
 
 def dither_averaged_rate(
@@ -234,18 +208,10 @@ def dither_averaged_rate(
     The phase-sensitive route averages to a constant floor, so the deepest
     possible dip is half the far-from-dip rate: the 50% visibility ceiling.
     """
-    if cfg.resolution_time < cfg.delay:
-        raise ResolutionError(
-            f"resolution_time {cfg.resolution_time:.3e} s is shorter than the "
-            f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
-        )
-    ints = _window_integrals(cfg, method, samples_per_peak)
+    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg, method, samples_per_peak))
     t, r = cfg.splitter_ratios
-    v = cfg.mode_match * ints.overlap / ints.r0
-    rate = (t**2 + r**2) * ints.r0 + 2.0 * t * r * ints.r0 * (1.0 - v)
-    if rate < -1e-9 * ints.r0:
-        raise ArithmeticError(f"negative coincidence rate {rate:.3e}; quadrature inconsistent")
-    return CoincidenceResult(max(rate, 0.0), ints.r0, v, 0.0)
+    rate = (t**2 + r**2) * r0 + 2.0 * t * r * r0 * (1.0 - v)
+    return _checked_rate(rate, r0, v, 0.0)
 
 
 def singles_fringe_visibility(cfg: InterferometerConfig, method: str = "closed") -> float:
@@ -277,11 +243,10 @@ def phase_fringe_scan(
     phase-sensitive term scanned.
     """
     phase = np.asarray(phase_points, dtype=float)
-    ints = _window_integrals(cfg, method, samples_per_peak)
+    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg, method, samples_per_peak))
     t, r = cfg.splitter_ratios
-    v = cfg.mode_match * ints.overlap / ints.r0
     a_abs_sq = t**2 + r**2 - 2.0 * t * r * np.cos(phase)
-    coincidence = a_abs_sq * ints.r0 + 2.0 * t * r * ints.r0 * (1.0 - v)
+    coincidence = a_abs_sq * r0 + 2.0 * t * r * r0 * (1.0 - v)
     s_vis = singles_fringe_visibility(cfg, method)
     singles_1 = 1.0 + s_vis * np.cos(phase)
     singles_2 = 1.0 - s_vis * np.cos(phase)
@@ -297,7 +262,7 @@ def phase_fringe_scan(
         metadata={
             "kind": "phase_fringe",
             "delay": cfg.delay,
-            "r0": ints.r0,
+            "r0": r0,
             "visibility_v": v,
             "singles_visibility": s_vis,
             "fitted_visibility": fits,

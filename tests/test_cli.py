@@ -1,15 +1,21 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twophoton.cli import main
 from twophoton.config import (
+    COMMANDS,
     config_from_output_header,
+    parse_config_file,
     parse_config_text,
     resolve_config,
 )
+from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = """
 # small comb, synthetic units (round trip = 1 s)
@@ -19,6 +25,171 @@ comb.pump_frequency = 5000.0
 comb.linewidth = {linewidth}
 seed = 42
 """
+
+# resolved headers of the bundled configs; every output file starts with these
+BUNDLED_ECHO = {
+    "comb_correlation.cfg": (
+        "correlation",
+        [
+            "# run.command = correlation",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# scan.points = 4096",
+            "# scan.tau_min = -2e-12",
+            "# scan.tau_max = 2e-12",
+            "# scan.include_coherence = true",
+        ],
+    ),
+    "excise_peak.cfg": (
+        "engineer",
+        [
+            "# run.command = engineer",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# engineering.target_peak = 1",
+            "# engineering.wideband_shape = rectangular",
+            "# engineering.wideband_halfwidth = 0.0",
+            "# engineering.optimize_width = true",
+            "# scan.points = 16384",
+            "# scan.tau_min = -2.5e-12",
+            "# scan.tau_max = 2.5e-12",
+        ],
+    ),
+    "fringe_full_trip.cfg": (
+        "fringe",
+        [
+            "# run.command = fringe",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 1e-08",
+            "# interferometer.mode_match = 1.0",
+            "# scan.points = 241",
+            "# scan.delay = 1e-12",
+            "# scan.phase_min = 0.0",
+            "# scan.phase_max = 12.566370614359172",
+        ],
+    ),
+    "fringe_half_trip.cfg": (
+        "fringe",
+        [
+            "# run.command = fringe",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 60",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 125660000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 1e-08",
+            "# interferometer.mode_match = 1.0",
+            "# scan.points = 241",
+            "# scan.delay = 5e-13",
+            "# scan.phase_min = 0.0",
+            "# scan.phase_max = 12.566370614359172",
+        ],
+    ),
+    "hom_delay_scan.cfg": (
+        "homscan",
+        [
+            "# run.command = homscan",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 1e-08",
+            "# interferometer.mode_match = 1.0",
+            "# interferometer.pump_phase = 0.0",
+            "# scan.points = 261",
+            "# scan.delay_min = 0.0",
+            "# scan.delay_max = 1.3000000000000001e-12",
+            "# scan.dithered = true",
+            "# output.delay_to_mm = 11500000000000.0",
+        ],
+    ),
+    "mc_fast_detector.cfg": (
+        "mc",
+        [
+            "# run.command = mc",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 0.0",
+            "# detector.coincidence_window = 1e-08",
+            "# detector.efficiency = 1.0",
+            "# detector.dark_rate = 0.0",
+            "# scan.points = 131073",
+            "# scan.tau_min = -2e-12",
+            "# scan.tau_max = 2e-12",
+            "# mc.n_events = 200000",
+            "# mc.bin_width = 1e-14",
+            "# mc.range_min = -2e-12",
+            "# mc.range_max = 2e-12",
+            "# mc.duration = 0.02",
+        ],
+    ),
+    "mc_slow_detector.cfg": (
+        "mc",
+        [
+            "# run.command = mc",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 1e-11",
+            "# detector.coincidence_window = 1e-08",
+            "# detector.efficiency = 1.0",
+            "# detector.dark_rate = 0.0",
+            "# scan.points = 131073",
+            "# scan.tau_min = -2e-11",
+            "# scan.tau_max = 2e-11",
+            "# mc.n_events = 200000",
+            "# mc.bin_width = 5e-13",
+            "# mc.range_min = -3.2e-11",
+            "# mc.range_max = 3.2e-11",
+            "# mc.duration = 0.02",
+        ],
+    ),
+}
+
+# values the key table refuses (command, config body); the first key is the culprit
+REJECTED = [
+    ("fringe", "units.frequency = hertz"),
+    ("fringe", "detector.resolution_time = inf"),
+    ("fringe", "detector.resolution_time = nan"),
+    ("fringe", "detector.resolution_time = 0.0"),
+    ("homscan", "detector.resolution_time = 0.0"),
+    ("mc", "detector.resolution_time = inf"),
+    ("correlation", "comb.mode_phases = " + "0.0," * 20 + "nan"),
+    ("correlation", "comb.mode_phases = -inf" + ",0.0" * 20),
+    ("correlation", "comb.round_trip_time = 0.0"),
+    ("correlation", "comb.phase_seed = -1"),
+    ("correlation", "comb.n_side_modes = -1\ncomb.phase_seed = 1"),
+]
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -288,3 +459,58 @@ class TestConfigParsing:
         raw = parse_config_text("comb.mode_phases = 0,0,0\ncomb.phase_seed = 1\n")
         with pytest.raises(ConfigError, match="not both"):
             resolve_config(raw, "correlation")
+
+    @pytest.mark.parametrize(
+        "command, body", REJECTED, ids=[f"{c}:{b.splitlines()[0][:48]}" for c, b in REJECTED]
+    )
+    def test_rejected_value_exits_2_naming_the_key(self, tmp_path, capsys, command, body):
+        cfg = write_cfg(tmp_path, body + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert body.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_points_are_capped_before_allocation(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"scan.points = {MAX_QUAD_POINTS + 1}\n")
+        out = tmp_path / "out"
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "scan.points" in capsys.readouterr().err
+        assert not out.exists()
+        at_cap = resolve_config(parse_config_text(f"scan.points = {MAX_QUAD_POINTS}\n"), "correlation")
+        assert at_cap.scan_points == MAX_QUAD_POINTS
+
+
+class TestThreads:
+    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+    def test_bad_environment_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("TWOPHOTON_THREADS", value)
+        cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
+        out = tmp_path / "out"
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "TWOPHOTON_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+        # an explicit --threads wins over the environment
+        assert main(["correlation", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+
+
+class TestHeaderEcho:
+    @pytest.mark.parametrize("name", sorted(BUNDLED_ECHO))
+    def test_bundled_config_echo_is_pinned(self, name):
+        command, lines = BUNDLED_ECHO[name]
+        assert resolve_config(parse_config_file(CONFIGS / name), command).echo_lines() == lines
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_echo_resolves_to_itself(self, command):
+        # a bundled config plus the keys whose echo is conditional or rewritten
+        name = next(n for n, (c, _) in BUNDLED_ECHO.items() if c == command)
+        text = (CONFIGS / name).read_text(encoding="utf-8")
+        text += "units.frequency = ordinary\ncomb.center = 1.0e9\ncomb.phase_seed = 3\n"
+        first = resolve_config(parse_config_text(text), command)
+        echo = first.echo_lines()
+        assert "# units.frequency = angular" in echo
+        assert any(line.startswith("# comb.center = ") for line in echo)
+        assert any(line.startswith("# comb.mode_phases = ") for line in echo)
+        replay = parse_config_text("\n".join(line[2:] for line in echo))
+        again = resolve_config(replay, command)
+        assert again.echo_lines() == echo
+        assert again == first

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twophoton.interferometer as interferometer
 from twophoton import (
     InterferometerConfig,
+    NumericsError,
     ResolutionError,
     bs_two_photon_state,
     coincidence_rate,
@@ -298,3 +300,34 @@ class TestConfigValidation:
     def test_rejects_unbalanced_ratio_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             make_cfg(splitter_ratios=(0.6, 0.6))
+
+
+class TestRateSelfChecks:
+    """The rates check their own window integrals with NumericsError, not assert."""
+
+    def distort_window(self, monkeypatch, distort):
+        real = interferometer._window_amplitudes
+
+        def fake(cfg, method, samples_per_peak):
+            w, x0, xp, xm = real(cfg, method, samples_per_peak)
+            return (w, x0) + distort(x0, xp, xm)
+
+        monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
+
+    def test_cross_term_that_does_not_integrate_away(self, monkeypatch):
+        # X(tau+D) -> i X(tau), X(tau-D) -> 0: for a balanced splitter the
+        # integrated cross term becomes -sin(phi/2) R0, nowhere near zero
+        self.distort_window(monkeypatch, lambda x0, xp, xm: (1j * x0, 0.0 * xm))
+        with pytest.raises(NumericsError, match="cross term"):
+            coincidence_rate(make_cfg(delay=0.0, pump_phase=1.0))
+
+    def test_negative_rate(self, monkeypatch):
+        # an overlap of 4 R0 gives V = 4 and a dithered rate of -R0
+        self.distort_window(monkeypatch, lambda x0, xp, xm: (2.0 * x0, 2.0 * x0))
+        with pytest.raises(NumericsError, match="negative coincidence rate"):
+            dither_averaged_rate(make_cfg(delay=0.0))
+
+    def test_phase_scan_window_must_cover_the_delay(self):
+        cfg = make_cfg(delay=0.5 * T_R, resolution_time=0.2 * T_R)
+        with pytest.raises(ResolutionError):
+            phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
