@@ -56,6 +56,7 @@ from .interferometer import (
 from .montecarlo import (
     DelayHistogram,
     DetectorModel,
+    Detections,
     EventRecord,
     Origin,
     comb_contrast,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,6 +61,30 @@ class EventRecord:
     origin: Origin
 
 
+@dataclass(frozen=True, eq=False)
+class Detections(Sequence):
+    """Detection times as columns, pair records first; ``dark`` marks origin DARK."""
+
+    t1: np.ndarray
+    t2: np.ndarray
+    dark: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t1.size
+
+    def __getitem__(self, i: int) -> EventRecord:
+        origin = Origin.DARK if self.dark[i] else Origin.PAIR
+        return EventRecord(float(self.t1[i]), float(self.t2[i]), origin)
+
+
+def _columns(records) -> Detections:
+    if isinstance(records, Detections):
+        return records
+    rows = [(r.t1, r.t2, r.origin is Origin.DARK) for r in records]
+    t1, t2, dark = np.array(rows, dtype=float).reshape(-1, 3).T
+    return Detections(t1, t2, dark > 0)
+
+
 def _chunk_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
@@ -101,15 +126,13 @@ def sample_pair_delays(
         frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.5)
         return t0 + (idx + frac) * dt
 
-    if n == 0:
-        return np.empty(0)
-    chunks = _run_chunks(draw, math.ceil(n / CHUNK), threads)
+    chunks = _run_chunks(draw, max(1, math.ceil(n / CHUNK)), threads)
     return np.concatenate(chunks)
 
 
 def _default_duration(delays: np.ndarray, det: DetectorModel) -> float:
     # sparse enough that accidentals stay rare amid the true pairs
-    span = float(np.max(np.abs(delays))) if delays.size else 0.0
+    span = float(np.max(np.abs(delays), initial=0.0))
     pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * span
     return max(len(delays), 1) * pitch
 
@@ -120,7 +143,7 @@ def detect(
     seed: int,
     duration: float | None = None,
     threads: int = 1,
-) -> list:
+) -> Detections:
     """Detect pair emissions: jitter, thinning, darks.
 
     Each photon timestamp gets independent uniform jitter of width equal to
@@ -137,9 +160,7 @@ def detect(
         raise ValueError("duration must be > 0")
     # keep all timestamps positive regardless of jitter and delay signs
     offset = det.resolution_time + det.coincidence_window
-    if n:
-        offset += float(np.max(np.abs(delays)))
-
+    offset += float(np.max(np.abs(delays), initial=0.0))
     tr = det.resolution_time
 
     def pair_chunk(k: int):
@@ -155,20 +176,11 @@ def detect(
         t2 = s + delays[sl] + j2
         return t1, t2, keep1, keep2
 
-    if n:
-        parts = _run_chunks(pair_chunk, math.ceil(n / CHUNK), threads)
-        t1 = np.concatenate([p[0] for p in parts])
-        t2 = np.concatenate([p[1] for p in parts])
-        keep1 = np.concatenate([p[2] for p in parts])
-        keep2 = np.concatenate([p[3] for p in parts])
-    else:
-        t1 = t2 = np.empty(0)
-        keep1 = keep2 = np.empty(0, dtype=bool)
-
+    parts = _run_chunks(pair_chunk, max(1, math.ceil(n / CHUNK)), threads)
+    t1, t2, keep1, keep2 = (np.concatenate(column) for column in zip(*parts))
     both = keep1 & keep2
-    records = [
-        EventRecord(float(a), float(b), Origin.PAIR) for a, b in zip(t1[both], t2[both])
-    ]
+    rec1, rec2 = t1[both], t2[both]
+    n_pair = rec1.size
 
     if det.dark_rate > 0:
         dark_times = []
@@ -179,22 +191,19 @@ def detect(
         dark1, dark2 = dark_times
         stream1 = np.sort(np.concatenate([t1[keep1], dark1]))
         stream2 = np.sort(np.concatenate([t2[keep2], dark2]))
-        accidental = []
+        found = []
         for left, right in ((dark1, stream2), (dark2, stream1)):
             lo = np.searchsorted(right, left - det.coincidence_window, side="left")
             hi = np.searchsorted(right, left + det.coincidence_window, side="right")
-            for a, i, j in zip(left, lo, hi):
-                for b in right[i:j]:
-                    accidental.append((float(a), float(b)))
+            count = hi - lo
+            # every right index in [lo, hi) of each left time, in order
+            index = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+            found.append(np.column_stack([np.repeat(left, count), right[index]]))
         # dark1-dark2 pairs appear once per direction; keep a single sorted copy
-        seen = set()
-        for a, b in sorted(accidental):
-            key = (a, b) if a <= b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(EventRecord(key[0], key[1], Origin.DARK))
-    return records
+        accidental = np.unique(np.sort(np.concatenate(found), axis=1), axis=0)
+        rec1 = np.concatenate([rec1, accidental[:, 0]])
+        rec2 = np.concatenate([rec2, accidental[:, 1]])
+    return Detections(rec1, rec2, np.repeat([False, True], [n_pair, rec1.size - n_pair]))
 
 
 @dataclass(frozen=True)
@@ -220,8 +229,8 @@ def histogram_delays(records, bin_width: float, delay_range: tuple) -> DelayHist
         raise ValueError(f"empty delay range {delay_range}")
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    deltas = np.fromiter((r.t2 - r.t1 for r in records), dtype=float, count=len(records))
-    counts, _ = np.histogram(deltas, bins=edges)
+    records = _columns(records)
+    counts, _ = np.histogram(records.t2 - records.t1, bins=edges)
     return DelayHistogram(counts=counts, edges=edges)
 
 
@@ -242,18 +251,13 @@ def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: in
 
 def summarize_records(records, det: DetectorModel) -> dict:
     """Counting summary: totals, in-window coincidences, accidentals."""
-    n_pair = sum(1 for r in records if r.origin is Origin.PAIR)
-    n_dark = len(records) - n_pair
-    in_window = sum(1 for r in records if abs(r.t2 - r.t1) <= det.coincidence_window)
-    pair_in_window = sum(
-        1
-        for r in records
-        if r.origin is Origin.PAIR and abs(r.t2 - r.t1) <= det.coincidence_window
-    )
+    records = _columns(records)
+    n_dark = int(np.count_nonzero(records.dark))
+    in_window = np.abs(records.t2 - records.t1) <= det.coincidence_window
     return {
         "n_records": len(records),
-        "n_pair_records": n_pair,
+        "n_pair_records": len(records) - n_dark,
         "n_accidental_records": n_dark,
-        "n_coincidences_in_window": in_window,
-        "n_pair_coincidences_in_window": pair_in_window,
+        "n_coincidences_in_window": int(np.count_nonzero(in_window)),
+        "n_pair_coincidences_in_window": int(np.count_nonzero(in_window & ~records.dark)),
     }
