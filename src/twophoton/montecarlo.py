@@ -191,16 +191,16 @@ def detect(
         dark1, dark2 = dark_times
         stream1 = np.sort(np.concatenate([t1[keep1], dark1]))
         stream2 = np.sort(np.concatenate([t2[keep2], dark2]))
-        found = []
-        for left, right in ((dark1, stream2), (dark2, stream1)):
+        found = []  # rows of (detector-1 time, detector-2 time)
+        for left, right, order in ((dark1, stream2, 1), (dark2, stream1, -1)):
             lo = np.searchsorted(right, left - det.coincidence_window, side="left")
             hi = np.searchsorted(right, left + det.coincidence_window, side="right")
             count = hi - lo
             # every right index in [lo, hi) of each left time, in order
             index = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-            found.append(np.column_stack([np.repeat(left, count), right[index]]))
-        # dark1-dark2 pairs appear once per direction; keep a single sorted copy
-        accidental = np.unique(np.sort(np.concatenate(found), axis=1), axis=0)
+            found.append(np.column_stack([np.repeat(left, count), right[index]][::order]))
+        # a dark1-dark2 pair is found from both sides as the same row; keep one
+        accidental = np.unique(np.concatenate(found), axis=0)
         rec1 = np.concatenate([rec1, accidental[:, 0]])
         rec2 = np.concatenate([rec2, accidental[:, 1]])
     return Detections(rec1, rec2, np.repeat([False, True], [n_pair, rec1.size - n_pair]))

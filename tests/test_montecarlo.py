@@ -143,6 +143,20 @@ class TestDetect:
         r2 = detect(delays, det, seed=9, duration=50.0, threads=3)
         assert [(r.t1, r.t2, r.origin) for r in r1] == [(r.t1, r.t2, r.origin) for r in r2]
 
+    def test_accidentals_keep_the_detector_order(self):
+        # each record is (detector-1 time, detector-2 time), so a dark count
+        # on either detector falls on either side of zero delay, evenly
+        det = DetectorModel(
+            resolution_time=0.0, coincidence_window=1.0, efficiency=0.8, dark_rate=0.05
+        )
+        dets = detect(np.zeros(20000), det, seed=3, duration=2e4)
+        deltas = (dets.t2 - dets.t1)[dets.dark]
+        n = deltas.size
+        positive = int(np.count_nonzero(deltas > 0))
+        assert n > 1000
+        assert np.count_nonzero(deltas < 0) == n - positive
+        assert abs(positive - n / 2) < 5.0 * math.sqrt(n / 4)
+
 
 class TestHistogramAndContrast:
     def test_empty_input(self):
