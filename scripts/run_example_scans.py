@@ -5,8 +5,15 @@ Each config exercises one pipeline: the comb correlation, the dithered
 delay scan with its half-round-trip dip revivals, phase fringes at full and
 half round trips, single-peak excision, and the two Monte Carlo detector
 regimes.
+
+For each file it writes, the script prints ``<sha256>  <path under the
+output root>``, so comparing the outputs of two checkouts is one ``diff`` of
+the two runs' stdout.
 """
 
+import contextlib
+import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -29,12 +36,18 @@ def run(out_root: Path) -> int:
     for command, config in JOBS:
         out_dir = out_root / config.removesuffix(".cfg")
         print(f"== {command} <- configs/{config}")
-        code = main(
-            [command, "--config", str(ROOT / "configs" / config), "--out", str(out_dir)]
-        )
+        written = io.StringIO()
+        with contextlib.redirect_stdout(written):
+            code = main(
+                [command, "--config", str(ROOT / "configs" / config), "--out", str(out_dir)]
+            )
         if code != 0:
             print(f"failed with exit code {code}", file=sys.stderr)
             return code
+        for line in written.getvalue().splitlines():
+            path = Path(line)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out_root)}")
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .correlation import MAX_QUAD_POINTS
 from .errors import ConfigError
-from .montecarlo import DetectorModel
+from .montecarlo import MAX_EVENTS, DetectorModel
 from .spectral import ModeComb, Shape, SpectralAmplitude
 
 COMMANDS = ("correlation", "homscan", "fringe", "engineer", "mc")
@@ -71,6 +71,7 @@ NONNEGATIVE = _Rule(">= 0", lambda v: v >= 0)
 POSITIVE = _Rule("> 0", lambda v: v > 0)
 UNIT_INTERVAL = _Rule("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 SCAN_POINTS = _Rule(f"in [2, {MAX_QUAD_POINTS}]", lambda v: 2 <= v <= MAX_QUAD_POINTS)
+N_EVENTS = _Rule(f"in [0, {MAX_EVENTS}]", lambda v: 0 <= v <= MAX_EVENTS)
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ KEY_TABLES = {
         Key("detector.dark_rate", FLOAT, 0.0),
         _scan_points(131073),
         *_tau_keys(-2.0, 2.0),
-        Key("mc.n_events", INT, 100000, field="mc_events", rule=NONNEGATIVE),
+        Key("mc.n_events", INT, 100000, field="mc_events", rule=N_EVENTS),
         Key("mc.bin_width", FLOAT, field="mc_bin_width", rule=POSITIVE),
         Key("mc.range_min", FLOAT),
         Key("mc.range_max", FLOAT),
@@ -375,6 +376,11 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
         cfg.detector = _detector(values)
     if command == "mc":
         cfg.mc_range = (values["mc.range_min"], values["mc.range_max"])
+        # histogram_delays makes ceil(span / width) + 1 edges
+        if not (cfg.mc_range[1] - cfg.mc_range[0]) / cfg.mc_bin_width <= MAX_QUAD_POINTS - 1:
+            raise ConfigError(
+                f"mc.bin_width: {cfg.mc_bin_width!r} makes over {MAX_QUAD_POINTS} histogram edges"
+            )
     cfg._echo = [("run.command", command)] + [
         (name, _fmt(values[name]))
         for name, key in table.items()

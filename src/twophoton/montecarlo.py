@@ -24,6 +24,8 @@ from .correlation import CorrelationTrace, TraceKind
 from .errors import DegenerateDensity
 
 CHUNK = 1 << 16
+# the largest mc.n_events a config may ask for: at about 72 B per event, 2.5 GB
+MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
 _DETECT_KEY = 1 << 33
@@ -221,7 +223,7 @@ class DelayHistogram:
 
 
 def histogram_delays(records, bin_width: float, delay_range: tuple) -> DelayHistogram:
-    """Histogram of detection-time differences t2 - t1."""
+    """Histogram of t2 - t1 over ``Detections`` or any iterable of ``EventRecord``."""
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     lo, hi = delay_range

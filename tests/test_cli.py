@@ -14,6 +14,7 @@ from twophoton.config import (
 )
 from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.errors import ConfigError
+from twophoton.montecarlo import MAX_EVENTS, histogram_delays
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -478,6 +479,36 @@ class TestConfigParsing:
         assert not out.exists()
         at_cap = resolve_config(parse_config_text(f"scan.points = {MAX_QUAD_POINTS}\n"), "correlation")
         assert at_cap.scan_points == MAX_QUAD_POINTS
+
+
+class TestMcBounds:
+    def test_n_events_are_capped_before_sampling(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"mc.n_events = {MAX_EVENTS + 1}\n")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "mc.n_events" in capsys.readouterr().err
+        assert not out.exists()
+        at_cap = resolve_config(parse_config_text(f"mc.n_events = {MAX_EVENTS}\n"), "mc")
+        assert at_cap.mc_events == MAX_EVENTS
+
+    @pytest.mark.parametrize("width", ["1.0e-30", "1.0e-19"])
+    def test_oversized_histogram_exits_2_naming_the_bin_width(self, tmp_path, capsys, width):
+        text = (CONFIGS / "mc_fast_detector.cfg").read_text(encoding="utf-8")
+        assert "mc.bin_width = 1.0e-14\n" in text
+        cfg = write_cfg(tmp_path, text.replace("1.0e-14", width))
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "mc.bin_width" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_histogram_edges_at_the_cap(self):
+        body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
+        width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
+        at_cap = resolve_config(parse_config_text(body.format(width)), "mc")
+        edges = histogram_delays([], at_cap.mc_bin_width, at_cap.mc_range).edges
+        assert edges.size == MAX_QUAD_POINTS
+        with pytest.raises(ConfigError, match="mc.bin_width"):
+            resolve_config(parse_config_text(body.format(math.nextafter(width, 0.0))), "mc")
 
 
 class TestThreads:

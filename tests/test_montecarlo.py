@@ -143,6 +143,24 @@ class TestDetect:
         r2 = detect(delays, det, seed=9, duration=50.0, threads=3)
         assert [(r.t1, r.t2, r.origin) for r in r1] == [(r.t1, r.t2, r.origin) for r in r2]
 
+    def test_darks_with_thinning_across_a_chunk_boundary(self):
+        delays = np.linspace(-0.2, 0.2, (1 << 16) + 100)
+        det = DetectorModel(
+            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=0.02
+        )
+        d1 = detect(delays, det, seed=20, duration=1e4, threads=1)
+        d3 = detect(delays, det, seed=20, duration=1e4, threads=3)
+        for column in ("t1", "t2", "dark"):
+            np.testing.assert_array_equal(getattr(d1, column), getattr(d3, column))
+        assert 1000 < np.count_nonzero(d1.dark) < len(d1)
+        # the record view and the columns give the same histogram and summary
+        records = list(d1)
+        from_records = histogram_delays(records, 0.05, (-1.0, 1.0))
+        from_columns = histogram_delays(d1, 0.05, (-1.0, 1.0))
+        np.testing.assert_array_equal(from_records.counts, from_columns.counts)
+        np.testing.assert_array_equal(from_records.edges, from_columns.edges)
+        assert summarize_records(records, det) == summarize_records(d1, det)
+
     def test_accidentals_keep_the_detector_order(self):
         # each record is (detector-1 time, detector-2 time), so a dark count
         # on either detector falls on either side of zero delay, evenly
