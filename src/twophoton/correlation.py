@@ -6,10 +6,10 @@ Dirichlet kernel of 2N+1 equally spaced modes, period one cavity round
 trip).  First-order coherence carries the same comb factor on top of the
 transform of the line intensity.
 
-Every envelope has both a closed form and a Simpson-quadrature route; the
-quadrature serves as an independent cross-check and handles custom spectra.
-Quadrature sums use numpy's pairwise summation, so results do not depend on
-evaluation order.
+Every envelope is computed from its closed form.  ``pair_envelope`` and
+``coherence_envelope`` also keep a Simpson-quadrature route as an independent
+cross-check; its sums use numpy's pairwise summation, so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -160,19 +160,13 @@ def _lorentzian_tail(hw: float, a: float, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_span(s: SpectralAmplitude, span_halfwidths: float) -> float:
+def _spectral_span(s: SpectralAmplitude) -> float:
     """Highest detuning a transform carries: the quadrature span, which for
     the compactly supported rectangle is just the halfwidth itself."""
-    return s.halfwidth if s.shape is Shape.RECTANGULAR else span_halfwidths * s.halfwidth
+    return s.halfwidth if s.shape is Shape.RECTANGULAR else QUAD_SPAN_HALFWIDTHS * s.halfwidth
 
 
-def _cosine_transform_quadrature(
-    s: SpectralAmplitude,
-    power: int,
-    tau: np.ndarray,
-    span_halfwidths: float,
-    n_points: int,
-) -> np.ndarray:
+def _cosine_transform_quadrature(s: SpectralAmplitude, power: int, tau: np.ndarray) -> np.ndarray:
     """int f(u) e^{-iu tau} du for the even line profile f (amplitude or intensity).
 
     ``power`` selects the pair amplitude profile (1) or the line intensity
@@ -181,8 +175,8 @@ def _cosine_transform_quadrature(
     back analytically.
     """
     shape, hw = s.shape, s.halfwidth
-    a = _spectral_span(s, span_halfwidths)
-    u, w = simpson_rule(-a, a, n_points)
+    a = _spectral_span(s)
+    u, w = simpson_rule(-a, a, QUAD_POINTS)
     if shape is Shape.LORENTZIAN:
         f = 1.0 / (1.0 + (u / hw) ** 2)  # same profile for amplitude and intensity
     elif shape is Shape.GAUSSIAN:
@@ -208,7 +202,7 @@ def _closed_cosine_transform(shape: Shape, hw: float, power: int, tau: np.ndarra
     return 2.0 * hw * np.sinc(hw * t / math.pi), 2.0 * hw
 
 
-def _line_transform(s, tau, power, method, span_halfwidths, quad_points):
+def _line_transform(s, tau, power, method):
     """Transform of the line profile to the ``power``, normalized to 1 at tau = 0.
 
     The pair envelope (power 1) carries e^{-i*center*tau} and the coherence
@@ -218,98 +212,73 @@ def _line_transform(s, tau, power, method, span_halfwidths, quad_points):
     if method == "closed":
         core, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, tau)
     elif method == "quadrature":
-        core = _cosine_transform_quadrature(s, power, tau, span_halfwidths, quad_points)
-        scale = float(
-            _cosine_transform_quadrature(s, power, np.zeros(1), span_halfwidths, quad_points)[0]
-        )
+        core = _cosine_transform_quadrature(s, power, tau)
+        scale = float(_cosine_transform_quadrature(s, power, np.zeros(1))[0])
     else:
         raise ValueError(f"unknown method {method!r}")
     carrier = -1j if power == 1 else 1j
     return (core / scale) * np.exp(carrier * s.center * tau)
 
 
-def pair_envelope(
-    s: SpectralAmplitude,
-    tau,
-    method: str = "closed",
-    span_halfwidths: float = QUAD_SPAN_HALFWIDTHS,
-    quad_points: int = QUAD_POINTS,
-):
+def pair_envelope(s: SpectralAmplitude, tau, method: str = "closed"):
     """Normalized pair envelope g(tau): transform of the pair spectrum, g(0)=1.
 
     A line centered off zero contributes the carrier e^{-i*center*tau}.
+    ``method="quadrature"`` takes the Simpson cross-check route.
     """
-    return _line_transform(s, tau, 1, method, span_halfwidths, quad_points)
+    return _line_transform(s, tau, 1, method)
 
 
-def coherence_envelope(
-    s: SpectralAmplitude,
-    tau,
-    method: str = "closed",
-    span_halfwidths: float = QUAD_SPAN_HALFWIDTHS,
-    quad_points: int = QUAD_POINTS,
-):
+def coherence_envelope(s: SpectralAmplitude, tau, method: str = "closed"):
     """Normalized field-coherence envelope G(tau): transform of the line intensity."""
-    return _line_transform(s, tau, 2, method, span_halfwidths, quad_points)
+    return _line_transform(s, tau, 2, method)
 
 
-def comb_amplitude(tau, comb: ModeComb, method: str = "closed"):
+def comb_amplitude(tau, comb: ModeComb):
     """Pair time amplitude X(tau) = g(tau) F(tau)."""
-    return pair_envelope(comb.single_mode, tau, method) * generalized_F(tau, comb)
+    return pair_envelope(comb.single_mode, tau) * generalized_F(tau, comb)
 
 
-def _envelope_trace(s, grid, power, method, span_halfwidths, quad_points) -> CorrelationTrace:
-    span = _spectral_span(s, span_halfwidths)
+def _envelope_trace(s, grid, power) -> CorrelationTrace:
+    span = _spectral_span(s)
     limit = math.pi / (10.0 * span)
     if grid.spacing >= limit:
         raise NyquistError(
             f"grid spacing {grid.spacing:.3e} s undersamples the spectrum: "
             f"needs < {limit:.3e} s for spectral content out to {span:.3e} rad/s"
         )
-    vals = _line_transform(s, grid.values, power, method, span_halfwidths, quad_points)
+    vals = _line_transform(s, grid.values, power, "closed")
     _, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, np.zeros(1))
     return CorrelationTrace(grid, vals, TraceKind.AMPLITUDE, normalization=scale)
 
 
-def envelope_g(
-    s: SpectralAmplitude,
-    grid: TimeGrid,
-    method: str = "closed",
-    span_halfwidths: float = QUAD_SPAN_HALFWIDTHS,
-    quad_points: int = QUAD_POINTS,
-) -> CorrelationTrace:
+def envelope_g(s: SpectralAmplitude, grid: TimeGrid) -> CorrelationTrace:
     """Pair envelope sampled on a grid, normalized to g(0) = 1."""
-    return _envelope_trace(s, grid, 1, method, span_halfwidths, quad_points)
+    return _envelope_trace(s, grid, 1)
 
 
-def envelope_G(
-    s: SpectralAmplitude,
-    grid: TimeGrid,
-    method: str = "closed",
-    span_halfwidths: float = QUAD_SPAN_HALFWIDTHS,
-    quad_points: int = QUAD_POINTS,
-) -> CorrelationTrace:
+def envelope_G(s: SpectralAmplitude, grid: TimeGrid) -> CorrelationTrace:
     """Field-coherence envelope sampled on a grid, normalized to G(0) = 1."""
-    return _envelope_trace(s, grid, 2, method, span_halfwidths, quad_points)
+    return _envelope_trace(s, grid, 2)
 
 
-def _check_peak_resolution(comb: ModeComb, grid: TimeGrid, samples_per_peak: int = 8):
+def _check_peak_resolution(comb: ModeComb, grid: TimeGrid):
     peak_width = comb.round_trip_time / comb.n_modes
-    if grid.spacing > peak_width / samples_per_peak:
+    if grid.spacing > peak_width / 8:
         raise GridError(
             f"grid spacing {grid.spacing:.3e} s cannot resolve comb peaks of width "
-            f"{peak_width:.3e} s (need >= {samples_per_peak} samples per peak)"
+            f"{peak_width:.3e} s (need >= 8 samples per peak)"
         )
 
 
-def gamma2_mode_locked(comb: ModeComb, grid: TimeGrid, method: str = "closed") -> CorrelationTrace:
+def gamma2_mode_locked(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     """Two-photon correlation |g(tau) F(tau)|^2.
 
     Peak-normalized: a locked comb gives (2N+1)^2 at tau = 0 and full revivals
     at every round trip, with the envelope decay on top.
     """
     _check_peak_resolution(comb, grid)
-    samples = np.abs(comb_amplitude(grid.values, comb, method)) ** 2
+    samples = np.abs(comb_amplitude(grid.values, comb)) ** 2
     return CorrelationTrace(
         grid,
         samples,
@@ -348,7 +317,7 @@ def gamma2_detector_averaged(trace: CorrelationTrace, resolution_time: float) ->
     return replace(trace, samples=averaged)
 
 
-def gamma1_coherence(comb: ModeComb, grid: TimeGrid, method: str = "closed") -> CorrelationTrace:
+def gamma1_coherence(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     """First-order coherence e^{i w_p tau/2} G(tau) F(tau), unit modulus at tau = 0.
 
     Its modulus sets the single-detector fringe visibility; for a locked comb
@@ -356,7 +325,7 @@ def gamma1_coherence(comb: ModeComb, grid: TimeGrid, method: str = "closed") -> 
     """
     _check_peak_resolution(comb, grid)
     tau = grid.values
-    G = coherence_envelope(comb.single_mode, tau, method)
+    G = coherence_envelope(comb.single_mode, tau)
     F = generalized_F(tau, comb)
     f0 = abs(complex(generalized_F(0.0, comb)))
     if f0 < 1e-12 * comb.n_modes:

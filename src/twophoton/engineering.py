@@ -66,10 +66,10 @@ def _check_wideband_resolves(w: WidebandState, grid: TimeGrid):
         )
 
 
-def wideband_gamma2(w: WidebandState, grid: TimeGrid, method: str = "closed") -> CorrelationTrace:
+def wideband_gamma2(w: WidebandState, grid: TimeGrid) -> CorrelationTrace:
     """Correlation of the wideband pair alone: a single pulse centered at its delay."""
     _check_wideband_resolves(w, grid)
-    f = pair_envelope(w.spectrum, grid.values - w.delay, method)
+    f = pair_envelope(w.spectrum, grid.values - w.delay)
     return CorrelationTrace(grid, np.abs(f) ** 2, TraceKind.INTENSITY)
 
 
@@ -79,7 +79,6 @@ def combined_gamma2(
     eta: complex,
     zeta: complex,
     grid: TimeGrid,
-    method: str = "closed",
 ) -> CorrelationTrace:
     """Correlation of the superposed sources: coherent amplitude sum, then modulus squared.
 
@@ -93,8 +92,8 @@ def combined_gamma2(
         )
     _check_wideband_resolves(w, grid)
     tau = grid.values
-    locked_amp = comb_amplitude(tau, comb, method)
-    wide_amp = pair_envelope(w.spectrum, tau - w.delay, method)
+    locked_amp = comb_amplitude(tau, comb)
+    wide_amp = pair_envelope(w.spectrum, tau - w.delay)
     samples = np.abs(eta * locked_amp + zeta * wide_amp) ** 2
     return CorrelationTrace(
         grid, samples, TraceKind.INTENSITY, round_trip_time=comb.round_trip_time
@@ -110,10 +109,10 @@ def _peak_window(comb: ModeComb, peak: int, grid: TimeGrid):
     return simpson_rule(center - t_r / 4.0, center + t_r / 4.0, n)
 
 
-def _window_energies(comb, wideband, delay, zeta, peak, grid, method):
+def _window_energies(comb, wideband, delay, zeta, peak, grid):
     tau, w = _peak_window(comb, peak, grid)
-    a = comb_amplitude(tau, comb, method)
-    f = pair_envelope(wideband, tau - delay, method)
+    a = comb_amplitude(tau, comb)
+    f = pair_envelope(wideband, tau - delay)
     before = float(np.sum(w * np.abs(a) ** 2))
     after = float(np.sum(w * np.abs(a + zeta * f) ** 2))
     return before, after
@@ -125,33 +124,30 @@ def solve_excision(
     target_peak: int,
     grid: TimeGrid,
     optimize_width: bool = True,
-    width_mesh: tuple = (0.25, 4.0, 49),
-    method: str = "closed",
 ) -> ExcisionSolution:
     """Null the comb peak at target_peak round trips.
 
-    The wideband delay is pinned to the peak center.  Width matching scans a
-    geometric mesh of halfwidths around the template and keeps the one whose
-    least-squares residual is smallest (the template width is used as-is when
-    ``optimize_width`` is off).  Residual above 0.25, or a neighbor peak
-    losing more than 10% of its window energy, reports PoorMatch rather than
-    silently accepting a bad cancellation.
+    The wideband delay is pinned to the peak center.  Width matching scans 49
+    geometrically spaced halfwidths from 1/4 to 4 times the template's and
+    keeps the one whose least-squares residual is smallest (the template
+    width is used as-is when ``optimize_width`` is off).  Residual above
+    0.25, or a neighbor peak losing more than 10% of its window energy,
+    reports PoorMatch rather than silently accepting a bad cancellation.
     """
     t_r = comb.round_trip_time
     delay = target_peak * t_r
-    g_at_peak = abs(complex(pair_envelope(comb.single_mode, np.array([delay]), method)[0]))
+    g_at_peak = abs(complex(pair_envelope(comb.single_mode, np.array([delay]))[0]))
     if g_at_peak <= 1e-3:
         raise UnreachablePeak(
             f"envelope at peak {target_peak} has decayed to |g| = {g_at_peak:.3e} <= 1e-3"
         )
 
     tau, w = _peak_window(comb, target_peak, grid)
-    a = comb_amplitude(tau, comb, method)
+    a = comb_amplitude(tau, comb)
     pre = float(np.sum(w * np.abs(a) ** 2))
 
     if optimize_width:
-        lo, hi, n_w = width_mesh
-        widths = wideband_template.halfwidth * np.geomspace(lo, hi, int(n_w))
+        widths = wideband_template.halfwidth * np.geomspace(0.25, 4.0, 49)
     else:
         widths = np.array([wideband_template.halfwidth])
 
@@ -165,7 +161,7 @@ def solve_excision(
             center=wideband_template.center,
             phase=wideband_template.phase,
         )
-        f = pair_envelope(candidate, tau - delay, method)
+        f = pair_envelope(candidate, tau - delay)
         overlap = complex(np.sum(w * np.conj(f) * a))
         power = float(np.sum(w * np.abs(f) ** 2))
         zeta = -overlap / power
@@ -185,7 +181,7 @@ def solve_excision(
 
     retention = {}
     for neighbor in (target_peak - 1, target_peak + 1):
-        before, after = _window_energies(comb, wideband, delay, zeta, neighbor, grid, method)
+        before, after = _window_energies(comb, wideband, delay, zeta, neighbor, grid)
         kept = after / before if before > 0 else 1.0
         retention[neighbor] = kept
         if kept < 0.9:
@@ -211,7 +207,6 @@ def excision_grid_search(
     grid: TimeGrid,
     n_magnitude: int = 160,
     n_phase: int = 180,
-    method: str = "closed",
 ) -> tuple:
     """Dense-mesh check of the least-squares optimum.
 
@@ -222,8 +217,8 @@ def excision_grid_search(
     t_r = comb.round_trip_time
     delay = target_peak * t_r
     tau, w = _peak_window(comb, target_peak, grid)
-    a = comb_amplitude(tau, comb, method)
-    f = pair_envelope(wideband, tau - delay, method)
+    a = comb_amplitude(tau, comb)
+    f = pair_envelope(wideband, tau - delay)
     pre = float(np.sum(w * np.abs(a) ** 2))
     mag_max = 2.0 * float(np.max(np.abs(a))) / float(np.max(np.abs(f)))
     mags = np.linspace(0.0, mag_max, n_magnitude)

@@ -21,14 +21,16 @@ import numpy as np
 from .correlation import (
     coherence_envelope,
     comb_amplitude,
+    dirichlet_F,
     envelope_support,
-    generalized_F,
     simpson_rule,
 )
 from .errors import NumericsError, ResolutionError
 from .spectral import ModeComb
 
 SUPPORT_INTENSITY_EPS = 1e-14
+#: Simpson nodes per comb-peak width in the resolving-window integrals
+SAMPLES_PER_PEAK = 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def _route_amplitudes(cfg: InterferometerConfig):
     return a, b, t * r
 
 
-def gamma12(tau, cfg: InterferometerConfig, method: str = "closed"):
+def gamma12(tau, cfg: InterferometerConfig):
     """Two-detector correlation at delay tau between the detections.
 
     All three interference terms are evaluated pointwise, including the cross
@@ -126,9 +128,9 @@ def gamma12(tau, cfg: InterferometerConfig, method: str = "closed"):
     a, b, tr_prod = _route_amplitudes(cfg)
     m = cfg.mode_match
     tau = np.asarray(tau, dtype=float)
-    x0 = comb_amplitude(tau, cfg.comb, method)
-    xp = comb_amplitude(tau + cfg.delay, cfg.comb, method)
-    xm = comb_amplitude(tau - cfg.delay, cfg.comb, method)
+    x0 = comb_amplitude(tau, cfg.comb)
+    xp = comb_amplitude(tau + cfg.delay, cfg.comb)
+    xm = comb_amplitude(tau - cfg.delay, cfg.comb)
     term_ss_ll = np.abs(a) ** 2 * np.abs(x0) ** 2
     term_hom = tr_prod * (
         np.abs(xp) ** 2 + np.abs(xm) ** 2 - 2.0 * m * np.real(xp * np.conj(xm))
@@ -138,7 +140,7 @@ def gamma12(tau, cfg: InterferometerConfig, method: str = "closed"):
     return out if np.ndim(out) else float(out)
 
 
-def _window_amplitudes(cfg: InterferometerConfig, method: str, samples_per_peak: int):
+def _window_amplitudes(cfg: InterferometerConfig):
     """Simpson weights over the resolving window and X(tau), X(tau+D), X(tau-D) on its nodes.
 
     The window is truncated to the delay plus the envelope support; the
@@ -152,11 +154,11 @@ def _window_amplitudes(cfg: InterferometerConfig, method: str, samples_per_peak:
     comb = cfg.comb
     support = envelope_support(comb.single_mode, SUPPORT_INTENSITY_EPS)
     half = min(cfg.resolution_time / 2.0, abs(cfg.delay) + support)
-    dt_target = comb.round_trip_time / (comb.n_modes * samples_per_peak)
+    dt_target = comb.round_trip_time / (comb.n_modes * SAMPLES_PER_PEAK)
     tau, w = simpson_rule(-half, half, int(math.ceil(2.0 * half / dt_target)) + 1)
-    x0 = comb_amplitude(tau, comb, method)
-    xp = comb_amplitude(tau + cfg.delay, comb, method)
-    xm = comb_amplitude(tau - cfg.delay, comb, method)
+    x0 = comb_amplitude(tau, comb)
+    xp = comb_amplitude(tau + cfg.delay, comb)
+    xm = comb_amplitude(tau - cfg.delay, comb)
     return w, x0, xp, xm
 
 
@@ -173,16 +175,14 @@ def _checked_rate(rate: float, r0: float, v: float, cross_int: float) -> Coincid
     return CoincidenceResult(max(rate, 0.0), r0, v, cross_int)
 
 
-def coincidence_rate(
-    cfg: InterferometerConfig, method: str = "closed", samples_per_peak: int = 16
-) -> CoincidenceResult:
+def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     """Coincidence rate integrated over the detector resolving window.
 
     Returns the rate together with the baseline R0 and the overlap visibility
     V(Delta).  The pointwise cross term must integrate away to within
     1e-6 * R0; otherwise this raises NumericsError.
     """
-    w, x0, xp, xm = _window_amplitudes(cfg, method, samples_per_peak)
+    w, x0, xp, xm = _window_amplitudes(cfg)
     r0, v = _r0_and_visibility(cfg, w, x0, xp, xm)
     a, b, tr_prod = _route_amplitudes(cfg)
     r_plus = float(np.sum(w * np.abs(xp) ** 2))
@@ -200,60 +200,53 @@ def coincidence_rate(
     return _checked_rate(rate, r0, v, cross_int)
 
 
-def dither_averaged_rate(
-    cfg: InterferometerConfig, method: str = "closed", samples_per_peak: int = 16
-) -> CoincidenceResult:
+def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     """Coincidence rate with the pump phase dithered uniformly.
 
     The phase-sensitive route averages to a constant floor, so the deepest
     possible dip is half the far-from-dip rate: the 50% visibility ceiling.
     """
-    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg, method, samples_per_peak))
+    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg))
     t, r = cfg.splitter_ratios
     rate = (t**2 + r**2) * r0 + 2.0 * t * r * r0 * (1.0 - v)
     return _checked_rate(rate, r0, v, 0.0)
 
 
-def singles_fringe_visibility(cfg: InterferometerConfig, method: str = "closed") -> float:
-    """Single-detector fringe visibility |gamma(Delta)|, mode match included."""
+def _singles_visibilities(cfg: InterferometerConfig, delays) -> np.ndarray:
+    """|gamma(Delta)| at each delay, mode match included.
+
+    Each photon of a pair is in a mixture of the comb modes, so its coherence
+    is the locked-comb one whatever the mode phases.
+    """
     comb = cfg.comb
-    g1 = coherence_envelope(comb.single_mode, np.array([cfg.delay]), method)[0]
-    f_d = complex(generalized_F(cfg.delay, comb))
-    f_0 = complex(generalized_F(0.0, comb))
-    return cfg.mode_match * abs(g1 * f_d) / abs(f_0)
+    g1 = coherence_envelope(comb.single_mode, delays)
+    f_d = dirichlet_F(delays, comb.n_side_modes, comb.mode_spacing)
+    return cfg.mode_match * np.abs(g1 * f_d) / comb.n_modes
 
 
-def _fit_sinusoid(phase: np.ndarray, y: np.ndarray):
-    """Least-squares fit y ~ a0 + b_c cos + b_s sin; returns (offset, amplitude)."""
-    design = np.column_stack([np.ones_like(phase), np.cos(phase), np.sin(phase)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0]), float(np.hypot(coef[1], coef[2]))
+def singles_fringe_visibility(cfg: InterferometerConfig) -> float:
+    """Single-detector fringe visibility |gamma(Delta)|, mode match included."""
+    return float(_singles_visibilities(cfg, np.array([cfg.delay]))[0])
 
 
-def phase_fringe_scan(
-    cfg: InterferometerConfig,
-    phase_points,
-    method: str = "closed",
-    samples_per_peak: int = 16,
-) -> ScanResult:
+def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
     """Scan the pump phase at fixed arm delay.
 
     Single-detector counts fringe in anti-phase with visibility |gamma(Delta)|;
     the coincidence follows the integrated two-detector rate with the
-    phase-sensitive term scanned.
+    phase-sensitive term scanned.  The fitted visibilities are the closed
+    forms of these exact sinusoids: amplitude over offset.
     """
     phase = np.asarray(phase_points, dtype=float)
-    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg, method, samples_per_peak))
+    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg))
     t, r = cfg.splitter_ratios
     a_abs_sq = t**2 + r**2 - 2.0 * t * r * np.cos(phase)
     coincidence = a_abs_sq * r0 + 2.0 * t * r * r0 * (1.0 - v)
-    s_vis = singles_fringe_visibility(cfg, method)
+    s_vis = singles_fringe_visibility(cfg)
     singles_1 = 1.0 + s_vis * np.cos(phase)
     singles_2 = 1.0 - s_vis * np.cos(phase)
-    fits = {}
-    for name, y in (("coincidence", coincidence), ("singles_1", singles_1), ("singles_2", singles_2)):
-        offset, amp = _fit_sinusoid(phase, y)
-        fits[name] = amp / offset if offset else float("nan")
+    coinc_vis = 2.0 * t * r / (t**2 + r**2 + 2.0 * t * r * (1.0 - v))
+    fits = {"coincidence": coinc_vis, "singles_1": s_vis, "singles_2": s_vis}
     return ScanResult(
         abscissa=phase,
         coincidence=coincidence,
@@ -270,13 +263,7 @@ def phase_fringe_scan(
     )
 
 
-def delay_scan(
-    cfg: InterferometerConfig,
-    delay_points,
-    dithered: bool = True,
-    method: str = "closed",
-    samples_per_peak: int = 16,
-) -> ScanResult:
+def delay_scan(cfg: InterferometerConfig, delay_points, dithered: bool = True) -> ScanResult:
     """Scan the arm imbalance and normalize to the wings.
 
     Normalization emulates stitching separate runs together: the baseline is
@@ -290,11 +277,7 @@ def delay_scan(
     r0 = None
     for i, d in enumerate(delays):
         point = replace(cfg, delay=float(d))
-        res = (
-            dither_averaged_rate(point, method, samples_per_peak)
-            if dithered
-            else coincidence_rate(point, method, samples_per_peak)
-        )
+        res = dither_averaged_rate(point) if dithered else coincidence_rate(point)
         rates[i] = res.rate
         vis[i] = res.visibility
         r0 = res.r0
@@ -311,9 +294,7 @@ def delay_scan(
         singles_1 = np.ones_like(delays)
         singles_2 = np.ones_like(delays)
     else:
-        s_vis = np.array(
-            [singles_fringe_visibility(replace(cfg, delay=float(d)), method) for d in delays]
-        )
+        s_vis = _singles_visibilities(cfg, delays)
         singles_1 = 1.0 + s_vis * math.cos(cfg.pump_phase)
         singles_2 = 1.0 - s_vis * math.cos(cfg.pump_phase)
     return ScanResult(
@@ -342,13 +323,8 @@ def find_dip_delays(scan: ScanResult, min_depth: float = 0.10) -> np.ndarray:
     Runs of equal values collapse to their first index.
     """
     y = scan.coincidence
-    n = y.size
-    candidates = []
-    for i in range(n):
-        left = y[i - 1] if i > 0 else np.inf
-        right = y[i + 1] if i < n - 1 else np.inf
-        if y[i] <= left and y[i] <= right and (1.0 - y[i]) >= min_depth:
-            if candidates and candidates[-1] == i - 1 and y[i] == y[i - 1]:
-                continue
-            candidates.append(i)
-    return scan.abscissa[np.array(candidates, dtype=int)] if candidates else np.array([])
+    padded = np.concatenate(([np.inf], y, [np.inf]))
+    dip = (y <= padded[:-2]) & (y <= padded[2:]) & (1.0 - y >= min_depth)
+    repeat = np.zeros_like(dip)
+    repeat[1:] = dip[:-1] & (y[1:] == y[:-1])
+    return scan.abscissa[dip & ~repeat]

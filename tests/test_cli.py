@@ -292,6 +292,15 @@ class TestHomscanCommand:
         header = config_from_output_header(tmp_path / "homscan.csv")
         assert "comb.mode_phases" in header  # resolved phases echoed explicitly
 
+    def test_undithered_random_phase_comb_runs(self, tmp_path):
+        body = (CONFIGS / "hom_delay_scan.cfg").read_text(encoding="utf-8")
+        body = body.replace("scan.points = 261", "scan.points = 14")
+        body = body.replace("scan.dithered = true", "scan.dithered = false")
+        cfg = write_cfg(tmp_path, body + "comb.phase_seed = 4\n")
+        assert main(["homscan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        cols = read_rows(tmp_path / "homscan.csv")
+        assert cols["singles_1"].min() >= 0.0 and cols["singles_2"].min() >= 0.0
+
 
 class TestFringeCommand:
     def test_full_round_trip_fringes(self, tmp_path):
@@ -326,6 +335,17 @@ class TestFringeCommand:
         coinc = cols["coincidence"]
         vis = (coinc.max() - coinc.min()) / (coinc.max() + coinc.min())
         assert vis > 0.5
+
+
+    @pytest.mark.parametrize("phase_seed", [1, 2, 4, 5])
+    def test_random_phase_comb_runs(self, tmp_path, phase_seed):
+        # single-photon coherence ignores the mode phases, so the singles
+        # visibility stays within [0, 1] and both singles stay nonnegative
+        body = (CONFIGS / "fringe_half_trip.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, body + f"comb.phase_seed = {phase_seed}\n")
+        assert main(["fringe", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        cols = read_rows(tmp_path / "fringe.csv")
+        assert cols["singles_1"].min() >= 0.0 and cols["singles_2"].min() >= 0.0
 
 
 class TestEngineerCommand:

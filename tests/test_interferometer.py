@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from twophoton import (
     InterferometerConfig,
     NumericsError,
     ResolutionError,
+    ScanResult,
     bs_two_photon_state,
     coincidence_rate,
     delay_scan,
@@ -228,6 +230,17 @@ class TestPhaseFringes:
         degraded = singles_fringe_visibility(make_cfg(comb, delay=T_R, mode_match=0.6))
         assert degraded == pytest.approx(0.6 * full, rel=1e-12)
 
+    def test_singles_visibility_does_not_depend_on_mode_phases(self):
+        # each photon of a pair is in a mixture of the modes, so random
+        # phases leave its first-order coherence that of the locked comb
+        rng = np.random.default_rng(4)
+        locked = make_comb(10, 0.01)
+        scrambled = make_comb(10, 0.01, phases=tuple(rng.uniform(0, TWO_PI, 21)))
+        for d in (0.0, 0.1, 0.25, 0.5, 1.0):
+            vis = singles_fringe_visibility(make_cfg(scrambled, delay=d * T_R))
+            assert vis == singles_fringe_visibility(make_cfg(locked, delay=d * T_R))
+            assert vis <= 1.0
+
 
 class TestDelayScan:
     def test_locked_comb_revives_every_half_round_trip(self):
@@ -281,6 +294,20 @@ class TestDelayScan:
         scan = delay_scan(make_cfg(comb, pump_phase=0.0), delays, dithered=False)
         assert scan.coincidence[0] <= 1e-9
 
+    def test_undithered_singles_follow_the_fringe_visibility(self):
+        comb = make_comb(8, 0.02)
+        cfg = make_cfg(comb, pump_phase=0.7)
+        delays = np.linspace(0.0, 1.1, 23) * T_R
+        scan = delay_scan(cfg, delays, dithered=False)
+        s_vis = np.array([singles_fringe_visibility(replace(cfg, delay=float(d))) for d in delays])
+        np.testing.assert_allclose(scan.singles_1, 1.0 + s_vis * math.cos(0.7), rtol=1e-15)
+        np.testing.assert_allclose(scan.singles_2, 1.0 - s_vis * math.cos(0.7), rtol=1e-15)
+
+    def test_run_of_equal_minima_collapses_to_its_first_index(self):
+        y = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 1.0])
+        scan = ScanResult(np.arange(6.0), y, np.ones(6), np.ones(6), {})
+        np.testing.assert_array_equal(find_dip_delays(scan), [1.0])
+
     def test_singles_flat_when_dithered(self):
         comb = make_comb(5, 0.02)
         scan = delay_scan(make_cfg(comb), np.linspace(0, 1, 11) * T_R, dithered=True)
@@ -308,8 +335,8 @@ class TestRateSelfChecks:
     def distort_window(self, monkeypatch, distort):
         real = interferometer._window_amplitudes
 
-        def fake(cfg, method, samples_per_peak):
-            w, x0, xp, xm = real(cfg, method, samples_per_peak)
+        def fake(cfg):
+            w, x0, xp, xm = real(cfg)
             return (w, x0) + distort(x0, xp, xm)
 
         monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
