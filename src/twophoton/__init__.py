@@ -57,8 +57,6 @@ from .montecarlo import (
     DelayHistogram,
     DetectorModel,
     Detections,
-    EventRecord,
-    Origin,
     comb_contrast,
     detect,
     histogram_delays,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import sici
 
-from .errors import GridError, NyquistError, WindowError
+from .errors import GridError, NumericsError, NyquistError, WindowError
 from .spectral import ModeComb, Shape, SpectralAmplitude, TimeGrid
 
 #: half-span of the quadrature window in units of the halfwidth
@@ -29,6 +29,8 @@ QUAD_SPAN_HALFWIDTHS = 50.0
 QUAD_POINTS = 100_001
 #: node cap of every Simpson rule, and the largest scan a config may request
 MAX_QUAD_POINTS = 4_194_305
+#: envelope intensity below which a delay counts as outside the envelope support
+SUPPORT_INTENSITY_EPS = 1e-14
 
 
 class TraceKind(str, enum.Enum):
@@ -108,15 +110,15 @@ def generalized_F(tau, comb: ModeComb):
     return out if out.ndim else complex(out)
 
 
-def envelope_support(s: SpectralAmplitude, intensity_eps: float = 1e-12) -> float:
-    """Delay beyond which the envelope intensity stays below intensity_eps."""
+def envelope_support(s: SpectralAmplitude) -> float:
+    """Delay beyond which the envelope intensity stays below SUPPORT_INTENSITY_EPS."""
     hw = s.halfwidth
     if s.shape is Shape.LORENTZIAN:
-        return -math.log(intensity_eps) / (2.0 * hw)
+        return -math.log(SUPPORT_INTENSITY_EPS) / (2.0 * hw)
     if s.shape is Shape.GAUSSIAN:
-        return math.sqrt(-math.log(intensity_eps)) / hw
+        return math.sqrt(-math.log(SUPPORT_INTENSITY_EPS)) / hw
     # sinc envelope: |g| <= 1/(hw*tau)
-    return 1.0 / (hw * math.sqrt(intensity_eps))
+    return 1.0 / (hw * math.sqrt(SUPPORT_INTENSITY_EPS))
 
 
 def simpson_rule(lo: float, hi: float, n_min: int):
@@ -329,7 +331,7 @@ def gamma1_coherence(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     F = generalized_F(tau, comb)
     f0 = abs(complex(generalized_F(0.0, comb)))
     if f0 < 1e-12 * comb.n_modes:
-        raise ValueError("comb phases make the zero-delay coherence vanish; cannot normalize")
+        raise NumericsError("comb phases make the zero-delay coherence vanish; cannot normalize")
     samples = np.exp(1j * comb.pump_frequency * tau / 2.0) * G * F / f0
     return CorrelationTrace(
         grid,

@@ -12,7 +12,7 @@ independent check on the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,12 +155,7 @@ def solve_excision(
     for hw in widths:
         if hw <= comb.single_mode.halfwidth:
             continue
-        candidate = SpectralAmplitude(
-            shape=wideband_template.shape,
-            halfwidth=float(hw),
-            center=wideband_template.center,
-            phase=wideband_template.phase,
-        )
+        candidate = replace(wideband_template, halfwidth=float(hw))
         f = pair_envelope(candidate, tau - delay)
         overlap = complex(np.sum(w * np.conj(f) * a))
         power = float(np.sum(w * np.abs(f) ** 2))

@@ -1,10 +1,11 @@
 """Unbalanced Mach-Zehnder / Hong-Ou-Mandel interferometer model.
 
-The pair enters one port, splits, recombines after an arm imbalance Delta,
-and is detected in coincidence.  Three amplitudes interfere: both photons
-short, both long (pump-phase sensitive), and one-each (the HOM route).  For
-a comb source the HOM route revives whenever the two delayed copies of the
-comb correlation overlap, i.e. every half round trip.
+The pair enters one port, splits, recombines after an arm imbalance Delta
+(both splitters 50:50), and is detected in coincidence.  Three amplitudes
+interfere: both photons short, both long (pump-phase sensitive), and
+one-each (the HOM route).  For a comb source the HOM route revives whenever
+the two delayed copies of the comb correlation overlap, i.e. every half
+round trip.  Every window-integrated rate is the one expression ``_rate``.
 
 The pump phase ``w_p * Delta`` is carried as an explicit config field,
 reduced mod 2pi, so phase scans decouple from the coarse delay (an optical
@@ -28,7 +29,6 @@ from .correlation import (
 from .errors import NumericsError, ResolutionError
 from .spectral import ModeComb
 
-SUPPORT_INTENSITY_EPS = 1e-14
 #: Simpson nodes per comb-peak width in the resolving-window integrals
 SAMPLES_PER_PEAK = 16
 
@@ -40,7 +40,6 @@ class InterferometerConfig:
     resolution_time: float            # detector resolving time T_R, seconds
     pump_phase: float = 0.0           # w_p*Delta mod 2pi, radians
     mode_match: float = 1.0           # scales all cross-delay interference
-    splitter_ratios: tuple = (0.5, 0.5)
 
     def __post_init__(self):
         if not self.resolution_time > 0:
@@ -49,11 +48,6 @@ class InterferometerConfig:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
         if not 0.0 < self.mode_match <= 1.0:
             raise ValueError(f"mode_match must be in (0, 1], got {self.mode_match}")
-        t, r = self.splitter_ratios
-        if not (0.0 < t < 1.0 and 0.0 < r < 1.0):
-            raise ValueError(f"splitter_ratios must lie in (0, 1), got {self.splitter_ratios}")
-        if abs(t + r - 1.0) > 1e-9:
-            raise ValueError(f"splitter_ratios must sum to 1, got {self.splitter_ratios}")
 
 
 @dataclass
@@ -112,10 +106,9 @@ def bs_two_photon_state(transmission: float = 0.5) -> np.ndarray:
 
 
 def _route_amplitudes(cfg: InterferometerConfig):
-    t, r = cfg.splitter_ratios
-    a = t - r * np.exp(1j * cfg.pump_phase)          # short-short minus long-long
-    b = math.sqrt(t * r) * np.exp(1j * cfg.pump_phase / 2.0)  # HOM route
-    return a, b, t * r
+    a = 0.5 - 0.5 * np.exp(1j * cfg.pump_phase)  # short-short minus long-long
+    b = 0.5 * np.exp(1j * cfg.pump_phase / 2.0)  # HOM route
+    return a, b
 
 
 def gamma12(tau, cfg: InterferometerConfig):
@@ -125,14 +118,14 @@ def gamma12(tau, cfg: InterferometerConfig):
     term that vanishes once integrated over the resolving window.  mode_match
     scales every product of amplitudes taken at different delays.
     """
-    a, b, tr_prod = _route_amplitudes(cfg)
+    a, b = _route_amplitudes(cfg)
     m = cfg.mode_match
     tau = np.asarray(tau, dtype=float)
     x0 = comb_amplitude(tau, cfg.comb)
     xp = comb_amplitude(tau + cfg.delay, cfg.comb)
     xm = comb_amplitude(tau - cfg.delay, cfg.comb)
     term_ss_ll = np.abs(a) ** 2 * np.abs(x0) ** 2
-    term_hom = tr_prod * (
+    term_hom = 0.25 * (
         np.abs(xp) ** 2 + np.abs(xm) ** 2 - 2.0 * m * np.real(xp * np.conj(xm))
     )
     term_cross = 2.0 * m * np.real(np.conj(a) * b * np.conj(x0) * (xp - xm))
@@ -152,7 +145,7 @@ def _window_amplitudes(cfg: InterferometerConfig):
             f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
         )
     comb = cfg.comb
-    support = envelope_support(comb.single_mode, SUPPORT_INTENSITY_EPS)
+    support = envelope_support(comb.single_mode)
     half = min(cfg.resolution_time / 2.0, abs(cfg.delay) + support)
     dt_target = comb.round_trip_time / (comb.n_modes * SAMPLES_PER_PEAK)
     tau, w = simpson_rule(-half, half, int(math.ceil(2.0 * half / dt_target)) + 1)
@@ -162,17 +155,31 @@ def _window_amplitudes(cfg: InterferometerConfig):
     return w, x0, xp, xm
 
 
-def _r0_and_visibility(cfg: InterferometerConfig, w, x0, xp, xm):
-    """Window integral R0 of |X|^2 and the overlap visibility V(Delta), mode match included."""
+def _window_integrals(cfg: InterferometerConfig, w, x0, xp, xm):
+    """Window integrals R0 of |X|^2 and S = (R+ + R-)/(2 R0), and the overlap visibility V.
+
+    R+- integrate |X(tau +- Delta)|^2; V includes the mode match.  S is exactly 1
+    when the window is cut at the delay plus the envelope support, covering both.
+    """
     r0 = float(np.sum(w * np.abs(x0) ** 2))
     overlap = float(np.sum(w * np.real(xp * np.conj(xm))))
-    return r0, cfg.mode_match * overlap / r0
+    if cfg.resolution_time / 2.0 >= abs(cfg.delay) + envelope_support(cfg.comb.single_mode):
+        s = 1.0
+    else:
+        s = float(np.sum(w * np.abs(xp) ** 2) + np.sum(w * np.abs(xm) ** 2)) / (2.0 * r0)
+    return r0, s, cfg.mode_match * overlap / r0
 
 
-def _checked_rate(rate: float, r0: float, v: float, cross_int: float) -> CoincidenceResult:
-    if rate < -1e-9 * r0:
-        raise NumericsError(f"negative coincidence rate {rate:.3e}; quadrature inconsistent")
-    return CoincidenceResult(max(rate, 0.0), r0, v, cross_int)
+def _rate(r0: float, s: float, v: float, a_abs_sq, cross_int: float = 0.0):
+    """Coincidence rate |a|^2 R0 + (R0/2)(S - V) + cross term, clamped at 0.
+
+    ``a_abs_sq`` may be an array; a rate below -1e-9 R0 raises NumericsError.
+    """
+    rate = a_abs_sq * r0 + 0.5 * r0 * (s - v) + cross_int
+    lowest = float(np.min(rate, initial=0.0))
+    if lowest < -1e-9 * r0:
+        raise NumericsError(f"negative coincidence rate {lowest:.3e}; quadrature inconsistent")
+    return np.maximum(rate, 0.0)
 
 
 def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
@@ -183,33 +190,25 @@ def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     1e-6 * R0; otherwise this raises NumericsError.
     """
     w, x0, xp, xm = _window_amplitudes(cfg)
-    r0, v = _r0_and_visibility(cfg, w, x0, xp, xm)
-    a, b, tr_prod = _route_amplitudes(cfg)
-    r_plus = float(np.sum(w * np.abs(xp) ** 2))
-    r_minus = float(np.sum(w * np.abs(xm) ** 2))
+    r0, s, v = _window_integrals(cfg, w, x0, xp, xm)
+    a, b = _route_amplitudes(cfg)
     cross = float(np.sum(w * np.real(np.conj(a) * b * np.conj(x0) * (xp - xm))))
     cross_int = 2.0 * cfg.mode_match * cross
     if not abs(cross_int) < 1e-6 * r0:
         raise NumericsError(f"cross term {cross_int:.3e} did not integrate away (R0 = {r0:.3e})")
-    rate = (
-        float(np.abs(a) ** 2) * r0
-        + tr_prod * (r_plus + r_minus)
-        - 2.0 * tr_prod * v * r0
-        + cross_int
-    )
-    return _checked_rate(rate, r0, v, cross_int)
+    rate = float(_rate(r0, s, v, float(np.abs(a) ** 2), cross_int))
+    return CoincidenceResult(rate, r0, v, cross_int)
 
 
 def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     """Coincidence rate with the pump phase dithered uniformly.
 
-    The phase-sensitive route averages to a constant floor, so the deepest
-    possible dip is half the far-from-dip rate: the 50% visibility ceiling.
+    The mean of ``coincidence_rate`` over the pump phase: |a|^2 averages to 1/2.
+    Once the window covers both copies (S = 1) the deepest possible dip is
+    half the far-from-dip rate: the 50% visibility ceiling.
     """
-    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg))
-    t, r = cfg.splitter_ratios
-    rate = (t**2 + r**2) * r0 + 2.0 * t * r * r0 * (1.0 - v)
-    return _checked_rate(rate, r0, v, 0.0)
+    r0, s, v = _window_integrals(cfg, *_window_amplitudes(cfg))
+    return CoincidenceResult(float(_rate(r0, s, v, 0.5)), r0, v, 0.0)
 
 
 def _singles_visibilities(cfg: InterferometerConfig, delays) -> np.ndarray:
@@ -234,18 +233,17 @@ def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
 
     Single-detector counts fringe in anti-phase with visibility |gamma(Delta)|;
     the coincidence follows the integrated two-detector rate with the
-    phase-sensitive term scanned.  The fitted visibilities are the closed
-    forms of these exact sinusoids: amplitude over offset.
+    phase-sensitive term |a|^2 = (1 - cos phase)/2 scanned.  The fitted
+    visibilities are the closed forms of these exact sinusoids: amplitude
+    over offset, 1/(1 + S - V) for the coincidence.
     """
     phase = np.asarray(phase_points, dtype=float)
-    r0, v = _r0_and_visibility(cfg, *_window_amplitudes(cfg))
-    t, r = cfg.splitter_ratios
-    a_abs_sq = t**2 + r**2 - 2.0 * t * r * np.cos(phase)
-    coincidence = a_abs_sq * r0 + 2.0 * t * r * r0 * (1.0 - v)
+    r0, s, v = _window_integrals(cfg, *_window_amplitudes(cfg))
+    coincidence = _rate(r0, s, v, 0.5 - 0.5 * np.cos(phase))
     s_vis = singles_fringe_visibility(cfg)
     singles_1 = 1.0 + s_vis * np.cos(phase)
     singles_2 = 1.0 - s_vis * np.cos(phase)
-    coinc_vis = 2.0 * t * r / (t**2 + r**2 + 2.0 * t * r * (1.0 - v))
+    coinc_vis = 0.5 / (0.5 + 0.5 * (s - v))
     fits = {"coincidence": coinc_vis, "singles_1": s_vis, "singles_2": s_vis}
     return ScanResult(
         abscissa=phase,
@@ -268,24 +266,18 @@ def delay_scan(cfg: InterferometerConfig, delay_points, dithered: bool = True) -
 
     Normalization emulates stitching separate runs together: the baseline is
     the mean rate over points with negligible overlap (|V| < 0.01); if the
-    scan has no such wings the analytic far-from-dip rate is used.
+    scan has no such wings the analytic far-from-dip rate is used: the last
+    point's rate with its overlap and cross terms taken out.
     """
     delays = np.asarray(delay_points, dtype=float)
-    t, r = cfg.splitter_ratios
+    rate_at = dither_averaged_rate if dithered else coincidence_rate
     rates = np.empty_like(delays)
     vis = np.empty_like(delays)
-    r0 = None
     for i, d in enumerate(delays):
-        point = replace(cfg, delay=float(d))
-        res = dither_averaged_rate(point) if dithered else coincidence_rate(point)
+        res = rate_at(replace(cfg, delay=float(d)))
         rates[i] = res.rate
         vis[i] = res.visibility
-        r0 = res.r0
-    if dithered:
-        analytic_baseline = (t**2 + r**2 + 2.0 * t * r) * r0
-    else:
-        a, _, _ = _route_amplitudes(cfg)
-        analytic_baseline = (float(np.abs(a) ** 2) + 2.0 * t * r) * r0
+    analytic_baseline = res.rate + 0.5 * res.r0 * res.visibility - res.cross_integral
     wings = np.abs(vis) < 0.01
     # the wings mean emulates stitching runs together; the overlap's side
     # lobes leave it a few permil off the analytic far-from-dip rate

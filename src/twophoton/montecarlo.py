@@ -12,9 +12,7 @@ run serially or on a thread pool.
 
 from __future__ import annotations
 
-import enum
 import math
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,11 +27,6 @@ MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
 _DETECT_KEY = 1 << 33
-
-
-class Origin(str, enum.Enum):
-    PAIR = "pair"
-    DARK = "dark"
 
 
 @dataclass(frozen=True)
@@ -56,16 +49,9 @@ class DetectorModel:
             raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    t1: float
-    t2: float
-    origin: Origin
-
-
 @dataclass(frozen=True, eq=False)
-class Detections(Sequence):
-    """Detection times as columns, pair records first; ``dark`` marks origin DARK."""
+class Detections:
+    """Detection times as columns, pair records first; ``dark`` marks the accidentals."""
 
     t1: np.ndarray
     t2: np.ndarray
@@ -73,18 +59,6 @@ class Detections(Sequence):
 
     def __len__(self) -> int:
         return self.t1.size
-
-    def __getitem__(self, i: int) -> EventRecord:
-        origin = Origin.DARK if self.dark[i] else Origin.PAIR
-        return EventRecord(float(self.t1[i]), float(self.t2[i]), origin)
-
-
-def _columns(records) -> Detections:
-    if isinstance(records, Detections):
-        return records
-    rows = [(r.t1, r.t2, r.origin is Origin.DARK) for r in records]
-    t1, t2, dark = np.array(rows, dtype=float).reshape(-1, 3).T
-    return Detections(t1, t2, dark > 0)
 
 
 def _chunk_rng(seed: int, key: int) -> np.random.Generator:
@@ -152,7 +126,7 @@ def detect(
     the resolution time and survives with the detector efficiency; a pair
     record needs both photons.  Dark counts arrive as a Poisson process on
     each detector over the run duration and are paired with whatever the
-    opposite detector saw inside the coincidence window (origin DARK).
+    opposite detector saw inside the coincidence window (marked ``dark``).
     """
     delays = np.asarray(pair_delays, dtype=float)
     n = delays.size
@@ -222,8 +196,8 @@ class DelayHistogram:
         return int(self.counts.sum())
 
 
-def histogram_delays(records, bin_width: float, delay_range: tuple) -> DelayHistogram:
-    """Histogram of t2 - t1 over ``Detections`` or any iterable of ``EventRecord``."""
+def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) -> DelayHistogram:
+    """Histogram of the record delays t2 - t1."""
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     lo, hi = delay_range
@@ -231,7 +205,6 @@ def histogram_delays(records, bin_width: float, delay_range: tuple) -> DelayHist
         raise ValueError(f"empty delay range {delay_range}")
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    records = _columns(records)
     counts, _ = np.histogram(records.t2 - records.t1, bins=edges)
     return DelayHistogram(counts=counts, edges=edges)
 
@@ -251,9 +224,8 @@ def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: in
     return 1.0 - float(hist.counts[inter].mean()) / peak_level
 
 
-def summarize_records(records, det: DetectorModel) -> dict:
+def summarize_records(records: Detections, det: DetectorModel) -> dict:
     """Counting summary: totals, in-window coincidences, accidentals."""
-    records = _columns(records)
     n_dark = int(np.count_nonzero(records.dark))
     in_window = np.abs(records.t2 - records.t1) <= det.coincidence_window
     return {

@@ -31,13 +31,12 @@ class SpectralAmplitude:
 
     ``halfwidth`` is the HWHM of the Lorentzian modulus-squared, the standard
     deviation of the Gaussian (modulus e^{-1/2} at one halfwidth), or the
-    half-support of the rectangle.  ``phase`` is a constant amplitude phase.
+    half-support of the rectangle.
     """
 
     shape: Shape = Shape.LORENTZIAN
     halfwidth: float = 1.0
     center: float = 0.0
-    phase: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "shape", Shape(self.shape))
@@ -58,7 +57,7 @@ def eval_spectrum(s: SpectralAmplitude, omega):
         val = np.exp(-(u**2) / (2.0 * s.halfwidth**2)) + 0.0j
     else:
         val = np.where(np.abs(u) <= s.halfwidth, 1.0 + 0.0j, 0.0 + 0.0j)
-    return val * np.exp(1j * s.phase)
+    return val
 
 
 def pair_spectrum(s: SpectralAmplitude, omega):
@@ -71,8 +70,7 @@ def pair_spectrum(s: SpectralAmplitude, omega):
     """
     u = np.asarray(omega, dtype=float) - s.center
     if s.shape is Shape.LORENTZIAN:
-        val = 1.0 / (1.0 + (u / s.halfwidth) ** 2) + 0.0j
-        return val * np.exp(1j * s.phase)
+        return 1.0 / (1.0 + (u / s.halfwidth) ** 2) + 0.0j
     return eval_spectrum(s, omega)
 
 

@@ -14,7 +14,7 @@ from twophoton.config import (
 )
 from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.errors import ConfigError
-from twophoton.montecarlo import MAX_EVENTS, histogram_delays
+from twophoton.montecarlo import MAX_EVENTS, Detections, histogram_delays
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,6 +259,20 @@ class TestCorrelationCommand:
         cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 16\n")
         assert main(["correlation", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "GridError" in capsys.readouterr().err
+
+    def test_vanishing_zero_delay_coherence_exits_3(self, tmp_path, capsys):
+        # three modes with phases 0, 2pi/3, 4pi/3: the phased comb factor F(0) is zero
+        cfg = write_cfg(
+            tmp_path,
+            "comb.n_side_modes = 1\ncomb.round_trip_time = 1.0\n"
+            "comb.pump_frequency = 5000.0\ncomb.linewidth = 0.0628\n"
+            "comb.mode_phases = 0.0, 2.0943951023931953, 4.1887902047863905\n"
+            "scan.points = 1024\nscan.include_coherence = true\n",
+        )
+        out = tmp_path / "out"
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "zero-delay coherence vanish" in capsys.readouterr().err
+        assert not (out / "correlation.csv").exists()
 
 
 class TestHomscanCommand:
@@ -525,7 +539,8 @@ class TestMcBounds:
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
         at_cap = resolve_config(parse_config_text(body.format(width)), "mc")
-        edges = histogram_delays([], at_cap.mc_bin_width, at_cap.mc_range).edges
+        empty = Detections(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        edges = histogram_delays(empty, at_cap.mc_bin_width, at_cap.mc_range).edges
         assert edges.size == MAX_QUAD_POINTS
         with pytest.raises(ConfigError, match="mc.bin_width"):
             resolve_config(parse_config_text(body.format(math.nextafter(width, 0.0))), "mc")

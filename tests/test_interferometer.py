@@ -12,6 +12,7 @@ from twophoton import (
     NumericsError,
     ResolutionError,
     ScanResult,
+    Shape,
     bs_two_photon_state,
     coincidence_rate,
     delay_scan,
@@ -324,10 +325,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="delay"):
             make_cfg(delay=-1.0)
 
-    def test_rejects_unbalanced_ratio_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            make_cfg(splitter_ratios=(0.6, 0.6))
-
 
 class TestRateSelfChecks:
     """The rates check their own window integrals with NumericsError, not assert."""
@@ -358,3 +355,44 @@ class TestRateSelfChecks:
         cfg = make_cfg(delay=0.5 * T_R, resolution_time=0.2 * T_R)
         with pytest.raises(ResolutionError):
             phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
+
+
+class TestTruncatedWindow:
+    """Windows shorter than the delay plus the envelope support cut off part
+    of the delayed copies, so R+ + R- falls below 2 R0."""
+
+    @pytest.mark.parametrize(
+        "shape, window",
+        [
+            (shape, window)
+            for shape in (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.RECTANGULAR)
+            for window in (0.6, 3.0, 20.0)
+        ]
+        + [(Shape.LORENTZIAN, 1e4)],  # covers the delay plus the envelope support
+    )
+    def test_dithered_rate_is_the_pump_phase_mean(self, shape, window):
+        cfg = make_cfg(make_comb(10, 0.01, shape=shape), 0.5 * T_R, resolution_time=window * T_R)
+        phases = np.arange(8) * (TWO_PI / 8)
+        mean = np.mean([coincidence_rate(replace(cfg, pump_phase=p)).rate for p in phases])
+        assert dither_averaged_rate(cfg).rate == pytest.approx(mean, rel=1e-6)
+
+    @pytest.mark.parametrize("window", [0.6, 3.0, 20.0])
+    def test_dithered_rate_matches_a_trapezoid_of_the_definition(self, window):
+        comb = make_comb(10, 0.01)
+        gamma, delay = comb.single_mode.halfwidth, 0.5 * T_R
+        tau = np.linspace(-window / 2.0, window / 2.0, 400_001)
+
+        def x(t):
+            return np.exp(-gamma * np.abs(t)) * dirichlet_oracle(t, 10, comb.mode_spacing)
+
+        xp, xm = x(tau + delay), x(tau - delay)
+        integrand = 0.5 * x(tau) ** 2 + 0.25 * (xp**2 + xm**2 - 2.0 * xp * xm)
+        res = dither_averaged_rate(make_cfg(comb, delay, resolution_time=window * T_R))
+        assert res.rate == pytest.approx(np.trapezoid(integrand, tau), rel=1e-4)
+
+    def test_phase_scan_follows_the_coincidence_rate(self):
+        cfg = make_cfg(delay=0.5 * T_R, resolution_time=3.0 * T_R)
+        phases = np.linspace(0.0, TWO_PI, 9)
+        scan = phase_fringe_scan(cfg, phases)
+        direct = [coincidence_rate(replace(cfg, pump_phase=p)).rate for p in phases]
+        np.testing.assert_allclose(scan.coincidence, direct, rtol=1e-12)

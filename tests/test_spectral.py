@@ -38,10 +38,6 @@ class TestSpectralAmplitude:
         assert eval_spectrum(s, 1.5) == pytest.approx(1.0)
         assert eval_spectrum(s, 1.5000001) == 0.0
 
-    def test_amplitude_phase_factor(self):
-        s = SpectralAmplitude(Shape.GAUSSIAN, halfwidth=1.0, phase=0.7)
-        assert eval_spectrum(s, 0.0) == pytest.approx(np.exp(0.7j))
-
     def test_rejects_nonpositive_halfwidth(self):
         with pytest.raises(ValueError, match="halfwidth"):
             SpectralAmplitude(Shape.LORENTZIAN, halfwidth=0.0)
