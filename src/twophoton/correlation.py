@@ -70,43 +70,40 @@ class CorrelationTrace:
         object.__setattr__(self, "samples", samples)
 
 
+def _reduced_angle(tau, mode_spacing: float) -> np.ndarray:
+    """x = mode_spacing*tau/2 reduced by whole multiples of pi to |u| <= pi/2."""
+    x = np.asarray(tau, dtype=float) * (mode_spacing / 2.0)
+    return x - np.round(x / math.pi) * math.pi
+
+
 def dirichlet_F(tau, n_side_modes: int, mode_spacing: float):
     """Comb factor sin[(2N+1)x]/sin(x) with x = mode_spacing*tau/2.
 
-    Continuous everywhere: within 1e-6 of a removable singularity the ratio
-    is evaluated from the reduced angle, giving 2N+1 at every multiple of
-    the round-trip time.
+    Evaluated as sin[(2N+1)u]/sin(u) on the reduced angle u = x - k*pi, an exact
+    identity, and as 2N+1 where sin(u) = 0: at every multiple of the round trip.
     """
     if n_side_modes < 0:
         raise ValueError("n_side_modes must be >= 0")
     if not mode_spacing > 0:
         raise ValueError("mode_spacing must be > 0")
     n_modes = 2 * n_side_modes + 1
-    x = np.asarray(tau, dtype=float) * (mode_spacing / 2.0)
-    u = x - np.round(x / math.pi) * math.pi
-    near_pole = np.abs(u) < 1e-6
-    den = np.sin(x)
-    den_safe = np.where(near_pole, 1.0, den)
-    direct = np.sin(n_modes * x) / den_safe
-    # exact identity: sin((2N+1)x)/sin(x) = sin((2N+1)u)/sin(u) for x = k*pi + u
-    reduced = n_modes * np.sinc(n_modes * u / math.pi) / np.sinc(u / math.pi)
-    out = np.where(near_pole, reduced, direct)
+    u = _reduced_angle(tau, mode_spacing)
+    den = np.sin(u)
+    out = np.divide(np.sin(n_modes * u), den, out=np.full_like(u, n_modes), where=den != 0.0)
     return out if out.ndim else float(out)
 
 
 def generalized_F(tau, comb: ModeComb):
-    """Phase-resolved comb factor; reduces to dirichlet_F for a locked comb."""
+    """Phase-resolved comb factor: sum over m = -N..N of e^{i phi_m} e^{-i m dOm tau}.
+
+    Summed by Horner as e^{2iNu} P(e^{-2iu}) on the reduced angle u; locked: dirichlet_F.
+    """
     if comb.is_locked:
         f = dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
         return np.asarray(f, dtype=complex) if np.ndim(tau) else complex(f)
-    tau = np.asarray(tau, dtype=float)
-    # m-th mode carries e^{-i m dOm tau}: build by recurrence from the m = -N edge
-    step_down = np.exp(-1j * comb.mode_spacing * tau)
-    carrier = np.exp(1j * comb.n_side_modes * comb.mode_spacing * tau)
-    out = np.zeros(tau.shape, dtype=complex)
-    for phi in comb.mode_phases:
-        out = out + np.exp(1j * phi) * carrier
-        carrier = carrier * step_down
+    u = _reduced_angle(tau, comb.mode_spacing)
+    coeffs = np.exp(1j * np.asarray(comb.mode_phases, dtype=float))[::-1]
+    out = np.exp(2j * comb.n_side_modes * u) * np.polyval(coeffs, np.exp(-2j * u))
     return out if out.ndim else complex(out)
 
 

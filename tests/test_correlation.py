@@ -73,6 +73,15 @@ class TestDirichletF:
             dirichlet_F(tau, 6, TWO_PI), dirichlet_oracle(tau, 6, TWO_PI), atol=1e-9
         )
 
+    def test_near_revivals_hundreds_of_round_trips_out(self):
+        # 6.43e-7 t_r past a revival the full-angle sines are both ~2e-6 and
+        # their rounded ratio is off by ~1e-6; the reduced angle is exact
+        k = np.arange(1, 301)
+        tau = np.concatenate([k + 6.43e-7, k - 6.43e-7])
+        np.testing.assert_allclose(
+            dirichlet_F(tau, 10, TWO_PI), dirichlet_oracle(tau, 10, TWO_PI), rtol=0, atol=1e-9 * 21
+        )
+
     @settings(max_examples=80, deadline=None)
     @given(tau=st.floats(-10.0, 10.0), n=st.integers(0, 25))
     def test_periodicity(self, tau, n):
@@ -95,6 +104,23 @@ class TestGeneralizedF:
     def test_three_mode_pi_phase_at_zero(self):
         comb = make_comb(1, 0.01, phases=(0.0, 0.0, math.pi))
         assert complex(generalized_F(0.0, comb)) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "phases",
+        [tuple(np.random.default_rng(17).uniform(0.0, TWO_PI, 21)), (0.0, 0.0, math.pi)],
+        ids=["seeded-21-modes", "three-modes-0-0-pi"],
+    )
+    def test_phased_matches_the_mode_sum_far_out(self, phases):
+        n_side = (len(phases) - 1) // 2
+        comb = make_comb(n_side, 0.01, phases=phases)
+        tau = np.linspace(-300.0, 300.0, 6001) + 1e-3
+        expected = sum(
+            np.exp(1j * (phi - m * comb.mode_spacing * tau))
+            for m, phi in zip(range(-n_side, n_side + 1), phases)
+        )
+        np.testing.assert_allclose(
+            generalized_F(tau, comb), expected, rtol=0, atol=1e-9 * len(phases)
+        )
 
     def test_random_phases_add_incoherently_at_revival(self):
         # coherent sum would give (2N+1)^2 = 121; phase-scrambled pairs add as power
