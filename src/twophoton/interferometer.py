@@ -148,7 +148,9 @@ def _window_amplitudes(cfg: InterferometerConfig):
     support = envelope_support(comb.single_mode)
     half = min(cfg.resolution_time / 2.0, abs(cfg.delay) + support)
     dt_target = comb.round_trip_time / (comb.n_modes * SAMPLES_PER_PEAK)
-    tau, w = simpson_rule(-half, half, int(math.ceil(2.0 * half / dt_target)) + 1)
+    # an even number of Simpson panels puts tau = 0, the cusp of the Lorentzian
+    # envelope, on a panel edge; mid-panel it costs the rule two orders
+    tau, w = simpson_rule(-half, half, 4 * int(math.ceil(half / (2.0 * dt_target))) + 1)
     x0 = comb_amplitude(tau, comb)
     xp = comb_amplitude(tau + cfg.delay, comb)
     xm = comb_amplitude(tau - cfg.delay, comb)
@@ -186,8 +188,8 @@ def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     """Coincidence rate integrated over the detector resolving window.
 
     Returns the rate together with the baseline R0 and the overlap visibility
-    V(Delta).  The pointwise cross term must integrate away to within
-    1e-6 * R0; otherwise this raises NumericsError.
+    V(Delta).  The pointwise cross term must integrate away to within 1e-6 R0,
+    as it does for exchange-symmetric X(-tau) = X(tau); else NumericsError.
     """
     w, x0, xp, xm = _window_amplitudes(cfg)
     r0, s, v = _window_integrals(cfg, w, x0, xp, xm)
@@ -195,7 +197,9 @@ def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     cross = float(np.sum(w * np.real(np.conj(a) * b * np.conj(x0) * (xp - xm))))
     cross_int = 2.0 * cfg.mode_match * cross
     if not abs(cross_int) < 1e-6 * r0:
-        raise NumericsError(f"cross term {cross_int:.3e} did not integrate away (R0 = {r0:.3e})")
+        raise NumericsError(f"cross term {cross_int:.3e} did not integrate away (R0 = {r0:.3e}); "
+                            "it vanishes only for an exchange-symmetric pair amplitude: use "
+                            "scan.dithered = true or a pump phase that is a multiple of 2 pi")
     rate = float(_rate(r0, s, v, float(np.abs(a) ** 2), cross_int))
     return CoincidenceResult(rate, r0, v, cross_int)
 
@@ -270,14 +274,14 @@ def delay_scan(cfg: InterferometerConfig, delay_points, dithered: bool = True) -
     point's rate with its overlap and cross terms taken out.
     """
     delays = np.asarray(delay_points, dtype=float)
+    if delays.size == 0:
+        raise ValueError("delay_points is empty; a delay scan needs at least one delay")
     rate_at = dither_averaged_rate if dithered else coincidence_rate
-    rates = np.empty_like(delays)
-    vis = np.empty_like(delays)
-    for i, d in enumerate(delays):
-        res = rate_at(replace(cfg, delay=float(d)))
-        rates[i] = res.rate
-        vis[i] = res.visibility
-    analytic_baseline = res.rate + 0.5 * res.r0 * res.visibility - res.cross_integral
+    results = [rate_at(replace(cfg, delay=float(d))) for d in delays]
+    rates = np.array([res.rate for res in results])
+    vis = np.array([res.visibility for res in results])
+    last = results[-1]
+    analytic_baseline = last.rate + 0.5 * last.r0 * last.visibility - last.cross_integral
     wings = np.abs(vis) < 0.01
     # the wings mean emulates stitching runs together; the overlap's side
     # lobes leave it a few permil off the analytic far-from-dip rate

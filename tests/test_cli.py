@@ -316,6 +316,24 @@ class TestHomscanCommand:
         assert cols["singles_1"].min() >= 0.0 and cols["singles_2"].min() >= 0.0
 
 
+    @pytest.mark.parametrize("asymmetry", ["comb.phase_seed = 4", "comb.center = 1.0e11"])
+    def test_undithered_cross_term_of_an_asymmetric_amplitude_exits_3(
+        self, tmp_path, capsys, asymmetry
+    ):
+        # a pump phase off 2 pi Z weighs the cross term, which integrates away
+        # only for an exchange-symmetric amplitude; the message names the remedies
+        body = (CONFIGS / "hom_delay_scan.cfg").read_text(encoding="utf-8")
+        body = body.replace("scan.points = 261", "scan.points = 5")
+        body = body.replace("scan.delay_max_tr = 1.3", "scan.delay_max_tr = 0.5")
+        body = body.replace("scan.dithered = true", "scan.dithered = false")
+        cfg = write_cfg(tmp_path, body + f"interferometer.pump_phase = 1.1\n{asymmetry}\n")
+        out = tmp_path / "out"
+        assert main(["homscan", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "cross term" in err and "exchange" in err and "scan.dithered = true" in err
+        assert not (out / "homscan.csv").exists()
+
+
 class TestFringeCommand:
     def test_full_round_trip_fringes(self, tmp_path):
         cfg = write_cfg(

@@ -155,6 +155,14 @@ class TestCoincidenceRate:
             res = coincidence_rate(make_cfg(comb, delay=d * T_R, pump_phase=1.1))
             assert abs(res.cross_integral) < 1e-6 * res.r0
 
+    def test_cross_term_vanishes_for_exchange_symmetric_random_phases(self):
+        # phi_{-m} = phi_m makes X(-tau) = X(tau), so the integrand is odd in tau
+        half = np.random.default_rng(5).uniform(0.0, TWO_PI, 11)
+        comb = make_comb(10, 0.01, phases=tuple(np.concatenate([half[:0:-1], half])))
+        for d in (0.3, 0.5, 0.7):
+            res = coincidence_rate(make_cfg(comb, delay=d * T_R, pump_phase=1.1))
+            assert abs(res.cross_integral) < 1e-12 * res.r0
+
     def test_resolution_must_cover_the_delay(self):
         cfg = make_cfg(delay=0.5 * T_R, resolution_time=0.2 * T_R)
         with pytest.raises(ResolutionError):
@@ -309,6 +317,10 @@ class TestDelayScan:
         scan = ScanResult(np.arange(6.0), y, np.ones(6), np.ones(6), {})
         np.testing.assert_array_equal(find_dip_delays(scan), [1.0])
 
+    def test_empty_delay_points_are_refused(self):
+        with pytest.raises(ValueError, match="delay_points"):
+            delay_scan(make_cfg(), [])
+
     def test_singles_flat_when_dithered(self):
         comb = make_comb(5, 0.02)
         scan = delay_scan(make_cfg(comb), np.linspace(0, 1, 11) * T_R, dithered=True)
@@ -389,6 +401,21 @@ class TestTruncatedWindow:
         integrand = 0.5 * x(tau) ** 2 + 0.25 * (xp**2 + xm**2 - 2.0 * xp * xm)
         res = dither_averaged_rate(make_cfg(comb, delay, resolution_time=window * T_R))
         assert res.rate == pytest.approx(np.trapezoid(integrand, tau), rel=1e-4)
+
+    def test_lorentzian_cusp_sits_on_a_panel_edge(self):
+        # about 203 nodes cover 0.6 t_r; an odd panel count per half window
+        # would put the envelope cusp at tau = 0 mid-panel, 7.8e-6 off here
+        comb = make_comb(10, 0.01)
+        gamma, delay, window = comb.single_mode.halfwidth, 0.5 * T_R, 0.6
+        tau = np.linspace(-window / 2.0, window / 2.0, 400_001)
+
+        def x(t):
+            return np.exp(-gamma * np.abs(t)) * dirichlet_oracle(t, 10, comb.mode_spacing)
+
+        xp, xm = x(tau + delay), x(tau - delay)
+        integrand = 0.5 * x(tau) ** 2 + 0.25 * (xp**2 + xm**2 - 2.0 * xp * xm)
+        res = dither_averaged_rate(make_cfg(comb, delay, resolution_time=window * T_R))
+        assert res.rate == pytest.approx(np.trapezoid(integrand, tau), rel=1e-6)
 
     def test_phase_scan_follows_the_coincidence_rate(self):
         cfg = make_cfg(delay=0.5 * T_R, resolution_time=3.0 * T_R)
