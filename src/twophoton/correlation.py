@@ -102,7 +102,7 @@ def generalized_F(tau, comb: ModeComb):
         f = dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
         return np.asarray(f, dtype=complex) if np.ndim(tau) else complex(f)
     u = _reduced_angle(tau, comb.mode_spacing)
-    coeffs = np.exp(1j * np.asarray(comb.mode_phases, dtype=float))[::-1]
+    coeffs = np.exp(1j * np.array(comb.mode_phases))[::-1]
     out = np.exp(2j * comb.n_side_modes * u) * np.polyval(coeffs, np.exp(-2j * u))
     return out if out.ndim else complex(out)
 
