@@ -136,6 +136,37 @@ def simpson_rule(lo: float, hi: float, n_min: int):
     return x, w * ((x[1] - x[0]) / 3.0)
 
 
+def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
+    """P(d) = int X(tau + d) X*(tau - d) dtau over the whole line, at each delay d.
+
+    A sum over mode pairs, e^{-2i center d} sum_j A_j J(j dOm, d): A correlates
+    p_m = e^{i phi_m - i m dOm d} with q_m = e^{i phi_m + i m dOm d}, and J is the
+    transform of the carrier-free envelope product g(tau + d) g(tau - d).
+    Lorentzian and Gaussian lines; more than 65536 modes is a GridError.
+    """
+    s, n_modes = comb.single_mode, comb.n_modes
+    if s.shape is Shape.RECTANGULAR:
+        raise ValueError("the pair overlap has no closed form for a rectangular line")
+    # np.correlate is direct: 0.14 s at 16385 modes, seconds per call at the cap
+    if n_modes > 65_536:
+        raise GridError(f"mode-pair sum over {n_modes} modes; cap is 65536 modes")
+    phase = np.exp(1j * np.array(comb.mode_phases))
+    m = np.arange(-comb.n_side_modes, comb.n_side_modes + 1) * comb.mode_spacing
+    k = np.arange(-2 * comb.n_side_modes, 2 * comb.n_side_modes + 1) * comb.mode_spacing
+    hw, out = s.halfwidth, []
+    for d in np.atleast_1d(np.asarray(delays, dtype=float)):
+        a = np.correlate(phase * np.exp(-1j * m * d), phase * np.exp(1j * m * d), "full")
+        if s.shape is Shape.LORENTZIAN:
+            # the envelope product is e^{-2 hw |d|} inside |tau| <= |d|, e^{-2 hw |tau|} outside
+            z, ad = 2.0 * hw + 1j * k, abs(d)
+            j = 2.0 * ad * math.exp(-2.0 * hw * ad) * np.sinc(k * ad / math.pi)
+            j = j + 2.0 * np.real(np.exp(-z * ad) / z)
+        else:
+            j = math.sqrt(math.pi) / hw * math.exp(-((hw * d) ** 2)) * np.exp(-((k / hw) ** 2) / 4.0)
+        out.append(np.exp(-2j * s.center * d) * np.sum(a * j))
+    return np.array(out)
+
+
 def _lorentzian_tail(hw: float, a: float, tau: np.ndarray) -> np.ndarray:
     """2 * int_a^inf hw^2/(hw^2+u^2) cos(u tau) du, by asymptotic series.
 

@@ -24,10 +24,11 @@ from .correlation import (
     comb_amplitude,
     dirichlet_F,
     envelope_support,
+    pair_overlap,
     simpson_rule,
 )
 from .errors import NumericsError, ResolutionError
-from .spectral import ModeComb
+from .spectral import ModeComb, Shape
 
 #: Simpson nodes per comb-peak width in the resolving-window integrals
 SAMPLES_PER_PEAK = 16
@@ -136,14 +137,8 @@ def gamma12(tau, cfg: InterferometerConfig):
 def _window_amplitudes(cfg: InterferometerConfig):
     """Simpson weights over the resolving window and X(tau), X(tau+D), X(tau-D) on its nodes.
 
-    The window is truncated to the delay plus the envelope support; the
-    integrated-rate model needs it to cover the delay.
+    The window is truncated to the delay plus the envelope support.
     """
-    if cfg.resolution_time < cfg.delay:
-        raise ResolutionError(
-            f"resolution_time {cfg.resolution_time:.3e} s is shorter than the "
-            f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
-        )
     comb = cfg.comb
     support = envelope_support(comb.single_mode)
     half = min(cfg.resolution_time / 2.0, abs(cfg.delay) + support)
@@ -158,18 +153,38 @@ def _window_amplitudes(cfg: InterferometerConfig):
 
 
 def _window_integrals(cfg: InterferometerConfig, w, x0, xp, xm):
-    """Window integrals R0 of |X|^2 and S = (R+ + R-)/(2 R0), and the overlap visibility V.
+    """Window integrals R0 of |X|^2, S = (R+ + R-)/(2 R0), the overlap visibility V
+    and the cross integral C of X*(tau) [X(tau+D) - X(tau-D)].
 
-    R+- integrate |X(tau +- Delta)|^2; V includes the mode match.  S is exactly 1
-    when the window is cut at the delay plus the envelope support, covering both.
+    R+- integrate |X(tau +- Delta)|^2; V includes the mode match.
     """
     r0 = float(np.sum(w * np.abs(x0) ** 2))
     overlap = float(np.sum(w * np.real(xp * np.conj(xm))))
-    if cfg.resolution_time / 2.0 >= abs(cfg.delay) + envelope_support(cfg.comb.single_mode):
-        s = 1.0
-    else:
-        s = float(np.sum(w * np.abs(xp) ** 2) + np.sum(w * np.abs(xm) ** 2)) / (2.0 * r0)
-    return r0, s, cfg.mode_match * overlap / r0
+    s = float(np.sum(w * np.abs(xp) ** 2) + np.sum(w * np.abs(xm) ** 2)) / (2.0 * r0)
+    cross = complex(np.sum(w * np.conj(x0) * (xp - xm)))
+    return r0, s, cfg.mode_match * overlap / r0, cross
+
+
+def _rate_integrals(cfg: InterferometerConfig):
+    """(R0, S, V, C) over the resolving window, which must cover the delay.
+
+    A window covering the delay plus the envelope support is the whole line,
+    where S = 1 and, with P = ``pair_overlap``, R0 = P(0), V = Re P(D)/R0 and
+    C = P(D/2) - P(-D/2).  Other windows take the Simpson sums.
+    """
+    if cfg.resolution_time < cfg.delay:
+        raise ResolutionError(
+            f"resolution_time {cfg.resolution_time:.3e} s is shorter than the "
+            f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
+        )
+    d = cfg.delay
+    # a covered rectangular line (sinc envelope) would need over 1e8 Simpson
+    # nodes, so its window is always truncated or refused by the node cap
+    covered = cfg.resolution_time / 2.0 >= d + envelope_support(cfg.comb.single_mode)
+    if covered and cfg.comb.single_mode.shape is not Shape.RECTANGULAR:
+        p0, pd, p_half, m_half = pair_overlap(cfg.comb, [0.0, d, d / 2.0, -d / 2.0])
+        return p0.real, 1.0, cfg.mode_match * pd.real / p0.real, complex(p_half - m_half)
+    return _window_integrals(cfg, *_window_amplitudes(cfg))
 
 
 def _rate(r0: float, s: float, v: float, a_abs_sq, cross_int: float = 0.0):
@@ -191,11 +206,9 @@ def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     V(Delta).  The pointwise cross term must integrate away to within 1e-6 R0,
     as it does for exchange-symmetric X(-tau) = X(tau); else NumericsError.
     """
-    w, x0, xp, xm = _window_amplitudes(cfg)
-    r0, s, v = _window_integrals(cfg, w, x0, xp, xm)
+    r0, s, v, cross = _rate_integrals(cfg)
     a, b = _route_amplitudes(cfg)
-    cross = float(np.sum(w * np.real(np.conj(a) * b * np.conj(x0) * (xp - xm))))
-    cross_int = 2.0 * cfg.mode_match * cross
+    cross_int = 2.0 * cfg.mode_match * float(np.real(np.conj(a) * b * cross))
     if not abs(cross_int) < 1e-6 * r0:
         raise NumericsError(f"cross term {cross_int:.3e} did not integrate away (R0 = {r0:.3e}); "
                             "it vanishes only for an exchange-symmetric pair amplitude: use "
@@ -211,7 +224,7 @@ def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     Once the window covers both copies (S = 1) the deepest possible dip is
     half the far-from-dip rate: the 50% visibility ceiling.
     """
-    r0, s, v = _window_integrals(cfg, *_window_amplitudes(cfg))
+    r0, s, v, _ = _rate_integrals(cfg)
     return CoincidenceResult(float(_rate(r0, s, v, 0.5)), r0, v, 0.0)
 
 
@@ -242,7 +255,7 @@ def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
     over offset, 1/(1 + S - V) for the coincidence.
     """
     phase = np.asarray(phase_points, dtype=float)
-    r0, s, v = _window_integrals(cfg, *_window_amplitudes(cfg))
+    r0, s, v, _ = _rate_integrals(cfg)
     coincidence = _rate(r0, s, v, 0.5 - 0.5 * np.cos(phase))
     s_vis = singles_fringe_visibility(cfg)
     singles_1 = 1.0 + s_vis * np.cos(phase)

@@ -334,6 +334,19 @@ class TestHomscanCommand:
         assert not (out / "homscan.csv").exists()
 
 
+    def test_many_modes_at_a_covered_window(self, tmp_path):
+        # 601 modes would need 4.9e6 Simpson nodes over the envelope support,
+        # beyond the node cap; the closed mode-pair sums need no nodes
+        body = (CONFIGS / "hom_delay_scan.cfg").read_text(encoding="utf-8")
+        body = body.replace("comb.n_side_modes = 10", "comb.n_side_modes = 300")
+        body = body.replace("scan.points = 261", "scan.points = 27")
+        cfg = write_cfg(tmp_path, body)
+        assert main(["homscan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        cols = read_rows(tmp_path / "homscan.csv")
+        dips = cols["delay_s"][cols["coincidence"] < 0.75]
+        np.testing.assert_allclose(dips / 1.0e-12, [0.0, 0.5, 1.0], atol=1e-9)
+
+
 class TestFringeCommand:
     def test_full_round_trip_fringes(self, tmp_path):
         cfg = write_cfg(

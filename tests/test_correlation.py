@@ -25,6 +25,7 @@ from twophoton import (
     generalized_F,
     pair_envelope,
 )
+from twophoton.correlation import pair_overlap
 
 from conftest import (
     TWO_PI,
@@ -132,6 +133,26 @@ class TestGeneralizedF:
         mean = float(np.mean(vals))
         assert mean == pytest.approx(11.0, abs=1.2)
         assert mean < 30.0
+
+
+class TestPairOverlap:
+    class SumReached(Exception):
+        pass
+
+    def test_mode_cap_is_refused_before_the_sum(self, monkeypatch):
+        # np.correlate is direct: 0.14 s at 16385 modes, seconds per call at the cap
+        def fake(*args, **kwargs):
+            raise self.SumReached
+
+        monkeypatch.setattr(np, "correlate", fake)
+        with pytest.raises(GridError, match="65537 modes"):
+            pair_overlap(make_comb(32768, 0.01), [0.0])
+        with pytest.raises(self.SumReached):
+            pair_overlap(make_comb(32767, 0.01), [0.0])
+
+    def test_rectangular_line_has_no_closed_form(self):
+        with pytest.raises(ValueError, match="rectangular"):
+            pair_overlap(make_comb(4, 0.01, shape=Shape.RECTANGULAR), [0.0])
 
 
 class TestEnvelopes:

@@ -22,6 +22,7 @@ from twophoton import (
     phase_fringe_scan,
     singles_fringe_visibility,
 )
+from twophoton.correlation import pair_overlap
 from conftest import TWO_PI, dirichlet_oracle, make_comb
 
 T_R = 1.0
@@ -350,16 +351,35 @@ class TestRateSelfChecks:
 
         monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
 
+    def distort_pair_sums(self, monkeypatch, distort):
+        # a covered window takes P(0), P(D), P(D/2) and P(-D/2) from one call
+        real = interferometer.pair_overlap
+
+        def fake(comb, delays):
+            return np.array(distort(*real(comb, delays)))
+
+        monkeypatch.setattr(interferometer, "pair_overlap", fake)
+
     def test_cross_term_that_does_not_integrate_away(self, monkeypatch):
-        # X(tau+D) -> i X(tau), X(tau-D) -> 0: for a balanced splitter the
-        # integrated cross term becomes -sin(phi/2) R0, nowhere near zero
-        self.distort_window(monkeypatch, lambda x0, xp, xm: (1j * x0, 0.0 * xm))
+        # P(D/2) -> i R0, P(-D/2) -> 0, as X(tau+D) -> i X(tau), X(tau-D) -> 0: for a
+        # balanced splitter the integrated cross term becomes -sin(phi/2) R0
+        self.distort_pair_sums(monkeypatch, lambda p0, pd, ph, mh: (p0, pd, 1j * p0, 0.0 * mh))
         with pytest.raises(NumericsError, match="cross term"):
             coincidence_rate(make_cfg(delay=0.0, pump_phase=1.0))
 
+    def test_cross_term_that_does_not_integrate_away_on_the_simpson_window(self, monkeypatch):
+        # the same distortion where the window is truncated and Simpson runs
+        self.distort_window(monkeypatch, lambda x0, xp, xm: (1j * x0, 0.0 * xm))
+        with pytest.raises(NumericsError, match="cross term"):
+            coincidence_rate(make_cfg(delay=0.0, pump_phase=1.0, resolution_time=0.6 * T_R))
+
     def test_negative_rate(self, monkeypatch):
-        # an overlap of 4 R0 gives V = 4 and a dithered rate of -R0
-        self.distort_window(monkeypatch, lambda x0, xp, xm: (2.0 * x0, 2.0 * x0))
+        """An overlap of 4 R0 gives V = 4 and a dithered rate of -R0.
+
+        No Simpson twin: on the Simpson window V <= S by Cauchy-Schwarz, so the
+        check can fire only where S = 1 is assumed.
+        """
+        self.distort_pair_sums(monkeypatch, lambda p0, pd, ph, mh: (p0, 4.0 * p0, ph, mh))
         with pytest.raises(NumericsError, match="negative coincidence rate"):
             dither_averaged_rate(make_cfg(delay=0.0))
 
@@ -423,3 +443,106 @@ class TestTruncatedWindow:
         scan = phase_fringe_scan(cfg, phases)
         direct = [coincidence_rate(replace(cfg, pump_phase=p)).rate for p in phases]
         np.testing.assert_allclose(scan.coincidence, direct, rtol=1e-12)
+
+
+SEEDED_PHASES = tuple(np.random.default_rng(3).uniform(0.0, TWO_PI, 21))
+
+
+def phased_amplitude_oracle(comb, tau):
+    """X(tau) by an explicit mode loop on the envelope written out per shape."""
+    s = comb.single_mode
+    if s.shape is Shape.LORENTZIAN:
+        env = np.exp(-s.halfwidth * np.abs(tau))
+    else:
+        env = np.exp(-((s.halfwidth * tau) ** 2) / 2.0)
+    total = np.zeros(tau.shape, dtype=complex)
+    for m, phi in zip(range(-comb.n_side_modes, comb.n_side_modes + 1), comb.mode_phases):
+        total += np.exp(1j * (phi - m * comb.mode_spacing * tau))
+    return env * np.exp(-1j * s.center * tau) * total
+
+
+def trapezoid_overlap(comb, d, span, per_unit=1000):
+    """int X(tau + d) X*(tau - d) dtau by trapezoid, split at every envelope cusp."""
+    breaks = sorted({-span, span, 0.0, d, -d})
+    total = 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        tau = np.linspace(lo, hi, max(int((hi - lo) * per_unit), 2) + 1)
+        total += np.trapezoid(
+            phased_amplitude_oracle(comb, tau + d) * np.conj(phased_amplitude_oracle(comb, tau - d)), tau
+        )
+    return total
+
+
+class TestClosedPairSums:
+    """A window that covers the delay plus the envelope support is the whole
+    line, where R0, the overlap and the cross integral are sums over mode pairs."""
+
+    @pytest.mark.parametrize("center", [0.0, 0.3])
+    @pytest.mark.parametrize("phases", [(), SEEDED_PHASES], ids=["locked", "seeded"])
+    @pytest.mark.parametrize(
+        "shape, r0_rel, v_abs, cross_abs",
+        [(Shape.LORENTZIAN, 2e-9, 1.5e-8, 5e-9), (Shape.GAUSSIAN, 3e-12, 3e-12, 3e-12)],
+    )
+    def test_pair_sums_match_the_simpson_window(self, shape, r0_rel, v_abs, cross_abs, phases, center):
+        comb = make_comb(10, 0.01, shape=shape, phases=phases, center=center)
+        for d in (0.0, 0.3, 0.5, 1.0):
+            cfg = make_cfg(comb, d * T_R)
+            r0, s, v, cross = interferometer._window_integrals(
+                cfg, *interferometer._window_amplitudes(cfg)
+            )
+            p0, pd, p_half, m_half = pair_overlap(comb, [0.0, d, d / 2.0, -d / 2.0])
+            assert p0.real == pytest.approx(r0, rel=r0_rel)
+            assert pd.real / p0.real == pytest.approx(v, abs=v_abs)
+            assert abs(p_half - m_half - cross) < cross_abs * r0
+
+    @pytest.mark.parametrize(
+        "shape, span, tol", [(Shape.LORENTZIAN, 185.0, 1e-8), (Shape.GAUSSIAN, 100.0, 1e-12)]
+    )
+    def test_pair_sums_match_a_trapezoid_of_the_definition(self, shape, span, tol):
+        # the Lorentzian trapezoid is 4e-10 to 8e-10 R0 off: its step, not the sums
+        comb = make_comb(10, 0.01, shape=shape, phases=SEEDED_PHASES, center=0.3)
+        d = 0.3 * T_R
+        p0, pd, p_half, m_half = pair_overlap(comb, [0.0, d, d / 2.0, -d / 2.0])
+        oracle = [trapezoid_overlap(comb, x, span) for x in (0.0, d, d / 2.0, -d / 2.0)]
+        assert p0.real == pytest.approx(oracle[0].real, rel=tol)
+        assert abs(pd - oracle[1]) < tol * p0.real
+        assert abs((p_half - m_half) - (oracle[2] - oracle[3])) < tol * p0.real
+
+
+class TestRateRoute:
+    """Covered Lorentzian and Gaussian windows take the pair sums; truncated
+    windows and the rectangular line take the Simpson window."""
+
+    class SimpsonWindowCalled(Exception):
+        pass
+
+    def refuse_simpson(self, monkeypatch):
+        def fake(cfg):
+            raise self.SimpsonWindowCalled
+
+        monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
+
+    @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
+    def test_covered_window_needs_no_simpson_window(self, monkeypatch, shape):
+        comb = make_comb(10, 0.01, shape=shape)
+        cfg = make_cfg(comb, delay=0.5 * T_R)
+        p0, pd = pair_overlap(comb, [0.0, cfg.delay])
+        self.refuse_simpson(monkeypatch)
+        res = dither_averaged_rate(cfg)
+        assert (res.r0, res.visibility) == (p0.real, pd.real / p0.real)
+        assert coincidence_rate(replace(cfg, pump_phase=1.1)).r0 == p0.real
+        phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
+        delay_scan(cfg, np.linspace(0.0, 1.0, 5) * T_R)
+
+    @pytest.mark.parametrize(
+        "shape, window",
+        [(Shape.LORENTZIAN, 0.6), (Shape.GAUSSIAN, 0.6), (Shape.RECTANGULAR, 1e4)],
+    )
+    def test_truncated_window_and_rectangular_line_take_the_simpson_window(
+        self, monkeypatch, shape, window
+    ):
+        cfg = make_cfg(make_comb(10, 0.01, shape=shape), 0.5 * T_R, resolution_time=window * T_R)
+        self.refuse_simpson(monkeypatch)
+        for rate in (dither_averaged_rate, coincidence_rate):
+            with pytest.raises(self.SimpsonWindowCalled):
+                rate(cfg)
