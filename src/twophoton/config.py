@@ -72,6 +72,8 @@ POSITIVE = _Rule("> 0", lambda v: v > 0)
 UNIT_INTERVAL = _Rule("in (0, 1]", lambda v: 0.0 < v <= 1.0)
 SCAN_POINTS = _Rule(f"in [2, {MAX_QUAD_POINTS}]", lambda v: 2 <= v <= MAX_QUAD_POINTS)
 N_EVENTS = _Rule(f"in [0, {MAX_EVENTS}]", lambda v: 0 <= v <= MAX_EVENTS)
+# 2N+1 <= MAX_QUAD_POINTS: no more modes than the largest scan has points
+N_SIDE_MODES = _Rule(f"in [0, {MAX_QUAD_POINTS // 2}]", lambda v: 0 <= v <= MAX_QUAD_POINTS // 2)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class Key:
 _COMMON = (
     Key("seed", INT, 0, field="seed", rule=NONNEGATIVE),
     Key("units.frequency", UNITS, "angular"),
-    Key("comb.n_side_modes", INT, 10, rule=NONNEGATIVE),
+    Key("comb.n_side_modes", INT, 10, rule=N_SIDE_MODES),
     Key("comb.round_trip_time", FLOAT, 1e-12, echo=NEVER, rule=POSITIVE),
     Key("comb.mode_spacing", FLOAT, frequency=True),
     Key("comb.pump_frequency", FLOAT, 3.54e15, frequency=True),

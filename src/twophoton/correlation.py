@@ -6,10 +6,8 @@ Dirichlet kernel of 2N+1 equally spaced modes, period one cavity round
 trip).  First-order coherence carries the same comb factor on top of the
 transform of the line intensity.
 
-Every envelope is computed from its closed form.  ``pair_envelope`` and
-``coherence_envelope`` also keep a Simpson-quadrature route as an independent
-cross-check; its sums use numpy's pairwise summation, so results do not
-depend on evaluation order.
+Every envelope is computed from its closed form; the tests check those forms
+against an independent transform by quadrature.
 """
 
 from __future__ import annotations
@@ -19,14 +17,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import GridError, NumericsError, NyquistError, WindowError
 from .spectral import ModeComb, Shape, SpectralAmplitude, TimeGrid
 
-#: half-span of the quadrature window in units of the halfwidth
+#: spectral content, in halfwidths, that a sampled envelope must resolve
 QUAD_SPAN_HALFWIDTHS = 50.0
-QUAD_POINTS = 100_001
 #: node cap of every Simpson rule, and the largest scan a config may request
 MAX_QUAD_POINTS = 4_194_305
 #: envelope intensity below which a delay counts as outside the envelope support
@@ -167,57 +163,10 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
     return np.array(out)
 
 
-def _lorentzian_tail(hw: float, a: float, tau: np.ndarray) -> np.ndarray:
-    """2 * int_a^inf hw^2/(hw^2+u^2) cos(u tau) du, by asymptotic series.
-
-    Two terms of the large-u expansion; relative error ~(hw/a)^6 of the tail.
-    """
-    t = np.abs(tau)
-    out = np.empty_like(t)
-    zero = t == 0.0
-    out[zero] = 2.0 * (hw**2 / a - hw**4 / (3.0 * a**3))
-    tz = t[~zero]
-    si, _ = sici(a * tz)
-    rest = math.pi / 2.0 - si
-    i2 = np.cos(a * tz) / a - tz * rest
-    i4 = (
-        np.cos(a * tz) / (3.0 * a**3)
-        - tz * np.sin(a * tz) / (6.0 * a**2)
-        - tz**2 * np.cos(a * tz) / (6.0 * a)
-        + tz**3 * rest / 6.0
-    )
-    out[~zero] = 2.0 * (hw**2 * i2 - hw**4 * i4)
-    return out
-
-
 def _spectral_span(s: SpectralAmplitude) -> float:
-    """Highest detuning a transform carries: the quadrature span, which for
-    the compactly supported rectangle is just the halfwidth itself."""
+    """Highest detuning a sampled envelope must resolve: QUAD_SPAN_HALFWIDTHS
+    halfwidths, or the halfwidth itself for the compactly supported rectangle."""
     return s.halfwidth if s.shape is Shape.RECTANGULAR else QUAD_SPAN_HALFWIDTHS * s.halfwidth
-
-
-def _cosine_transform_quadrature(s: SpectralAmplitude, power: int, tau: np.ndarray) -> np.ndarray:
-    """int f(u) e^{-iu tau} du for the even line profile f (amplitude or intensity).
-
-    ``power`` selects the pair amplitude profile (1) or the line intensity
-    profile (2); both are even and real, so the transform is a real cosine
-    transform.  The heavy Lorentzian tail outside the Simpson window is added
-    back analytically.
-    """
-    shape, hw = s.shape, s.halfwidth
-    a = _spectral_span(s)
-    u, w = simpson_rule(-a, a, QUAD_POINTS)
-    if shape is Shape.LORENTZIAN:
-        f = 1.0 / (1.0 + (u / hw) ** 2)  # same profile for amplitude and intensity
-    elif shape is Shape.GAUSSIAN:
-        f = np.exp(-power * u**2 / (2.0 * hw**2))
-    else:
-        f = np.ones_like(u)
-    w = w * f
-    out = np.array([np.sum(w * np.cos(u * t)) for t in np.atleast_1d(tau)])
-    if shape is Shape.LORENTZIAN:
-        out = out + _lorentzian_tail(hw, a, np.atleast_1d(tau))
-    return out
 
 
 def _closed_cosine_transform(shape: Shape, hw: float, power: int, tau: np.ndarray):
@@ -232,36 +181,29 @@ def _closed_cosine_transform(shape: Shape, hw: float, power: int, tau: np.ndarra
     return 2.0 * hw * np.sinc(hw * t / math.pi), 2.0 * hw
 
 
-def _line_transform(s, tau, power, method):
+def _line_transform(s, tau, power):
     """Transform of the line profile to the ``power``, normalized to 1 at tau = 0.
 
     The pair envelope (power 1) carries e^{-i*center*tau} and the coherence
     envelope (power 2) e^{+i*center*tau}.
     """
     tau = np.asarray(tau, dtype=float)
-    if method == "closed":
-        core, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, tau)
-    elif method == "quadrature":
-        core = _cosine_transform_quadrature(s, power, tau)
-        scale = float(_cosine_transform_quadrature(s, power, np.zeros(1))[0])
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    core, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, tau)
     carrier = -1j if power == 1 else 1j
     return (core / scale) * np.exp(carrier * s.center * tau)
 
 
-def pair_envelope(s: SpectralAmplitude, tau, method: str = "closed"):
+def pair_envelope(s: SpectralAmplitude, tau):
     """Normalized pair envelope g(tau): transform of the pair spectrum, g(0)=1.
 
     A line centered off zero contributes the carrier e^{-i*center*tau}.
-    ``method="quadrature"`` takes the Simpson cross-check route.
     """
-    return _line_transform(s, tau, 1, method)
+    return _line_transform(s, tau, 1)
 
 
-def coherence_envelope(s: SpectralAmplitude, tau, method: str = "closed"):
+def coherence_envelope(s: SpectralAmplitude, tau):
     """Normalized field-coherence envelope G(tau): transform of the line intensity."""
-    return _line_transform(s, tau, 2, method)
+    return _line_transform(s, tau, 2)
 
 
 def comb_amplitude(tau, comb: ModeComb):
@@ -277,7 +219,7 @@ def _envelope_trace(s, grid, power) -> CorrelationTrace:
             f"grid spacing {grid.spacing:.3e} s undersamples the spectrum: "
             f"needs < {limit:.3e} s for spectral content out to {span:.3e} rad/s"
         )
-    vals = _line_transform(s, grid.values, power, "closed")
+    vals = _line_transform(s, grid.values, power)
     _, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, np.zeros(1))
     return CorrelationTrace(grid, vals, TraceKind.AMPLITUDE, normalization=scale)
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationTrace, TraceKind
-from .errors import DegenerateDensity
+from .errors import DegenerateDensity, NumericsError
 
 CHUNK = 1 << 16
-# the largest mc.n_events a config may ask for: at about 72 B per event, 2.5 GB
+# the largest mc.n_events a config may ask for (at about 72 B per event, 2.5 GB),
+# and the most dark counts a run may expect per detector
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
@@ -134,6 +135,11 @@ def detect(
         duration = _default_duration(delays, det)
     if not duration > 0:
         raise ValueError("duration must be > 0")
+    if det.dark_rate * duration > MAX_EVENTS:
+        raise NumericsError(
+            f"detector.dark_rate {det.dark_rate:.3e} over mc.duration {duration:.3e} s "
+            f"expects more than {MAX_EVENTS} dark counts per detector"
+        )
     # keep all timestamps positive regardless of jitter and delay signs
     offset = det.resolution_time + det.coincidence_window
     offset += float(np.max(np.abs(delays), initial=0.0))

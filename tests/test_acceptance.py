@@ -49,9 +49,11 @@ from twophoton.config import config_from_output_header
 from conftest import (
     TWO_PI,
     dirichlet_oracle,
+    intensity_profile,
     jitter_convolution_oracle,
     make_comb,
     pair_profile,
+    transform_oracle,
 )
 
 T_R = 1.0
@@ -278,12 +280,12 @@ def test_criterion_8_numerical_hygiene():
             rhs = TWO_PI * np.trapezoid(pair_profile(s, u) ** 2, u) / trace.normalization**2
             assert abs(lhs - rhs) / rhs < 1e-6
 
-        # closed form vs Simpson quadrature for g and G, all shapes
+        # closed form vs the quadrature oracle for g and G, all shapes
         for shape, hw in ((Shape.LORENTZIAN, 1.3), (Shape.GAUSSIAN, 0.9), (Shape.RECTANGULAR, 2.0)):
             s = SpectralAmplitude(shape, halfwidth=hw)
             tau = np.linspace(-5.0 / hw, 5.0 / hw, 21)
-            for fn in (pair_envelope, coherence_envelope):
-                dev = np.max(np.abs(fn(s, tau) - fn(s, tau, method="quadrature")))
+            for fn, profile in ((pair_envelope, pair_profile), (coherence_envelope, intensity_profile)):
+                dev = np.max(np.abs(fn(s, tau) - transform_oracle(profile, s, tau, 50.0, 100_001)))
                 assert dev < 1e-8
 
         # seeded Monte Carlo is bit-identical across thread counts

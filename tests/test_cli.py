@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.errors import ConfigError
 from twophoton.montecarlo import MAX_EVENTS, Detections, histogram_delays
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 BASE = """
 # small comb, synthetic units (round trip = 1 s)
@@ -190,6 +194,7 @@ REJECTED = [
     ("correlation", "comb.round_trip_time = 0.0"),
     ("correlation", "comb.phase_seed = -1"),
     ("correlation", "comb.n_side_modes = -1\ncomb.phase_seed = 1"),
+    ("correlation", "comb.n_side_modes = 2097153"),
 ]
 
 
@@ -566,6 +571,14 @@ class TestMcBounds:
         assert "mc.bin_width" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dark_counts_past_the_event_cap_exit_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "mc.n_events = 1000\ndetector.dark_rate = 1e15\n")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "detector.dark_rate" in err and "mc.duration" in err
+        assert not out.exists()
+
     def test_histogram_edges_at_the_cap(self):
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
@@ -611,3 +624,12 @@ class TestHeaderEcho:
         again = resolve_config(replay, command)
         assert again.echo_lines() == echo
         assert again == first
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, twophoton.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

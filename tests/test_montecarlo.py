@@ -9,6 +9,7 @@ from twophoton import (
     DegenerateDensity,
     DetectorModel,
     Detections,
+    NumericsError,
     TimeGrid,
     TraceKind,
     comb_contrast,
@@ -134,6 +135,11 @@ class TestDetect:
         summary = summarize_records(records, det)
         assert summary["n_accidental_records"] == n_dark
         assert summary["n_pair_coincidences_in_window"] == 2000
+
+    def test_dark_counts_past_the_event_cap_are_refused(self):
+        det = DetectorModel(resolution_time=0.0, coincidence_window=1e-3, dark_rate=1e15)
+        with pytest.raises(NumericsError, match="detector.dark_rate"):
+            detect(np.zeros(1000), det, seed=1, duration=1.0)
 
     def test_thread_invariance(self):
         delays = np.linspace(-0.2, 0.2, (1 << 16) + 100)
