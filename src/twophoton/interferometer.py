@@ -152,25 +152,26 @@ def _window_amplitudes(cfg: InterferometerConfig):
     return w, x0, xp, xm
 
 
-def _window_integrals(cfg: InterferometerConfig, w, x0, xp, xm):
+def _window_integrals(cfg: InterferometerConfig, w, x0, xp, xm, cross: bool = True):
     """Window integrals R0 of |X|^2, S = (R+ + R-)/(2 R0), the overlap visibility V
-    and the cross integral C of X*(tau) [X(tau+D) - X(tau-D)].
+    and the cross integral C of X*(tau) [X(tau+D) - X(tau-D)] (None unless ``cross``).
 
     R+- integrate |X(tau +- Delta)|^2; V includes the mode match.
     """
     r0 = float(np.sum(w * np.abs(x0) ** 2))
     overlap = float(np.sum(w * np.real(xp * np.conj(xm))))
     s = float(np.sum(w * np.abs(xp) ** 2) + np.sum(w * np.abs(xm) ** 2)) / (2.0 * r0)
-    cross = complex(np.sum(w * np.conj(x0) * (xp - xm)))
-    return r0, s, cfg.mode_match * overlap / r0, cross
+    c = complex(np.sum(w * np.conj(x0) * (xp - xm))) if cross else None
+    return r0, s, cfg.mode_match * overlap / r0, c
 
 
-def _rate_integrals(cfg: InterferometerConfig):
+def _rate_integrals(cfg: InterferometerConfig, cross: bool = True):
     """(R0, S, V, C) over the resolving window, which must cover the delay.
 
     A window covering the delay plus the envelope support is the whole line,
     where S = 1 and, with P = ``pair_overlap``, R0 = P(0), V = Re P(D)/R0 and
-    C = P(D/2) - P(-D/2).  Other windows take the Simpson sums.
+    C = P(D/2) - P(-D/2).  Other windows take the Simpson sums.  Only the
+    undithered rate uses C; without ``cross`` it is None and costs nothing.
     """
     if cfg.resolution_time < cfg.delay:
         raise ResolutionError(
@@ -182,9 +183,11 @@ def _rate_integrals(cfg: InterferometerConfig):
     # nodes, so its window is always truncated or refused by the node cap
     covered = cfg.resolution_time / 2.0 >= d + envelope_support(cfg.comb.single_mode)
     if covered and cfg.comb.single_mode.shape is not Shape.RECTANGULAR:
-        p0, pd, p_half, m_half = pair_overlap(cfg.comb, [0.0, d, d / 2.0, -d / 2.0])
-        return p0.real, 1.0, cfg.mode_match * pd.real / p0.real, complex(p_half - m_half)
-    return _window_integrals(cfg, *_window_amplitudes(cfg))
+        # each delay is its own pass of the mode-pair sum: fewer leave P(0), P(D) as they are
+        p = pair_overlap(cfg.comb, [0.0, d, d / 2.0, -d / 2.0] if cross else [0.0, d])
+        c = complex(p[2] - p[3]) if cross else None
+        return p[0].real, 1.0, cfg.mode_match * p[1].real / p[0].real, c
+    return _window_integrals(cfg, *_window_amplitudes(cfg), cross)
 
 
 def _rate(r0: float, s: float, v: float, a_abs_sq, cross_int: float = 0.0):
@@ -224,7 +227,7 @@ def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     Once the window covers both copies (S = 1) the deepest possible dip is
     half the far-from-dip rate: the 50% visibility ceiling.
     """
-    r0, s, v, _ = _rate_integrals(cfg)
+    r0, s, v, _ = _rate_integrals(cfg, cross=False)
     return CoincidenceResult(float(_rate(r0, s, v, 0.5)), r0, v, 0.0)
 
 
@@ -255,7 +258,7 @@ def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
     over offset, 1/(1 + S - V) for the coincidence.
     """
     phase = np.asarray(phase_points, dtype=float)
-    r0, s, v, _ = _rate_integrals(cfg)
+    r0, s, v, _ = _rate_integrals(cfg, cross=False)
     coincidence = _rate(r0, s, v, 0.5 - 0.5 * np.cos(phase))
     s_vis = singles_fringe_visibility(cfg)
     singles_1 = 1.0 + s_vis * np.cos(phase)

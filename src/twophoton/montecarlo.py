@@ -13,6 +13,7 @@ run serially or on a thread pool.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,8 +23,9 @@ from .correlation import CorrelationTrace, TraceKind
 from .errors import DegenerateDensity, NumericsError
 
 CHUNK = 1 << 16
-# the largest mc.n_events a config may ask for (at about 72 B per event, 2.5 GB),
-# and the most dark counts a run may expect per detector
+# the largest mc.n_events a config may ask for (an mc run grows by about 24 B
+# per event, to near 0.9 GB there), and the most dark counts a run may expect
+# per detector
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
@@ -67,10 +69,23 @@ def _chunk_rng(seed: int, key: int) -> np.random.Generator:
 
 
 def _run_chunks(worker, n_chunks: int, threads: int):
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(n_chunks)))
-    return [worker(k) for k in range(n_chunks)]
+    """Yield worker(k) for every chunk k, in order.
+
+    With threads > 1 the chunks run on a pool, at most one more than
+    ``threads`` ahead of the caller, so a caller that stores each result and
+    lets it go holds a few chunks at a time, however many there are.
+    """
+    if threads <= 1 or n_chunks <= 1:
+        yield from map(worker, range(n_chunks))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        running = deque()
+        for k in range(n_chunks):
+            running.append(pool.submit(worker, k))
+            if len(running) > threads:
+                yield running.popleft().result()
+        while running:
+            yield running.popleft().result()
 
 
 def sample_pair_delays(
@@ -94,17 +109,23 @@ def sample_pair_delays(
     cdf = np.concatenate([[0.0], np.cumsum(mass)]) / total
     cdf[-1] = 1.0
     t0 = trace.grid.t_min
+    out = np.empty(n)
 
-    def draw(k: int) -> np.ndarray:
-        m = min(CHUNK, n - k * CHUNK)
-        u = _chunk_rng(seed, k).random(m)
+    def draw(k: int) -> None:
+        lo = k * CHUNK
+        u = _chunk_rng(seed, k).random(min(CHUNK, n - lo))
+        # the CDF search walks sorted keys in one pass; each draw keeps its
+        # own index, so the result is the unsorted search's, scattered back
+        order = np.argsort(u)
+        u = u[order]
         idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, mass.size - 1)
         width = cdf[idx + 1] - cdf[idx]
         frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.5)
-        return t0 + (idx + frac) * dt
+        out[lo : lo + u.size][order] = t0 + (idx + frac) * dt
 
-    chunks = _run_chunks(draw, max(1, math.ceil(n / CHUNK)), threads)
-    return np.concatenate(chunks)
+    for _ in _run_chunks(draw, max(1, math.ceil(n / CHUNK)), threads):
+        pass
+    return out
 
 
 def _default_duration(delays: np.ndarray, det: DetectorModel) -> float:
@@ -112,6 +133,34 @@ def _default_duration(delays: np.ndarray, det: DetectorModel) -> float:
     span = float(np.max(np.abs(delays), initial=0.0))
     pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * span
     return max(len(delays), 1) * pitch
+
+
+def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
+    """Every (left[i], right[j]) with fl(left[i] - w) <= right[j] <= fl(left[i] + w).
+
+    Both arrays are sorted, and so are the rounded bounds ``left - w`` and
+    ``left + w``.  The shorter array holds the search keys: each left time's
+    bounds go into ``right``, or each right time goes into the bounds.
+    Either way the pairs are the same set.
+    """
+    if left.size <= right.size:
+        keys, found = left, right
+        low_key, low_side, high_key, high_side = left - w, right, left + w, right
+    else:
+        keys, found = right, left
+        low_key, low_side, high_key, high_side = right, left + w, right, left - w
+    lo = np.searchsorted(low_side, low_key, side="left")
+    # a key's range is empty unless it holds found[lo]; most are, so the
+    # upper bound is searched only where it is not
+    hi = lo.copy()
+    hit = lo < found.size
+    hit[hit] = high_side[lo[hit]] <= high_key[hit]
+    hi[hit] = np.searchsorted(high_side, high_key[hit], side="right")
+    count = hi - lo
+    # every found index in [lo, hi) of each key, in order
+    index = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    pairs = np.repeat(keys, count), found[index]
+    return pairs if keys is left else pairs[::-1]
 
 
 def detect(
@@ -128,6 +177,11 @@ def detect(
     record needs both photons.  Dark counts arrive as a Poisson process on
     each detector over the run duration and are paired with whatever the
     opposite detector saw inside the coincidence window (marked ``dark``).
+
+    Each chunk of pairs matches its kept photons against the whole dark list
+    and hands back only its pair records and accidentals, so no full-length
+    photon column is ever built; the accidentals come out sorted by
+    (detector-1 time, detector-2 time), each row once.
     """
     delays = np.asarray(pair_delays, dtype=float)
     n = delays.size
@@ -143,49 +197,53 @@ def detect(
     # keep all timestamps positive regardless of jitter and delay signs
     offset = det.resolution_time + det.coincidence_window
     offset += float(np.max(np.abs(delays), initial=0.0))
-    tr = det.resolution_time
+    tr, w = det.resolution_time, det.coincidence_window
+    darks = []
+    if det.dark_rate > 0:
+        for d in (0, 1):
+            rng = _chunk_rng(seed, _DARK_KEY + d)
+            count = rng.poisson(det.dark_rate * duration)
+            darks.append(np.sort(offset + rng.uniform(0.0, duration, count)))
 
     def pair_chunk(k: int):
         m = min(CHUNK, n - k * CHUNK)
         rng = _chunk_rng(seed, _DETECT_KEY + k)
         s = offset + rng.uniform(0.0, duration, m)
-        j1 = rng.uniform(-tr / 2.0, tr / 2.0, m) if tr > 0 else np.zeros(m)
-        j2 = rng.uniform(-tr / 2.0, tr / 2.0, m) if tr > 0 else np.zeros(m)
+        t1, t2 = s, s + delays[k * CHUNK : k * CHUNK + m]
+        if tr > 0:
+            t1 = s + rng.uniform(-tr / 2.0, tr / 2.0, m)
+            t2 += rng.uniform(-tr / 2.0, tr / 2.0, m)
         keep1 = rng.random(m) < det.efficiency
         keep2 = rng.random(m) < det.efficiency
-        sl = slice(k * CHUNK, k * CHUNK + m)
-        t1 = s + j1
-        t2 = s + delays[sl] + j2
-        return t1, t2, keep1, keep2
+        found = []  # accidental (detector-1 times, detector-2 times)
+        if darks:
+            found.append(_window_pairs(darks[0], np.sort(t2[keep2]), w))
+            found.append(_window_pairs(darks[1], np.sort(t1[keep1]), w)[::-1])
+        both = keep1 & keep2
+        return t1[both], t2[both], found
 
-    parts = _run_chunks(pair_chunk, max(1, math.ceil(n / CHUNK)), threads)
-    t1, t2, keep1, keep2 = (np.concatenate(column) for column in zip(*parts))
-    both = keep1 & keep2
-    rec1, rec2 = t1[both], t2[both]
-    n_pair = rec1.size
-
-    if det.dark_rate > 0:
-        dark_times = []
-        for d in (0, 1):
-            rng = _chunk_rng(seed, _DARK_KEY + d)
-            count = rng.poisson(det.dark_rate * duration)
-            dark_times.append(np.sort(offset + rng.uniform(0.0, duration, count)))
-        dark1, dark2 = dark_times
-        stream1 = np.sort(np.concatenate([t1[keep1], dark1]))
-        stream2 = np.sort(np.concatenate([t2[keep2], dark2]))
-        found = []  # rows of (detector-1 time, detector-2 time)
-        for left, right, order in ((dark1, stream2, 1), (dark2, stream1, -1)):
-            lo = np.searchsorted(right, left - det.coincidence_window, side="left")
-            hi = np.searchsorted(right, left + det.coincidence_window, side="right")
-            count = hi - lo
-            # every right index in [lo, hi) of each left time, in order
-            index = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-            found.append(np.column_stack([np.repeat(left, count), right[index]][::order]))
-        # a dark1-dark2 pair is found from both sides as the same row; keep one
-        accidental = np.unique(np.concatenate(found), axis=0)
-        rec1 = np.concatenate([rec1, accidental[:, 0]])
-        rec2 = np.concatenate([rec2, accidental[:, 1]])
-    return Detections(rec1, rec2, np.repeat([False, True], [n_pair, rec1.size - n_pair]))
+    # the pair records fill the front of buffers sized for every pair, so the
+    # pages past the last record are never touched
+    rec1, rec2 = np.empty(n), np.empty(n)
+    n_pair, rows = 0, []
+    for pair1, pair2, found in _run_chunks(pair_chunk, max(1, math.ceil(n / CHUNK)), threads):
+        end = n_pair + pair1.size
+        rec1[n_pair:end], rec2[n_pair:end] = pair1, pair2
+        n_pair = end
+        rows += found
+    if darks:
+        dark1, dark2 = darks
+        rows += [_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)[::-1]]
+        # a dark1-dark2 pair may be found from both sides as the same row; keep one
+        accidental = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0)
+    else:
+        accidental = np.empty((0, 2))
+    size = n_pair + len(accidental)
+    for rec, column in ((rec1, accidental[:, 0]), (rec2, accidental[:, 1])):
+        # no view of the buffer exists, so it is shrunk (or grown) in place
+        rec.resize(size, refcheck=False)
+        rec[n_pair:] = column
+    return Detections(rec1, rec2, np.repeat([False, True], [n_pair, size - n_pair]))
 
 
 @dataclass(frozen=True)
@@ -233,7 +291,8 @@ def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: in
 def summarize_records(records: Detections, det: DetectorModel) -> dict:
     """Counting summary: totals, in-window coincidences, accidentals."""
     n_dark = int(np.count_nonzero(records.dark))
-    in_window = np.abs(records.t2 - records.t1) <= det.coincidence_window
+    delay = records.t2 - records.t1
+    in_window = np.abs(delay, out=delay) <= det.coincidence_window
     return {
         "n_records": len(records),
         "n_pair_records": len(records) - n_dark,

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from twophoton import ModeComb, Shape, SpectralAmplitude
+from twophoton import Detections, ModeComb, Shape, SpectralAmplitude
+from twophoton.montecarlo import _DARK_KEY, _DETECT_KEY, CHUNK
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,3 +170,72 @@ def jitter_convolution_oracle(trace_tau, trace_dens, resolution_time, edges):
     cdf = cdf / cdf[-1]
     probs = np.interp(edges[1:], tau, cdf) - np.interp(edges[:-1], tau, cdf)
     return probs
+
+
+def _chunk_rng(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
+def sample_oracle(trace, n, seed):
+    """Pair delays by the plain inverse-CDF formula: unsorted CDF search, chunk by chunk."""
+    y, dt = trace.samples, trace.grid.spacing
+    mass = 0.5 * (y[1:] + y[:-1]) * dt
+    cdf = np.concatenate([[0.0], np.cumsum(mass)]) / float(mass.sum())
+    cdf[-1] = 1.0
+    chunks = []
+    for k in range(max(1, math.ceil(n / CHUNK))):
+        u = _chunk_rng(seed, k).random(min(CHUNK, n - k * CHUNK))
+        idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, mass.size - 1)
+        width = cdf[idx + 1] - cdf[idx]
+        frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.5)
+        chunks.append(trace.grid.t_min + (idx + frac) * dt)
+    return np.concatenate(chunks)
+
+
+def detect_oracle(pair_delays, det, seed, duration):
+    """Detection records built stream-wide, on one thread.
+
+    Draws the same chunked streams as ``twophoton.detect`` but keeps every
+    photon column whole: the kept photons and dark counts of each detector
+    are sorted into one stream, each dark count is matched against the
+    whole opposite stream, and the rows found twice are dropped.
+    """
+    delays = np.asarray(pair_delays, dtype=float)
+    n = delays.size
+    offset = det.resolution_time + det.coincidence_window
+    offset += float(np.max(np.abs(delays), initial=0.0))
+    tr = det.resolution_time
+    parts = []
+    for k in range(max(1, math.ceil(n / CHUNK))):
+        m = min(CHUNK, n - k * CHUNK)
+        rng = _chunk_rng(seed, _DETECT_KEY + k)
+        s = offset + rng.uniform(0.0, duration, m)
+        j1 = rng.uniform(-tr / 2.0, tr / 2.0, m) if tr > 0 else np.zeros(m)
+        j2 = rng.uniform(-tr / 2.0, tr / 2.0, m) if tr > 0 else np.zeros(m)
+        keep1 = rng.random(m) < det.efficiency
+        keep2 = rng.random(m) < det.efficiency
+        parts.append((s + j1, s + delays[k * CHUNK : k * CHUNK + m] + j2, keep1, keep2))
+    t1, t2, keep1, keep2 = (np.concatenate(column) for column in zip(*parts))
+    both = keep1 & keep2
+    rec1, rec2 = t1[both], t2[both]
+    n_pair = rec1.size
+    if det.dark_rate > 0:
+        dark_times = []
+        for d in (0, 1):
+            rng = _chunk_rng(seed, _DARK_KEY + d)
+            count = rng.poisson(det.dark_rate * duration)
+            dark_times.append(np.sort(offset + rng.uniform(0.0, duration, count)))
+        dark1, dark2 = dark_times
+        stream1 = np.sort(np.concatenate([t1[keep1], dark1]))
+        stream2 = np.sort(np.concatenate([t2[keep2], dark2]))
+        found = []
+        for left, right, order in ((dark1, stream2, 1), (dark2, stream1, -1)):
+            lo = np.searchsorted(right, left - det.coincidence_window, side="left")
+            hi = np.searchsorted(right, left + det.coincidence_window, side="right")
+            for i in range(left.size):
+                for j in range(lo[i], hi[i]):
+                    found.append((left[i], right[j])[::order])
+        accidental = np.unique(np.array(found).reshape(-1, 2), axis=0)
+        rec1 = np.concatenate([rec1, accidental[:, 0]])
+        rec2 = np.concatenate([rec2, accidental[:, 1]])
+    return Detections(rec1, rec2, np.repeat([False, True], [n_pair, rec1.size - n_pair]))

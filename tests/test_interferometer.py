@@ -352,7 +352,8 @@ class TestRateSelfChecks:
         monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
 
     def distort_pair_sums(self, monkeypatch, distort):
-        # a covered window takes P(0), P(D), P(D/2) and P(-D/2) from one call
+        # a covered window takes P(0), P(D) and, for the undithered rate only,
+        # P(D/2) and P(-D/2) from one call
         real = interferometer.pair_overlap
 
         def fake(comb, delays):
@@ -379,7 +380,7 @@ class TestRateSelfChecks:
         No Simpson twin: on the Simpson window V <= S by Cauchy-Schwarz, so the
         check can fire only where S = 1 is assumed.
         """
-        self.distort_pair_sums(monkeypatch, lambda p0, pd, ph, mh: (p0, 4.0 * p0, ph, mh))
+        self.distort_pair_sums(monkeypatch, lambda p0, pd: (p0, 4.0 * p0))
         with pytest.raises(NumericsError, match="negative coincidence rate"):
             dither_averaged_rate(make_cfg(delay=0.0))
 
@@ -546,3 +547,27 @@ class TestRateRoute:
         for rate in (dither_averaged_rate, coincidence_rate):
             with pytest.raises(self.SimpsonWindowCalled):
                 rate(cfg)
+
+    @pytest.mark.parametrize(
+        "shape, window",
+        [(Shape.LORENTZIAN, 1e4), (Shape.GAUSSIAN, 1e4), (Shape.LORENTZIAN, 3.0), (Shape.RECTANGULAR, 3.0)],
+    )
+    def test_only_the_undithered_rate_takes_the_cross_integral(self, monkeypatch, shape, window):
+        cfg = make_cfg(make_comb(10, 0.01, shape=shape), 0.5 * T_R, resolution_time=window * T_R)
+        with_cross = interferometer._rate_integrals(cfg)
+        asked = []
+
+        def recording_overlap(comb, delays):
+            asked.append(len(delays))
+            return pair_overlap(comb, delays)
+
+        monkeypatch.setattr(interferometer, "pair_overlap", recording_overlap)
+        without = interferometer._rate_integrals(cfg, cross=False)
+        assert without[:3] == with_cross[:3]  # bit for bit
+        assert without[3] is None and with_cross[3] is not None
+        dither_averaged_rate(cfg)
+        phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
+        assert all(n == 2 for n in asked)
+        coincidence_rate(cfg)
+        covered = window > 1e3 and shape is not Shape.RECTANGULAR
+        assert asked == ([2, 2, 2, 4] if covered else [])

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from twophoton import (
     summarize_records,
 )
 
-from conftest import jitter_convolution_oracle, make_comb
+from twophoton.montecarlo import CHUNK, _window_pairs
+
+from conftest import detect_oracle, jitter_convolution_oracle, make_comb, sample_oracle
 
 T_R = 1.0
 
@@ -85,6 +90,36 @@ class TestSamplePairDelays:
 
     def test_zero_draws(self):
         assert sample_pair_delays(flat_trace(), 0, seed=0).size == 0
+
+    def test_chunks_stay_apart_under_frequent_thread_switches(self):
+        # the sampling chunks write into one shared array, each into its own slice
+        trace = flat_trace()
+        n = 5 * CHUNK + 11
+        det = DetectorModel(
+            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=0.002
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            delays = sample_pair_delays(trace, n, seed=27, threads=8)
+            records = detect(delays, det, seed=28, duration=1e5, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(delays, sample_pair_delays(trace, n, seed=27))
+        serial = detect(delays, det, seed=28, duration=1e5)
+        for column in ("t1", "t2", "dark"):
+            np.testing.assert_array_equal(getattr(records, column), getattr(serial, column))
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_matches_the_unsorted_search_oracle(self, n, threads):
+        # a comb with empty bins between the peaks: some CDF steps are flat
+        grid = TimeGrid(-2.0, 2.0, 4097)
+        y = np.maximum(comb_trace(points=4097, span=2.0)[1].samples - 2.0, 0.0)
+        trace = CorrelationTrace(grid, y, TraceKind.INTENSITY)
+        assert np.count_nonzero(y == 0) > 1000
+        got = sample_pair_delays(trace, n, seed=23, threads=threads)
+        np.testing.assert_array_equal(got, sample_oracle(trace, n, seed=23))
 
 
 class TestDetect:
@@ -173,6 +208,87 @@ class TestDetect:
         assert n > 1000
         assert np.count_nonzero(deltas < 0) == n - positive
         assert abs(positive - n / 2) < 5.0 * math.sqrt(n / 4)
+
+    @pytest.mark.parametrize(
+        "n, threads, efficiency, dark, resolution_time",
+        list(itertools.product([0, 1, 2 * CHUNK + 3], [1, 3], [1.0, 0.8], [False, True], [0.0, 0.3])),
+    )
+    def test_matches_the_stream_wide_oracle(self, n, threads, efficiency, dark, resolution_time):
+        duration = 20.0 * max(n, 50)
+        det = DetectorModel(
+            resolution_time=resolution_time,
+            coincidence_window=0.5,
+            efficiency=efficiency,
+            dark_rate=400.0 / duration if dark else 0.0,
+        )
+        delays = np.random.default_rng(24).normal(0.0, 0.1, n)
+        got = detect(delays, det, seed=25, duration=duration, threads=threads)
+        want = detect_oracle(delays, det, seed=25, duration=duration)
+        for column in ("t1", "t2", "dark"):
+            np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+        if dark:
+            assert np.count_nonzero(got.dark) > 0
+
+    def test_one_call_peaks_below_50_bytes_per_event(self):
+        n = 1 << 18
+        delays = np.linspace(-0.2, 0.2, n)
+        det = DetectorModel(
+            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=0.02
+        )
+        detect(delays[:1000], det, seed=26, duration=1e4, threads=2)  # warm-up
+        tracemalloc.start()
+        try:
+            records = detect(delays, det, seed=26, duration=4e4, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(records.dark) > 1000
+        assert peak / n <= 50.0
+
+
+class TestWindowPairs:
+    W = 0.25
+
+    def brute_force(self, left, right):
+        w = self.W
+        return sorted((a, b) for a in left for b in right if a - w <= b <= a + w)
+
+    def edge_case(self):
+        w = self.W
+        # photons exactly on the rounded bounds fl(d - w) and fl(d + w) of each
+        # dark count d, and one ulp outside each; the windows of 3.3 and 3.4 overlap
+        left = np.array([1.1, 3.3, 3.3 + 0.1, 7.7])
+        right = []
+        for d in left:
+            lo, hi = d - w, d + w
+            right += [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+        right += [right[0], 5.0]  # a duplicated time and one far from every dark count
+        return left, np.sort(np.array(right))
+
+    @pytest.mark.parametrize("shorter", ["left", "right"])
+    def test_window_edges_against_brute_force(self, shorter):
+        left, right = self.edge_case()
+        if shorter == "right":
+            left = np.concatenate([left, 100.0 + np.arange(30.0)])  # dark counts far from all
+        assert (left.size <= right.size) == (shorter == "left")
+        got = sorted(zip(*_window_pairs(left, right, self.W)))
+        want = self.brute_force(left, right)
+        assert got == want
+        assert len(want) > 4
+
+    def test_a_dark_count_matches_photons_from_two_chunks(self):
+        left, right = self.edge_case()
+        chunks = right[0::2], right[1::2]
+        got = sorted(pair for chunk in chunks for pair in zip(*_window_pairs(left, chunk, self.W)))
+        assert got == self.brute_force(left, right)
+        for chunk in chunks:
+            assert left[0] in _window_pairs(left, chunk, self.W)[0]
+
+    def test_empty_sides(self):
+        empty = np.empty(0)
+        for a, b in ((empty, np.array([1.0])), (np.array([1.0]), empty), (empty, empty)):
+            got = _window_pairs(a, b, self.W)
+            assert got[0].size == 0 and got[1].size == 0
 
 
 class TestHistogramAndContrast:
