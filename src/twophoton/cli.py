@@ -71,11 +71,11 @@ def _csv(header_lines, columns, rows) -> list:
 
 
 def cmd_correlation(cfg: RunConfig, out_dir: Path, threads: int) -> list:
-    grid = TimeGrid(cfg.tau_min, cfg.tau_max, cfg.scan_points)
+    grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     trace = gamma2_mode_locked(cfg.comb, grid)
     columns = ["tau_s", "gamma2"]
     series = [grid.values, trace.samples]
-    if cfg.include_coherence:
+    if cfg["scan.include_coherence"]:
         columns.append("coherence_abs")
         series.append(np.abs(gamma1_coherence(cfg.comb, grid).samples))
     path = out_dir / "correlation.csv"
@@ -84,20 +84,20 @@ def cmd_correlation(cfg: RunConfig, out_dir: Path, threads: int) -> list:
 
 
 def cmd_homscan(cfg: RunConfig, out_dir: Path, threads: int) -> list:
-    delays = np.linspace(cfg.delay_min, cfg.delay_max, cfg.scan_points)
+    delays = np.linspace(cfg["scan.delay_min"], cfg["scan.delay_max"], cfg["scan.points"])
     icfg = InterferometerConfig(
         comb=cfg.comb,
-        delay=cfg.delay_min,
-        resolution_time=cfg.detector.resolution_time,
-        pump_phase=cfg.pump_phase,
-        mode_match=cfg.mode_match,
+        delay=cfg["scan.delay_min"],
+        resolution_time=cfg["detector.resolution_time"],
+        pump_phase=cfg["interferometer.pump_phase"],
+        mode_match=cfg["interferometer.mode_match"],
     )
-    scan = delay_scan(icfg, delays, dithered=cfg.dithered)
+    scan = delay_scan(icfg, delays, dithered=cfg["scan.dithered"])
     columns = ["delay_s"]
     series = [scan.abscissa]
-    if cfg.delay_to_mm != 0.0:
+    if cfg["output.delay_to_mm"] != 0.0:
         columns.append("position_mm")
-        series.append(scan.abscissa * cfg.delay_to_mm)
+        series.append(scan.abscissa * cfg["output.delay_to_mm"])
     columns += ["coincidence", "singles_1", "singles_2"]
     series += [scan.coincidence, scan.singles_1, scan.singles_2]
     path = out_dir / "homscan.csv"
@@ -106,12 +106,12 @@ def cmd_homscan(cfg: RunConfig, out_dir: Path, threads: int) -> list:
 
 
 def cmd_fringe(cfg: RunConfig, out_dir: Path, threads: int) -> list:
-    phases = np.linspace(cfg.phase_min, cfg.phase_max, cfg.scan_points)
+    phases = np.linspace(cfg["scan.phase_min"], cfg["scan.phase_max"], cfg["scan.points"])
     icfg = InterferometerConfig(
         comb=cfg.comb,
-        delay=cfg.delay,
-        resolution_time=cfg.detector.resolution_time,
-        mode_match=cfg.mode_match,
+        delay=cfg["scan.delay"],
+        resolution_time=cfg["detector.resolution_time"],
+        mode_match=cfg["interferometer.mode_match"],
     )
     scan = phase_fringe_scan(icfg, phases)
     header = _header(cfg)
@@ -127,13 +127,18 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path, threads: int) -> list:
 
 
 def cmd_engineer(cfg: RunConfig, out_dir: Path, threads: int) -> list:
-    if cfg.wideband_halfwidth > 0.0:
-        template = SpectralAmplitude(shape=cfg.wideband_shape, halfwidth=cfg.wideband_halfwidth)
+    shape, halfwidth = cfg["engineering.wideband_shape"], cfg["engineering.wideband_halfwidth"]
+    if halfwidth > 0.0:
+        template = SpectralAmplitude(shape=shape, halfwidth=halfwidth)
     else:
-        template = matched_wideband(cfg.comb, cfg.wideband_shape)
-    grid = TimeGrid(cfg.tau_min, cfg.tau_max, cfg.scan_points)
+        template = matched_wideband(cfg.comb, shape)
+    grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     solution = solve_excision(
-        cfg.comb, template, cfg.target_peak, grid, optimize_width=cfg.optimize_width
+        cfg.comb,
+        template,
+        cfg["engineering.target_peak"],
+        grid,
+        optimize_width=cfg["engineering.optimize_width"],
     )
     before = gamma2_mode_locked(cfg.comb, grid)
     after = combined_gamma2(
@@ -170,17 +175,19 @@ def cmd_engineer(cfg: RunConfig, out_dir: Path, threads: int) -> list:
 
 
 def cmd_mc(cfg: RunConfig, out_dir: Path, threads: int) -> list:
-    grid = TimeGrid(cfg.tau_min, cfg.tau_max, cfg.scan_points)
+    grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     trace = gamma2_mode_locked(cfg.comb, grid)
-    delays = sample_pair_delays(trace, cfg.mc_events, cfg.seed, threads=threads)
+    delays = sample_pair_delays(trace, cfg["mc.n_events"], cfg["seed"], threads=threads)
     records = detect(
         delays,
         cfg.detector,
-        cfg.seed,
-        duration=cfg.mc_duration if cfg.mc_duration > 0 else None,
+        cfg["seed"],
+        duration=cfg["mc.duration"] if cfg["mc.duration"] > 0 else None,
         threads=threads,
     )
-    hist = histogram_delays(records, cfg.mc_bin_width, cfg.mc_range)
+    hist = histogram_delays(
+        records, cfg["mc.bin_width"], (cfg["mc.range_min"], cfg["mc.range_max"])
+    )
     summary = summarize_records(records, cfg.detector)
     try:
         contrast = comb_contrast(hist, cfg.comb.round_trip_time, cfg.comb.n_side_modes)
@@ -195,7 +202,7 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, threads: int) -> list:
     )
     summary_lines = header + [
         "",
-        f"n_events_requested = {cfg.mc_events}",
+        f"n_events_requested = {cfg['mc.n_events']}",
         f"n_records = {summary['n_records']}",
         f"n_pair_records = {summary['n_pair_records']}",
         f"n_accidental_records = {summary['n_accidental_records']}",
@@ -232,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="worker threads for Monte Carlo chunks (default: $TWOPHOTON_THREADS or 1; "
-            "results do not depend on it)",
+            default=1,
+            help="worker threads for Monte Carlo chunks (default: 1; results do not depend on it)",
         )
     return parser
 
@@ -249,18 +256,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"twophoton: cannot read config: {exc}", file=sys.stderr)
         return 2
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        source = "TWOPHOTON_THREADS"
-        try:
-            threads = int(os.environ.get(source) or "1")
-        except ValueError:
-            threads = 0
-    if threads < 1:
-        print(f"twophoton: {source} must be an integer >= 1", file=sys.stderr)
+    if args.threads < 1:
+        print("twophoton: --threads must be an integer >= 1", file=sys.stderr)
         return 2
     try:
-        written = _DISPATCH[args.command](cfg, Path(args.out), threads)
+        written = _DISPATCH[args.command](cfg, Path(args.out), args.threads)
     except NumericsError as exc:
         print(f"twophoton: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -24,8 +24,6 @@ from .correlation import MAX_QUAD_POINTS
 from .errors import ConfigError
 from .montecarlo import MAX_EVENTS, DetectorModel
 from .spectral import ModeComb, Shape, SpectralAmplitude
-
-COMMANDS = ("correlation", "homscan", "fringe", "engineer", "mc")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -78,7 +76,7 @@ N_SIDE_MODES = _Rule(f"in [0, {MAX_QUAD_POINTS // 2}]", lambda v: 0 <= v <= MAX_
 
 @dataclass(frozen=True)
 class Key:
-    """One config key: how it is read, checked, stored and echoed.
+    """One config key: how it is read, checked and echoed.
 
     A ``None`` default means the key is optional or derived from other keys
     by ``resolve_config``.  ``rule`` is checked on the value as read, before
@@ -88,7 +86,6 @@ class Key:
     name: str
     type: _Type
     default: Any = None
-    field: str | None = None    # RunConfig attribute that receives the value
     frequency: bool = False     # angular; x 2*pi under units.frequency = ordinary
     echo: str = ALWAYS
     rule: _Rule | None = None
@@ -110,13 +107,13 @@ class Key:
 
 
 _COMMON = (
-    Key("seed", INT, 0, field="seed", rule=NONNEGATIVE),
+    Key("seed", INT, 0, rule=NONNEGATIVE),
     Key("units.frequency", UNITS, "angular"),
     Key("comb.n_side_modes", INT, 10, rule=N_SIDE_MODES),
     Key("comb.round_trip_time", FLOAT, 1e-12, echo=NEVER, rule=POSITIVE),
-    Key("comb.mode_spacing", FLOAT, frequency=True),
-    Key("comb.pump_frequency", FLOAT, 3.54e15, frequency=True),
-    Key("comb.linewidth", FLOAT, frequency=True),
+    Key("comb.mode_spacing", FLOAT, frequency=True, rule=POSITIVE),
+    Key("comb.pump_frequency", FLOAT, 3.54e15, frequency=True, rule=POSITIVE),
+    Key("comb.linewidth", FLOAT, frequency=True, rule=POSITIVE),
     Key("comb.shape", SHAPE, Shape.LORENTZIAN),
     Key("comb.center", FLOAT, 0.0, frequency=True, echo=CHANGED),
     Key("comb.mode_phases", FLOATS, (), echo=CHANGED),
@@ -131,72 +128,72 @@ def _table(*rows: Key) -> dict:
 def _tau_keys(default_min_tr, default_max_tr):
     return (
         Key("scan.tau_min_tr", FLOAT, default_min_tr, echo=NEVER),
-        Key("scan.tau_min", FLOAT, field="tau_min"),
+        Key("scan.tau_min", FLOAT),
         Key("scan.tau_max_tr", FLOAT, default_max_tr, echo=NEVER),
-        Key("scan.tau_max", FLOAT, field="tau_max"),
+        Key("scan.tau_max", FLOAT),
     )
 
 
 def _scan_points(default: int) -> Key:
-    return Key("scan.points", INT, default, field="scan_points", rule=SCAN_POINTS)
+    return Key("scan.points", INT, default, rule=SCAN_POINTS)
 
 
 _RESOLUTION_TIME = Key("detector.resolution_time", FLOAT, 1e-8, rule=POSITIVE)
-_MODE_MATCH = Key("interferometer.mode_match", FLOAT, 1.0, field="mode_match", rule=UNIT_INTERVAL)
+_MODE_MATCH = Key("interferometer.mode_match", FLOAT, 1.0, rule=UNIT_INTERVAL)
 
 #: per command, every key it accepts, in the order of the header echo
 KEY_TABLES = {
     "correlation": _table(
         _scan_points(4096),
         *_tau_keys(-2.0, 2.0),
-        Key("scan.include_coherence", BOOL, True, field="include_coherence"),
+        Key("scan.include_coherence", BOOL, True),
     ),
     "homscan": _table(
         _RESOLUTION_TIME,
         _MODE_MATCH,
-        Key("interferometer.pump_phase", FLOAT, 0.0, field="pump_phase"),
+        Key("interferometer.pump_phase", FLOAT, 0.0),
         _scan_points(261),
         Key("scan.delay_min_tr", FLOAT, 0.0, echo=NEVER, rule=NONNEGATIVE),
-        Key("scan.delay_min", FLOAT, field="delay_min", rule=NONNEGATIVE),
+        Key("scan.delay_min", FLOAT, rule=NONNEGATIVE),
         Key("scan.delay_max_tr", FLOAT, 1.3, echo=NEVER),
-        Key("scan.delay_max", FLOAT, field="delay_max"),
-        Key("scan.dithered", BOOL, True, field="dithered"),
-        Key("output.delay_to_mm", FLOAT, 0.0, field="delay_to_mm", echo=CHANGED),
+        Key("scan.delay_max", FLOAT),
+        Key("scan.dithered", BOOL, True),
+        Key("output.delay_to_mm", FLOAT, 0.0, echo=CHANGED),
     ),
     "fringe": _table(
         _RESOLUTION_TIME,
         _MODE_MATCH,
         _scan_points(181),
         Key("scan.delay_tr", FLOAT, 1.0, echo=NEVER, rule=NONNEGATIVE),
-        Key("scan.delay", FLOAT, field="delay", rule=NONNEGATIVE),
-        Key("scan.phase_min", FLOAT, 0.0, field="phase_min"),
-        Key("scan.phase_max", FLOAT, 4.0 * math.pi, field="phase_max"),
+        Key("scan.delay", FLOAT, rule=NONNEGATIVE),
+        Key("scan.phase_min", FLOAT, 0.0),
+        Key("scan.phase_max", FLOAT, 4.0 * math.pi),
     ),
     "engineer": _table(
-        Key("engineering.target_peak", INT, 1, field="target_peak"),
-        Key("engineering.wideband_shape", SHAPE, Shape.RECTANGULAR, field="wideband_shape"),
-        Key(
-            "engineering.wideband_halfwidth", FLOAT, 0.0, field="wideband_halfwidth",
-            frequency=True, rule=NONNEGATIVE,
-        ),
-        Key("engineering.optimize_width", BOOL, True, field="optimize_width"),
+        Key("engineering.target_peak", INT, 1),
+        Key("engineering.wideband_shape", SHAPE, Shape.RECTANGULAR),
+        # 0: width-matched to the comb
+        Key("engineering.wideband_halfwidth", FLOAT, 0.0, frequency=True, rule=NONNEGATIVE),
+        Key("engineering.optimize_width", BOOL, True),
         _scan_points(16384),
         *_tau_keys(None, None),  # default: 1.5 round trips beyond the target peak
     ),
     "mc": _table(
         replace(_RESOLUTION_TIME, rule=NONNEGATIVE),  # 0 is an ideal detector
-        Key("detector.coincidence_window", FLOAT, 1e-8),
-        Key("detector.efficiency", FLOAT, 1.0),
-        Key("detector.dark_rate", FLOAT, 0.0),
+        Key("detector.coincidence_window", FLOAT, 1e-8, rule=POSITIVE),
+        Key("detector.efficiency", FLOAT, 1.0, rule=UNIT_INTERVAL),
+        Key("detector.dark_rate", FLOAT, 0.0, rule=NONNEGATIVE),
         _scan_points(131073),
         *_tau_keys(-2.0, 2.0),
-        Key("mc.n_events", INT, 100000, field="mc_events", rule=N_EVENTS),
-        Key("mc.bin_width", FLOAT, field="mc_bin_width", rule=POSITIVE),
+        Key("mc.n_events", INT, 100000, rule=N_EVENTS),
+        Key("mc.bin_width", FLOAT, rule=POSITIVE),
         Key("mc.range_min", FLOAT),
         Key("mc.range_max", FLOAT),
-        Key("mc.duration", FLOAT, 0.0, field="mc_duration", rule=NONNEGATIVE),
+        Key("mc.duration", FLOAT, 0.0, rule=NONNEGATIVE),  # 0: derived from the event count
     ),
 }
+
+COMMANDS = tuple(KEY_TABLES)
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.]*$")
 
@@ -252,52 +249,32 @@ def _fmt(value) -> str:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters for one CLI invocation."""
+    """Fully resolved run parameters for one CLI invocation.
+
+    ``values`` holds every key of the command's table that is not folded
+    into another one, in table order; ``cfg["scan.points"]`` reads one.
+    """
 
     command: str
-    seed: int
     comb: ModeComb
-    detector: DetectorModel | None = None
-    mode_match: float = 1.0
-    pump_phase: float = 0.0
-    scan_points: int = 0
-    tau_min: float = 0.0
-    tau_max: float = 0.0
-    include_coherence: bool = True
-    delay_min: float = 0.0
-    delay_max: float = 0.0
-    dithered: bool = True
-    delay: float = 0.0
-    phase_min: float = 0.0
-    phase_max: float = 0.0
-    target_peak: int = 1
-    wideband_shape: Shape = Shape.RECTANGULAR
-    wideband_halfwidth: float = 0.0  # 0 means width-matched automatically
-    optimize_width: bool = True
-    mc_events: int = 0
-    mc_bin_width: float = 0.0
-    mc_range: tuple = (0.0, 0.0)
-    mc_duration: float = 0.0  # 0 means derived from the event count
-    delay_to_mm: float = 0.0
-    _echo: list = field(default_factory=list, repr=False)
+    values: dict
+    detector: DetectorModel | None = None  # mc only
+
+    def __getitem__(self, name: str):
+        return self.values[name]
 
     def echo_lines(self) -> list:
-        return [f"# {key} = {val}" for key, val in self._echo]
+        table = KEY_TABLES[self.command]
+        return [f"# run.command = {self.command}"] + [
+            f"# {name} = {_fmt(value)}"
+            for name, value in self.values.items()
+            if table[name].echo == ALWAYS or value != table[name].default
+        ]
 
 
 def _one_of(raw: dict, key: str, alternative: str) -> None:
     if key in raw and alternative in raw:
         raise ConfigError(f"give {key} or {alternative}, not both")
-
-
-def _detector(values: dict) -> DetectorModel:
-    # homscan and fringe set only the resolving time; the rest keep mc's defaults
-    fields = {k: key.default for k, key in KEY_TABLES["mc"].items() if k.startswith("detector.")}
-    fields.update((k, v) for k, v in values.items() if k.startswith("detector."))
-    try:
-        return DetectorModel(**{k.removeprefix("detector."): v for k, v in fields.items()})
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from None
 
 
 def resolve_config(raw: dict, command: str, seed_override: int | None = None) -> RunConfig:
@@ -369,23 +346,20 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
         if not values[high] > values[low]:
             raise ConfigError(f"{high} must exceed {low}, got {values[low]} .. {values[high]}")
 
-    cfg = RunConfig(
+    detector = None
+    if command == "mc":
+        # histogram_delays makes ceil(span / width) + 1 edges
+        width = values["mc.bin_width"]
+        if not (values["mc.range_max"] - values["mc.range_min"]) / width <= MAX_QUAD_POINTS - 1:
+            raise ConfigError(
+                f"mc.bin_width: {width!r} makes over {MAX_QUAD_POINTS} histogram edges"
+            )
+        detector = DetectorModel(**{
+            k.removeprefix("detector."): v for k, v in values.items() if k.startswith("detector.")
+        })
+    return RunConfig(
         command=command,
         comb=comb,
-        **{key.field: values[name] for name, key in table.items() if key.field},
+        values={name: values[name] for name, key in table.items() if key.echo != NEVER},
+        detector=detector,
     )
-    if "detector.resolution_time" in table:
-        cfg.detector = _detector(values)
-    if command == "mc":
-        cfg.mc_range = (values["mc.range_min"], values["mc.range_max"])
-        # histogram_delays makes ceil(span / width) + 1 edges
-        if not (cfg.mc_range[1] - cfg.mc_range[0]) / cfg.mc_bin_width <= MAX_QUAD_POINTS - 1:
-            raise ConfigError(
-                f"mc.bin_width: {cfg.mc_bin_width!r} makes over {MAX_QUAD_POINTS} histogram edges"
-            )
-    cfg._echo = [("run.command", command)] + [
-        (name, _fmt(values[name]))
-        for name, key in table.items()
-        if key.echo == ALWAYS or (key.echo == CHANGED and values[name] != key.default)
-    ]
-    return cfg

@@ -163,6 +163,17 @@ def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
     return pairs if keys is left else pairs[::-1]
 
 
+def _dark_pairs(dark1: np.ndarray, dark2: np.ndarray, w: float) -> np.ndarray:
+    """The (detector-1, detector-2) rows of two sorted dark lists, sorted, each once.
+
+    A pair can lie inside one time's rounded window bounds but not the
+    other's when the difference sits within an ulp of ``w``, so the pairs
+    are searched from both sides and the two sets joined.
+    """
+    found = zip(_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)[::-1])
+    return np.unique(np.column_stack([np.concatenate(c) for c in found]), axis=0)
+
+
 def detect(
     pair_delays,
     det: DetectorModel,
@@ -232,9 +243,7 @@ def detect(
         n_pair = end
         rows += found
     if darks:
-        dark1, dark2 = darks
-        rows += [_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)[::-1]]
-        # a dark1-dark2 pair may be found from both sides as the same row; keep one
+        rows.append(tuple(_dark_pairs(*darks, w).T))
         accidental = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0)
     else:
         accidental = np.empty((0, 2))

@@ -195,6 +195,13 @@ REJECTED = [
     ("correlation", "comb.phase_seed = -1"),
     ("correlation", "comb.n_side_modes = -1\ncomb.phase_seed = 1"),
     ("correlation", "comb.n_side_modes = 2097153"),
+    ("correlation", "comb.mode_spacing = 0.0"),
+    ("correlation", "comb.pump_frequency = -1.0"),
+    ("homscan", "comb.linewidth = 0.0"),
+    ("mc", "detector.coincidence_window = 0.0"),
+    ("mc", "detector.efficiency = 0.0"),
+    ("mc", "detector.efficiency = 1.5"),
+    ("mc", "detector.dark_rate = -1.0"),
 ]
 
 
@@ -548,7 +555,7 @@ class TestConfigParsing:
         assert "scan.points" in capsys.readouterr().err
         assert not out.exists()
         at_cap = resolve_config(parse_config_text(f"scan.points = {MAX_QUAD_POINTS}\n"), "correlation")
-        assert at_cap.scan_points == MAX_QUAD_POINTS
+        assert at_cap["scan.points"] == MAX_QUAD_POINTS
 
 
 class TestMcBounds:
@@ -559,7 +566,7 @@ class TestMcBounds:
         assert "mc.n_events" in capsys.readouterr().err
         assert not out.exists()
         at_cap = resolve_config(parse_config_text(f"mc.n_events = {MAX_EVENTS}\n"), "mc")
-        assert at_cap.mc_events == MAX_EVENTS
+        assert at_cap["mc.n_events"] == MAX_EVENTS
 
     @pytest.mark.parametrize("width", ["1.0e-30", "1.0e-19"])
     def test_oversized_histogram_exits_2_naming_the_bin_width(self, tmp_path, capsys, width):
@@ -584,23 +591,22 @@ class TestMcBounds:
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
         at_cap = resolve_config(parse_config_text(body.format(width)), "mc")
         empty = Detections(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
-        edges = histogram_delays(empty, at_cap.mc_bin_width, at_cap.mc_range).edges
+        delay_range = (at_cap["mc.range_min"], at_cap["mc.range_max"])
+        edges = histogram_delays(empty, at_cap["mc.bin_width"], delay_range).edges
         assert edges.size == MAX_QUAD_POINTS
         with pytest.raises(ConfigError, match="mc.bin_width"):
             resolve_config(parse_config_text(body.format(math.nextafter(width, 0.0))), "mc")
 
 
 class TestThreads:
-    @pytest.mark.parametrize("value", ["abc", "0", "1.5"])
-    def test_bad_environment_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("TWOPHOTON_THREADS", value)
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_thread_count_below_one_exits_2(self, tmp_path, capsys, value):
         cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
         out = tmp_path / "out"
-        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "TWOPHOTON_THREADS" in capsys.readouterr().err
+        argv = ["correlation", "--config", str(cfg), "--out", str(out), "--threads", value]
+        assert main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
         assert not out.exists()
-        # an explicit --threads wins over the environment
-        assert main(["correlation", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
 
 
 class TestHeaderEcho:

@@ -23,7 +23,7 @@ from twophoton import (
     summarize_records,
 )
 
-from twophoton.montecarlo import CHUNK, _window_pairs
+from twophoton.montecarlo import CHUNK, _dark_pairs, _window_pairs
 
 from conftest import detect_oracle, jitter_convolution_oracle, make_comb, sample_oracle
 
@@ -289,6 +289,30 @@ class TestWindowPairs:
         for a, b in ((empty, np.array([1.0])), (np.array([1.0]), empty), (empty, empty)):
             got = _window_pairs(a, b, self.W)
             assert got[0].size == 0 and got[1].size == 0
+
+
+class TestDarkPairs:
+    W = 3e-9
+    # the window edge of D1 crosses 2^-5: D2 lies inside D1's rounded bounds
+    # fl(D1 -+ W), but D1 lies outside D2's
+    D1, D2 = 0.03124999719478273, 0.03125000019478273
+
+    def test_the_rounded_bounds_differ_by_side(self):
+        assert self.D1 - self.W <= self.D2 <= self.D1 + self.W
+        assert not self.D2 - self.W <= self.D1 <= self.D2 + self.W
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_a_pair_inside_one_side_bounds_is_kept(self, swap):
+        dark1, dark2 = np.array([self.D1]), np.array([self.D2])
+        if swap:
+            dark1, dark2 = dark2, dark1
+        np.testing.assert_array_equal(_dark_pairs(dark1, dark2, self.W), [[dark1[0], dark2[0]]])
+
+    def test_a_pair_inside_both_sides_bounds_comes_out_once(self):
+        dark1 = np.array([self.D1, 1.0])
+        dark2 = np.array([self.D2, 1.0 + 1e-9, 2.0])
+        want = [[self.D1, self.D2], [1.0, 1.0 + 1e-9]]
+        np.testing.assert_array_equal(_dark_pairs(dark1, dark2, self.W), want)
 
 
 class TestHistogramAndContrast:
