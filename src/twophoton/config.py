@@ -300,16 +300,18 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
         values["comb.mode_spacing"] = _TWO_PI / values["comb.round_trip_time"]
     if values["comb.linewidth"] is None:
         values["comb.linewidth"] = 0.01 * values["comb.mode_spacing"]
+    if not values["comb.linewidth"] < values["comb.mode_spacing"] / 2:
+        raise ConfigError("comb.linewidth must be < comb.mode_spacing/2 (modes not resolved)")
     _one_of(raw, "comb.mode_phases", "comb.phase_seed")
-    n_side = values["comb.n_side_modes"]
+    n_modes = 2 * values["comb.n_side_modes"] + 1
+    if len(values["comb.mode_phases"]) not in (0, n_modes):
+        raise ConfigError(f"comb.mode_phases takes 2 comb.n_side_modes + 1 = {n_modes} phases")
     if values["comb.phase_seed"] is not None:
         rng = np.random.default_rng(values["comb.phase_seed"])
-        values["comb.mode_phases"] = tuple(
-            float(p) for p in rng.uniform(0.0, _TWO_PI, 2 * n_side + 1)
-        )
+        values["comb.mode_phases"] = tuple(float(p) for p in rng.uniform(0.0, _TWO_PI, n_modes))
     try:
         comb = ModeComb(
-            n_side_modes=n_side,
+            n_side_modes=values["comb.n_side_modes"],
             mode_spacing=values["comb.mode_spacing"],
             pump_frequency=values["comb.pump_frequency"],
             single_mode=SpectralAmplitude(

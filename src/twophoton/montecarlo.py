@@ -23,8 +23,8 @@ from .correlation import CorrelationTrace, TraceKind
 from .errors import DegenerateDensity, NumericsError
 
 CHUNK = 1 << 16
-# the largest mc.n_events a config may ask for (an mc run grows by about 24 B
-# per event, to near 0.9 GB there), and the most dark counts a run may expect
+# the largest mc.n_events a config may ask for (an mc run grows by about 20 B
+# per event, to near 0.7 GB there), and the most dark counts a run may expect
 # per detector
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
@@ -54,14 +54,13 @@ class DetectorModel:
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """Detection times as columns, pair records first; ``dark`` marks the accidentals."""
+    """Record delays t2 - t1, the pair records and the accidentals apart."""
 
-    t1: np.ndarray
-    t2: np.ndarray
-    dark: np.ndarray
+    pairs: np.ndarray
+    accidentals: np.ndarray
 
     def __len__(self) -> int:
-        return self.t1.size
+        return self.pairs.size + self.accidentals.size
 
 
 def _chunk_rng(seed: int, key: int) -> np.random.Generator:
@@ -187,12 +186,12 @@ def detect(
     the resolution time and survives with the detector efficiency; a pair
     record needs both photons.  Dark counts arrive as a Poisson process on
     each detector over the run duration and are paired with whatever the
-    opposite detector saw inside the coincidence window (marked ``dark``).
+    opposite detector saw inside the coincidence window (the accidentals).
 
     Each chunk of pairs matches its kept photons against the whole dark list
-    and hands back only its pair records and accidentals, so no full-length
-    photon column is ever built; the accidentals come out sorted by
-    (detector-1 time, detector-2 time), each row once.
+    and hands back only its pair delays and accidental rows, so no full-length
+    photon column is ever built.  Records leave as delays t2 - t1, pairs in
+    draw order, accidentals sorted by (detector-1, detector-2 time), each once.
     """
     delays = np.asarray(pair_delays, dtype=float)
     n = delays.size
@@ -205,7 +204,8 @@ def detect(
             f"detector.dark_rate {det.dark_rate:.3e} over mc.duration {duration:.3e} s "
             f"expects more than {MAX_EVENTS} dark counts per detector"
         )
-    # keep all timestamps positive regardless of jitter and delay signs
+    # keep all timestamps positive regardless of jitter and delay signs; they
+    # stay inside detect, but their magnitude sets the rounding of every delay
     offset = det.resolution_time + det.coincidence_window
     offset += float(np.max(np.abs(delays), initial=0.0))
     tr, w = det.resolution_time, det.coincidence_window
@@ -231,28 +231,22 @@ def detect(
             found.append(_window_pairs(darks[0], np.sort(t2[keep2]), w))
             found.append(_window_pairs(darks[1], np.sort(t1[keep1]), w)[::-1])
         both = keep1 & keep2
-        return t1[both], t2[both], found
+        return t2[both] - t1[both], found
 
-    # the pair records fill the front of buffers sized for every pair, so the
+    # the pair records fill the front of a buffer sized for every pair, so the
     # pages past the last record are never touched
-    rec1, rec2 = np.empty(n), np.empty(n)
+    pairs = np.empty(n)
     n_pair, rows = 0, []
-    for pair1, pair2, found in _run_chunks(pair_chunk, max(1, math.ceil(n / CHUNK)), threads):
-        end = n_pair + pair1.size
-        rec1[n_pair:end], rec2[n_pair:end] = pair1, pair2
-        n_pair = end
+    for delay, found in _run_chunks(pair_chunk, max(1, math.ceil(n / CHUNK)), threads):
+        pairs[n_pair : n_pair + delay.size] = delay
+        n_pair += delay.size
         rows += found
+    accidentals = np.empty(0)
     if darks:
         rows.append(tuple(_dark_pairs(*darks, w).T))
-        accidental = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0)
-    else:
-        accidental = np.empty((0, 2))
-    size = n_pair + len(accidental)
-    for rec, column in ((rec1, accidental[:, 0]), (rec2, accidental[:, 1])):
-        # no view of the buffer exists, so it is shrunk (or grown) in place
-        rec.resize(size, refcheck=False)
-        rec[n_pair:] = column
-    return Detections(rec1, rec2, np.repeat([False, True], [n_pair, size - n_pair]))
+        t1, t2 = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0).T
+        accidentals = t2 - t1
+    return Detections(pairs[:n_pair], accidentals)
 
 
 @dataclass(frozen=True)
@@ -270,7 +264,7 @@ class DelayHistogram:
 
 
 def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) -> DelayHistogram:
-    """Histogram of the record delays t2 - t1."""
+    """Histogram of the record delays t2 - t1, pairs and accidentals together."""
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     lo, hi = delay_range
@@ -278,7 +272,8 @@ def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) 
         raise ValueError(f"empty delay range {delay_range}")
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(records.t2 - records.t1, bins=edges)
+    counts = np.histogram(records.pairs, bins=edges)[0]
+    counts += np.histogram(records.accidentals, bins=edges)[0]
     return DelayHistogram(counts=counts, edges=edges)
 
 
@@ -299,13 +294,13 @@ def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: in
 
 def summarize_records(records: Detections, det: DetectorModel) -> dict:
     """Counting summary: totals, in-window coincidences, accidentals."""
-    n_dark = int(np.count_nonzero(records.dark))
-    delay = records.t2 - records.t1
-    in_window = np.abs(delay, out=delay) <= det.coincidence_window
+    w = det.coincidence_window
+    in_pair = int(np.count_nonzero(np.abs(records.pairs) <= w))
+    in_accidental = int(np.count_nonzero(np.abs(records.accidentals) <= w))
     return {
         "n_records": len(records),
-        "n_pair_records": len(records) - n_dark,
-        "n_accidental_records": n_dark,
-        "n_coincidences_in_window": int(np.count_nonzero(in_window)),
-        "n_pair_coincidences_in_window": int(np.count_nonzero(in_window & ~records.dark)),
+        "n_pair_records": records.pairs.size,
+        "n_accidental_records": records.accidentals.size,
+        "n_coincidences_in_window": in_pair + in_accidental,
+        "n_pair_coincidences_in_window": in_pair,
     }

@@ -217,8 +217,7 @@ def detect_oracle(pair_delays, det, seed, duration):
         parts.append((s + j1, s + delays[k * CHUNK : k * CHUNK + m] + j2, keep1, keep2))
     t1, t2, keep1, keep2 = (np.concatenate(column) for column in zip(*parts))
     both = keep1 & keep2
-    rec1, rec2 = t1[both], t2[both]
-    n_pair = rec1.size
+    accidental = np.empty((0, 2))
     if det.dark_rate > 0:
         dark_times = []
         for d in (0, 1):
@@ -236,6 +235,4 @@ def detect_oracle(pair_delays, det, seed, duration):
                 for j in range(lo[i], hi[i]):
                     found.append((left[i], right[j])[::order])
         accidental = np.unique(np.array(found).reshape(-1, 2), axis=0)
-        rec1 = np.concatenate([rec1, accidental[:, 0]])
-        rec2 = np.concatenate([rec2, accidental[:, 1]])
-    return Detections(rec1, rec2, np.repeat([False, True], [n_pair, rec1.size - n_pair]))
+    return Detections(t2[both] - t1[both], accidental[:, 1] - accidental[:, 0])

@@ -299,7 +299,7 @@ def test_criterion_8_numerical_hygiene():
         np.testing.assert_array_equal(d1, d3)
         r1 = detect(d1, det, seed=8, duration=1e4, threads=1)
         r3 = detect(d3, det, seed=8, duration=1e4, threads=3)
-        for column in ("t1", "t2", "dark"):
+        for column in ("pairs", "accidentals"):
             np.testing.assert_array_equal(getattr(r1, column), getattr(r3, column))
 
 

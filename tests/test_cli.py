@@ -197,6 +197,8 @@ REJECTED = [
     ("correlation", "comb.n_side_modes = 2097153"),
     ("correlation", "comb.mode_spacing = 0.0"),
     ("correlation", "comb.pump_frequency = -1.0"),
+    ("correlation", "comb.mode_phases = 0,0,0"),
+    ("correlation", "comb.linewidth = 3.15\ncomb.round_trip_time = 1.0"),
     ("homscan", "comb.linewidth = 0.0"),
     ("mc", "detector.coincidence_window = 0.0"),
     ("mc", "detector.efficiency = 0.0"),
@@ -590,7 +592,7 @@ class TestMcBounds:
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
         at_cap = resolve_config(parse_config_text(body.format(width)), "mc")
-        empty = Detections(np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        empty = Detections(np.empty(0), np.empty(0))
         delay_range = (at_cap["mc.range_min"], at_cap["mc.range_max"])
         edges = histogram_delays(empty, at_cap["mc.bin_width"], delay_range).edges
         assert edges.size == MAX_QUAD_POINTS
