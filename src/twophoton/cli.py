@@ -3,11 +3,14 @@
     twophoton <correlation|homscan|fringe|engineer|mc>
               --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
 
-Every output file starts with the resolved configuration as ``# key = value``
-lines, so a run can be reproduced from its own output (strip the leading
-``# `` or use ``config_from_output_header``).  Files are written to a
-temporary name and renamed into place.  Exit codes: 0 success, 2 bad
-configuration, 3 numerical precondition failure.
+Each ``cmd_<name>(cfg, threads)`` computes its result and returns it as
+``{file name: body lines}`` in write order, touching no file; ``main`` alone
+writes them.  Every output file starts with ``# twophoton <command>`` and
+the resolved configuration as ``# key = value`` lines, so a run can be
+reproduced from its own output (strip the leading ``# `` or use
+``config_from_output_header``).  Files are written to a temporary name and
+renamed into place.  Exit codes: 0 success, 2 bad configuration or an
+unusable ``--out``, 3 numerical precondition failure.
 """
 
 from __future__ import annotations
@@ -58,19 +61,14 @@ def _write_atomic(path: Path, lines) -> None:
         raise
 
 
-def _header(cfg: RunConfig) -> list:
-    return [f"# twophoton {cfg.command}"] + cfg.echo_lines()
-
-
-def _csv(header_lines, columns, rows) -> list:
-    lines = list(header_lines)
-    lines.append(",".join(columns))
-    for row in rows:
+def _csv(columns, series) -> list:
+    lines = [",".join(columns)]
+    for row in zip(*series):
         lines.append(",".join(_fval(v) for v in row))
     return lines
 
 
-def cmd_correlation(cfg: RunConfig, out_dir: Path, threads: int) -> list:
+def cmd_correlation(cfg: RunConfig, threads: int) -> dict:
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     trace = gamma2_mode_locked(cfg.comb, grid)
     columns = ["tau_s", "gamma2"]
@@ -78,12 +76,10 @@ def cmd_correlation(cfg: RunConfig, out_dir: Path, threads: int) -> list:
     if cfg["scan.include_coherence"]:
         columns.append("coherence_abs")
         series.append(np.abs(gamma1_coherence(cfg.comb, grid).samples))
-    path = out_dir / "correlation.csv"
-    _write_atomic(path, _csv(_header(cfg), columns, zip(*series)))
-    return [path]
+    return {"correlation.csv": _csv(columns, series)}
 
 
-def cmd_homscan(cfg: RunConfig, out_dir: Path, threads: int) -> list:
+def cmd_homscan(cfg: RunConfig, threads: int) -> dict:
     delays = np.linspace(cfg["scan.delay_min"], cfg["scan.delay_max"], cfg["scan.points"])
     icfg = InterferometerConfig(
         comb=cfg.comb,
@@ -100,12 +96,10 @@ def cmd_homscan(cfg: RunConfig, out_dir: Path, threads: int) -> list:
         series.append(scan.abscissa * cfg["output.delay_to_mm"])
     columns += ["coincidence", "singles_1", "singles_2"]
     series += [scan.coincidence, scan.singles_1, scan.singles_2]
-    path = out_dir / "homscan.csv"
-    _write_atomic(path, _csv(_header(cfg), columns, zip(*series)))
-    return [path]
+    return {"homscan.csv": _csv(columns, series)}
 
 
-def cmd_fringe(cfg: RunConfig, out_dir: Path, threads: int) -> list:
+def cmd_fringe(cfg: RunConfig, threads: int) -> dict:
     phases = np.linspace(cfg["scan.phase_min"], cfg["scan.phase_max"], cfg["scan.points"])
     icfg = InterferometerConfig(
         comb=cfg.comb,
@@ -114,19 +108,19 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path, threads: int) -> list:
         mode_match=cfg["interferometer.mode_match"],
     )
     scan = phase_fringe_scan(icfg, phases)
-    header = _header(cfg)
     fits = scan.metadata["fitted_visibility"]
-    header.append(f"# result.singles_visibility = {_fval(scan.metadata['singles_visibility'])}")
-    header.append(f"# result.overlap_visibility = {_fval(scan.metadata['visibility_v'])}")
+    lines = [
+        f"# result.singles_visibility = {_fval(scan.metadata['singles_visibility'])}",
+        f"# result.overlap_visibility = {_fval(scan.metadata['visibility_v'])}",
+    ]
     for channel in ("coincidence", "singles_1", "singles_2"):
-        header.append(f"# result.fit_visibility_{channel} = {_fval(fits[channel])}")
-    rows = zip(scan.abscissa, scan.coincidence, scan.singles_1, scan.singles_2)
-    path = out_dir / "fringe.csv"
-    _write_atomic(path, _csv(header, ["phase_rad", "coincidence", "singles_1", "singles_2"], rows))
-    return [path]
+        lines.append(f"# result.fit_visibility_{channel} = {_fval(fits[channel])}")
+    columns = ["phase_rad", "coincidence", "singles_1", "singles_2"]
+    series = [scan.abscissa, scan.coincidence, scan.singles_1, scan.singles_2]
+    return {"fringe.csv": lines + _csv(columns, series)}
 
 
-def cmd_engineer(cfg: RunConfig, out_dir: Path, threads: int) -> list:
+def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
     shape, halfwidth = cfg["engineering.wideband_shape"], cfg["engineering.wideband_halfwidth"]
     if halfwidth > 0.0:
         template = SpectralAmplitude(shape=shape, halfwidth=halfwidth)
@@ -148,12 +142,7 @@ def cmd_engineer(cfg: RunConfig, out_dir: Path, threads: int) -> list:
         solution.zeta,
         grid,
     )
-    header = _header(cfg)
-    before_path = out_dir / "engineer_before.csv"
-    after_path = out_dir / "engineer_after.csv"
-    _write_atomic(before_path, _csv(header, ["tau_s", "gamma2"], zip(grid.values, before.samples)))
-    _write_atomic(after_path, _csv(header, ["tau_s", "gamma2"], zip(grid.values, after.samples)))
-    solution_lines = header + [
+    solution_lines = [
         "",
         f"eta_real = {_fval(solution.eta.real)}",
         f"eta_imag = {_fval(solution.eta.imag)}",
@@ -169,12 +158,14 @@ def cmd_engineer(cfg: RunConfig, out_dir: Path, threads: int) -> list:
         solution_lines.append(
             f"neighbor_retention_{k} = {_fval(solution.neighbor_retention[k])}"
         )
-    solution_path = out_dir / "engineer_solution.txt"
-    _write_atomic(solution_path, solution_lines)
-    return [before_path, after_path, solution_path]
+    return {
+        "engineer_before.csv": _csv(["tau_s", "gamma2"], [grid.values, before.samples]),
+        "engineer_after.csv": _csv(["tau_s", "gamma2"], [grid.values, after.samples]),
+        "engineer_solution.txt": solution_lines,
+    }
 
 
-def cmd_mc(cfg: RunConfig, out_dir: Path, threads: int) -> list:
+def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     trace = gamma2_mode_locked(cfg.comb, grid)
     delays = sample_pair_delays(trace, cfg["mc.n_events"], cfg["seed"], threads=threads)
@@ -194,26 +185,13 @@ def cmd_mc(cfg: RunConfig, out_dir: Path, threads: int) -> list:
         contrast_str = _fval(contrast)
     except ValueError:
         contrast_str = "nan"
-    header = _header(cfg)
-    hist_path = out_dir / "mc_histogram.csv"
-    _write_atomic(
-        hist_path,
-        _csv(header, ["bin_center_s", "count"], zip(hist.centers, hist.counts)),
-    )
-    summary_lines = header + [
-        "",
-        f"n_events_requested = {cfg['mc.n_events']}",
-        f"n_records = {summary['n_records']}",
-        f"n_pair_records = {summary['n_pair_records']}",
-        f"n_accidental_records = {summary['n_accidental_records']}",
-        f"n_coincidences_in_window = {summary['n_coincidences_in_window']}",
-        f"n_pair_coincidences_in_window = {summary['n_pair_coincidences_in_window']}",
-        f"n_histogrammed = {hist.n_counted}",
-        f"comb_contrast = {contrast_str}",
-    ]
-    summary_path = out_dir / "mc_summary.txt"
-    _write_atomic(summary_path, summary_lines)
-    return [hist_path, summary_path]
+    summary_lines = ["", f"n_events_requested = {cfg['mc.n_events']}"]
+    summary_lines += [f"{name} = {count}" for name, count in summary.items()]
+    summary_lines += [f"n_histogrammed = {hist.n_counted}", f"comb_contrast = {contrast_str}"]
+    return {
+        "mc_histogram.csv": _csv(["bin_center_s", "count"], [hist.centers, hist.counts]),
+        "mc_summary.txt": summary_lines,
+    }
 
 
 _DISPATCH = {
@@ -260,11 +238,18 @@ def main(argv=None) -> int:
         print("twophoton: --threads must be an integer >= 1", file=sys.stderr)
         return 2
     try:
-        written = _DISPATCH[args.command](cfg, Path(args.out), args.threads)
+        files = _DISPATCH[args.command](cfg, args.threads)
     except NumericsError as exc:
         print(f"twophoton: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    for path in written:
+    header = [f"# twophoton {cfg.command}"] + cfg.echo_lines()
+    for name, body in files.items():
+        path = Path(args.out) / name
+        try:
+            _write_atomic(path, header + body)
+        except OSError as exc:
+            print(f"twophoton: cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return 2
         print(path)
     return 0
 

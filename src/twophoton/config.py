@@ -298,10 +298,16 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
     _one_of(raw, "comb.mode_spacing", "comb.round_trip_time")
     if values["comb.mode_spacing"] is None:
         values["comb.mode_spacing"] = _TWO_PI / values["comb.round_trip_time"]
+    spacing = values["comb.mode_spacing"]
+    if not (math.isfinite(spacing) and math.isfinite(_TWO_PI / spacing)):
+        raise ConfigError(
+            "comb.mode_spacing and comb.round_trip_time = 2 pi/comb.mode_spacing"
+            f" must both be finite, got comb.mode_spacing = {spacing!r}"
+        )
     if values["comb.linewidth"] is None:
-        values["comb.linewidth"] = 0.01 * values["comb.mode_spacing"]
-    if not values["comb.linewidth"] < values["comb.mode_spacing"] / 2:
-        raise ConfigError("comb.linewidth must be < comb.mode_spacing/2 (modes not resolved)")
+        values["comb.linewidth"] = 0.01 * spacing
+    if not 0.0 < values["comb.linewidth"] < spacing / 2:
+        raise ConfigError("comb.linewidth must lie in (0, comb.mode_spacing/2): modes not resolved")
     _one_of(raw, "comb.mode_phases", "comb.phase_seed")
     n_modes = 2 * values["comb.n_side_modes"] + 1
     if len(values["comb.mode_phases"]) not in (0, n_modes):

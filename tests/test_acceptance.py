@@ -234,6 +234,7 @@ def test_criterion_6b_random_phases_suppress_the_revival():
             assert peak_to_mean(comb) < 0.5 * locked_ratio
 
 
+@pytest.mark.slow
 def test_criterion_7_peak_excision():
     with criterion("7 excision: residual, neighbors, oracle match, phase flip"):
         comb = make_comb(1, 0.02, shape=Shape.GAUSSIAN)

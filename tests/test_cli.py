@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twophoton import cli
 from twophoton.cli import main
 from twophoton.config import (
     COMMANDS,
@@ -16,6 +17,7 @@ from twophoton.config import (
     resolve_config,
 )
 from twophoton.correlation import MAX_QUAD_POINTS
+from twophoton.engineering import matched_wideband
 from twophoton.errors import ConfigError
 from twophoton.montecarlo import MAX_EVENTS, Detections, histogram_delays
 
@@ -181,6 +183,15 @@ BUNDLED_ECHO = {
     ),
 }
 
+# the files each command returns and main writes, in write order (README's table)
+FILES = {
+    "correlation": ["correlation.csv"],
+    "homscan": ["homscan.csv"],
+    "fringe": ["fringe.csv"],
+    "engineer": ["engineer_before.csv", "engineer_after.csv", "engineer_solution.txt"],
+    "mc": ["mc_histogram.csv", "mc_summary.txt"],
+}
+
 # values the key table refuses (command, config body); the first key is the culprit
 REJECTED = [
     ("fringe", "units.frequency = hertz"),
@@ -199,6 +210,9 @@ REJECTED = [
     ("correlation", "comb.pump_frequency = -1.0"),
     ("correlation", "comb.mode_phases = 0,0,0"),
     ("correlation", "comb.linewidth = 3.15\ncomb.round_trip_time = 1.0"),
+    ("correlation", "comb.mode_spacing = 1e-322\ncomb.linewidth = 5e-324"),
+    ("correlation", "comb.mode_spacing = 1e-322"),
+    ("correlation", "comb.round_trip_time = 1e-320\ncomb.linewidth = 1e300"),
     ("homscan", "comb.linewidth = 0.0"),
     ("mc", "detector.coincidence_window = 0.0"),
     ("mc", "detector.efficiency = 0.0"),
@@ -431,6 +445,25 @@ class TestEngineerCommand:
         near_peak = np.abs(before["tau_s"] - 1.0) < 0.25
         assert after["gamma2"][near_peak].max() < 1e-3 * before["gamma2"][near_peak].max()
 
+    def test_explicit_matched_halfwidth_changes_only_its_echo(self, tmp_path):
+        # a wideband halfwidth given as the matched width solves the same excision
+        text = (CONFIGS / "excise_peak.cfg").read_text(encoding="utf-8")
+        cfg = resolve_config(parse_config_text(text), "engineer")
+        width = matched_wideband(cfg.comb, cfg["engineering.wideband_shape"]).halfwidth
+        explicit = write_cfg(tmp_path, text + f"engineering.wideband_halfwidth = {width!r}\n")
+        default_out, explicit_out = tmp_path / "default", tmp_path / "explicit"
+        config = str(CONFIGS / "excise_peak.cfg")
+        assert main(["engineer", "--config", config, "--out", str(default_out)]) == 0
+        assert main(["engineer", "--config", str(explicit), "--out", str(explicit_out)]) == 0
+        echoed = ("# engineering.wideband_halfwidth = 0.0",
+                  f"# engineering.wideband_halfwidth = {width!r}")
+        for name in FILES["engineer"]:
+            default_lines = (default_out / name).read_text(encoding="utf-8").splitlines()
+            explicit_lines = (explicit_out / name).read_text(encoding="utf-8").splitlines()
+            assert len(default_lines) == len(explicit_lines)
+            differing = [pair for pair in zip(default_lines, explicit_lines) if pair[0] != pair[1]]
+            assert differing == [echoed]
+
 
 class TestMcCommand:
     def mc_cfg(self, tmp_path, extra=""):
@@ -472,6 +505,14 @@ class TestMcCommand:
         assert main(["mc", "--config", str(cfg), "--out", str(out_a), "--seed", "1"]) == 0
         assert main(["mc", "--config", str(cfg), "--out", str(out_b), "--seed", "2"]) == 0
         assert (out_a / "mc_histogram.csv").read_bytes() != (out_b / "mc_histogram.csv").read_bytes()
+
+    def test_range_inside_one_round_trip_has_no_contrast(self, tmp_path):
+        # no histogram bin lies on a comb peak, so there is no contrast to report
+        text = (CONFIGS / "mc_fast_detector.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, text + "mc.range_min = 0.1e-12\nmc.range_max = 0.2e-12\n")
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "mc_summary.txt").read_text(encoding="utf-8").splitlines()
+        assert summary[-1] == "comb_contrast = nan"
 
 
 class TestRoundTrip:
@@ -609,6 +650,44 @@ class TestThreads:
         assert main(argv) == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("name", sorted(BUNDLED_ECHO))
+    def test_commands_return_their_files_and_main_writes_them(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        command, _ = BUNDLED_ECHO[name]
+        cfg = resolve_config(parse_config_file(CONFIGS / name), command)
+        monkeypatch.chdir(tmp_path)
+        files = getattr(cli, f"cmd_{command}")(cfg, 1)
+        assert list(files) == FILES[command]
+        assert list(tmp_path.iterdir()) == []
+        assert not any(line.startswith("# twophoton") for body in files.values() for line in body)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(out / f) for f in FILES[command]]
+        header = [f"# twophoton {command}"] + cfg.echo_lines()
+        for filename, body in files.items():
+            lines = (out / filename).read_text(encoding="utf-8").splitlines()
+            assert lines == header + body
+            assert [i for i, line in enumerate(lines) if line.startswith("# twophoton")] == [0]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+    def test_unusable_out_exits_2_naming_out(self, tmp_path, below):
+        cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / "sub" if below else afile
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = ["correlation", "--config", str(cfg), "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-m", "twophoton.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert "--out" in result.stderr and "Traceback" not in result.stderr
+        assert afile.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
 
 
 class TestHeaderEcho:

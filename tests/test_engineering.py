@@ -178,6 +178,7 @@ class TestSolveExcision:
         )
         assert gain >= 3.0
 
+    @pytest.mark.slow
     def test_least_squares_matches_the_grid_search(self):
         comb = make_comb(10, 0.01)
         grid = self.grid()
