@@ -23,7 +23,6 @@ from .engineering import (
     ExcisionSolution,
     WidebandState,
     combined_gamma2,
-    excision_grid_search,
     matched_wideband,
     solve_excision,
     wideband_gamma2,

@@ -8,15 +8,18 @@ Each ``cmd_<name>(cfg, threads)`` computes its result and returns it as
 writes them.  Every output file starts with ``# twophoton <command>`` and
 the resolved configuration as ``# key = value`` lines, so a run can be
 reproduced from its own output (strip the leading ``# `` or use
-``config_from_output_header``).  Files are written to a temporary name and
-renamed into place.  Exit codes: 0 success, 2 bad configuration or an
+``config_from_output_header``).  All files of a run are written to a
+staging directory inside ``--out`` and renamed into place only once every
+one is written.  Exit codes: 0 success, 2 bad configuration or an
 unusable ``--out``, 3 numerical precondition failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -48,24 +51,33 @@ def _fval(x) -> str:
 
 
 def _write_atomic(path: Path, lines) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Create ``path`` as ``open`` does (0o666 less the umask) and write ``lines``."""
+    with open(path, "x", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
-def _csv(columns, series) -> list:
-    lines = [",".join(columns)]
-    for row in zip(*series):
-        lines.append(",".join(_fval(v) for v in row))
-    return lines
+_BLOCK_ROWS = 4096
+
+
+def _csv(columns, *tables) -> list:
+    """Lines of one CSV file per table, each headed by ``columns``.
+
+    A table is a list of equal-length columns.  Rows are formatted
+    ``_BLOCK_ROWS`` at a time, column by column: ``float64.tolist()`` gives
+    the doubles ``float(x)`` gives, so each cell is ``_fval(x)``.  A column
+    object that several tables share is formatted once per block.
+    """
+    files = [[",".join(columns)] for _ in tables]
+    for lo in range(0, len(tables[0][0]), _BLOCK_ROWS):
+        cells = {}
+        for table, lines in zip(tables, files):
+            for col in table:
+                if id(col) not in cells:
+                    block = np.asarray(col[lo : lo + _BLOCK_ROWS], dtype=float).tolist()
+                    cells[id(col)] = list(map(repr, block))
+            lines.extend(map(",".join, zip(*(cells[id(col)] for col in table))))
+    return files
 
 
 def cmd_correlation(cfg: RunConfig, threads: int) -> dict:
@@ -76,7 +88,7 @@ def cmd_correlation(cfg: RunConfig, threads: int) -> dict:
     if cfg["scan.include_coherence"]:
         columns.append("coherence_abs")
         series.append(np.abs(gamma1_coherence(cfg.comb, grid).samples))
-    return {"correlation.csv": _csv(columns, series)}
+    return {"correlation.csv": _csv(columns, series)[0]}
 
 
 def cmd_homscan(cfg: RunConfig, threads: int) -> dict:
@@ -96,7 +108,7 @@ def cmd_homscan(cfg: RunConfig, threads: int) -> dict:
         series.append(scan.abscissa * cfg["output.delay_to_mm"])
     columns += ["coincidence", "singles_1", "singles_2"]
     series += [scan.coincidence, scan.singles_1, scan.singles_2]
-    return {"homscan.csv": _csv(columns, series)}
+    return {"homscan.csv": _csv(columns, series)[0]}
 
 
 def cmd_fringe(cfg: RunConfig, threads: int) -> dict:
@@ -117,7 +129,7 @@ def cmd_fringe(cfg: RunConfig, threads: int) -> dict:
         lines.append(f"# result.fit_visibility_{channel} = {_fval(fits[channel])}")
     columns = ["phase_rad", "coincidence", "singles_1", "singles_2"]
     series = [scan.abscissa, scan.coincidence, scan.singles_1, scan.singles_2]
-    return {"fringe.csv": lines + _csv(columns, series)}
+    return {"fringe.csv": lines + _csv(columns, series)[0]}
 
 
 def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
@@ -158,9 +170,12 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
         solution_lines.append(
             f"neighbor_retention_{k} = {_fval(solution.neighbor_retention[k])}"
         )
+    before_lines, after_lines = _csv(
+        ["tau_s", "gamma2"], [grid.values, before.samples], [grid.values, after.samples]
+    )
     return {
-        "engineer_before.csv": _csv(["tau_s", "gamma2"], [grid.values, before.samples]),
-        "engineer_after.csv": _csv(["tau_s", "gamma2"], [grid.values, after.samples]),
+        "engineer_before.csv": before_lines,
+        "engineer_after.csv": after_lines,
         "engineer_solution.txt": solution_lines,
     }
 
@@ -189,7 +204,7 @@ def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     summary_lines += [f"{name} = {count}" for name, count in summary.items()]
     summary_lines += [f"n_histogrammed = {hist.n_counted}", f"comb_contrast = {contrast_str}"]
     return {
-        "mc_histogram.csv": _csv(["bin_center_s", "count"], [hist.centers, hist.counts]),
+        "mc_histogram.csv": _csv(["bin_center_s", "count"], [hist.centers, hist.counts])[0],
         "mc_summary.txt": summary_lines,
     }
 
@@ -201,6 +216,25 @@ _DISPATCH = {
     "engineer": cmd_engineer,
     "mc": cmd_mc,
 }
+
+
+def _write_run(out: Path, header: list, files: dict) -> None:
+    """Write every file of a run, ``header`` then body, under ``out``, or none.
+
+    Files are staged in a directory inside ``out`` and renamed into place
+    only once all are written and no target is a directory.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".twophoton-", dir=out))
+    try:
+        for name, body in files.items():
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+            _write_atomic(stage / name, header + body)
+        for name in files:
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -243,14 +277,14 @@ def main(argv=None) -> int:
         print(f"twophoton: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     header = [f"# twophoton {cfg.command}"] + cfg.echo_lines()
-    for name, body in files.items():
-        path = Path(args.out) / name
-        try:
-            _write_atomic(path, header + body)
-        except OSError as exc:
-            print(f"twophoton: cannot write --out {args.out}: {exc}", file=sys.stderr)
-            return 2
-        print(path)
+    out = Path(args.out)
+    try:
+        _write_run(out, header, files)
+    except OSError as exc:
+        print(f"twophoton: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return 2
+    for name in files:
+        print(out / name)
     return 0
 
 

@@ -5,8 +5,7 @@ correlation, is added coherently to the mode-locked amplitude.  With the
 right complex weight the chosen peak cancels while its neighbors survive.
 The solver picks the wideband bandwidth so the short pulse matches the comb
 peak, then solves a one-parameter complex least-squares for the weight
-ratio; a dense magnitude-phase grid search over the same window provides an
-independent check on the optimum.
+ratio.
 """
 
 from __future__ import annotations
@@ -193,37 +192,3 @@ def solve_excision(
         wideband=wideband,
         neighbor_retention=retention,
     )
-
-
-def excision_grid_search(
-    comb: ModeComb,
-    wideband: SpectralAmplitude,
-    target_peak: int,
-    grid: TimeGrid,
-    n_magnitude: int = 160,
-    n_phase: int = 180,
-) -> tuple:
-    """Dense-mesh check of the least-squares optimum.
-
-    Evaluates the windowed post/pre energy ratio directly (no normal-equation
-    shortcut) on a magnitude-by-phase mesh of the weight ratio.  Ties resolve
-    to the lowest magnitude, then the lowest phase.  Returns (zeta, residual).
-    """
-    t_r = comb.round_trip_time
-    delay = target_peak * t_r
-    tau, w = _peak_window(comb, target_peak, grid)
-    a = comb_amplitude(tau, comb)
-    f = pair_envelope(wideband, tau - delay)
-    pre = float(np.sum(w * np.abs(a) ** 2))
-    mag_max = 2.0 * float(np.max(np.abs(a))) / float(np.max(np.abs(f)))
-    mags = np.linspace(0.0, mag_max, n_magnitude)
-    phases = np.linspace(0.0, 2.0 * math.pi, n_phase, endpoint=False)
-    best = (math.inf, 0.0 + 0.0j)
-    for mag in mags:
-        zetas = mag * np.exp(1j * phases)
-        trial = a[None, :] + zetas[:, None] * f[None, :]
-        post = np.sum(w[None, :] * np.abs(trial) ** 2, axis=1)
-        j = int(np.argmin(post))
-        if post[j] / pre < best[0] - 1e-15:
-            best = (float(post[j] / pre), complex(zetas[j]))
-    return best[1], best[0]

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from twophoton import Detections, ModeComb, Shape, SpectralAmplitude
+from twophoton import Detections, ModeComb, Shape, SpectralAmplitude, pair_envelope
+from twophoton.correlation import comb_amplitude
+from twophoton.engineering import _peak_window
 from twophoton.montecarlo import _DARK_KEY, _DETECT_KEY, CHUNK
 
 TWO_PI = 2.0 * math.pi
@@ -144,11 +146,24 @@ def moving_average_oracle(samples, window):
     return out
 
 
+def boxcar_mean(x, k):
+    """``np.convolve(x, np.full(k, 1/k), "same")`` for odd k <= x.size, by running sums.
+
+    Sample i is the sum of x[i - k//2 .. i + k//2], zero beyond the ends,
+    divided by k: a difference of two prefix sums instead of k products.
+    """
+    half = k // 2
+    cs = np.concatenate([[0.0], np.cumsum(x)])
+    i = np.arange(x.size)
+    return (cs[np.minimum(i + half + 1, x.size)] - cs[np.maximum(i - half, 0)]) / k
+
+
 def jitter_convolution_oracle(trace_tau, trace_dens, resolution_time, edges):
     """Expected bin probabilities after two independent rectangular jitters.
 
     Zero-pads the density, convolves twice with a unit-area rectangle of the
-    resolution width, and integrates the result over the histogram bins.
+    resolution width (``boxcar_mean``), and integrates the result over the
+    histogram bins.
     """
     dt = trace_tau[1] - trace_tau[0]
     pad = int(round((resolution_time + abs(edges).max() * 0.1) / dt)) + 4
@@ -163,13 +178,44 @@ def jitter_convolution_oracle(trace_tau, trace_dens, resolution_time, edges):
     if resolution_time > 0:
         k = int(round(resolution_time / dt))
         k = k + 1 if k % 2 == 0 else k
-        kern = np.full(k, 1.0 / k)
-        dens = np.convolve(np.convolve(dens, kern, mode="same"), kern, mode="same")
+        dens = boxcar_mean(boxcar_mean(dens, k), k)
     mass = 0.5 * (dens[1:] + dens[:-1]) * dt
     cdf = np.concatenate([[0.0], np.cumsum(mass)])
     cdf = cdf / cdf[-1]
     probs = np.interp(edges[1:], tau, cdf) - np.interp(edges[:-1], tau, cdf)
     return probs
+
+
+def excision_grid_search(comb, wideband, target_peak, grid, n_magnitude=160, n_phase=180):
+    """Dense-mesh check of ``solve_excision``'s least-squares optimum.
+
+    Evaluates the windowed post/pre energy ratio directly (no normal-equation
+    shortcut) on a magnitude-by-phase mesh of the weight ratio.  Ties resolve
+    to the lowest magnitude, then the lowest phase.  Returns (zeta, residual).
+    """
+    t_r = comb.round_trip_time
+    delay = target_peak * t_r
+    tau, w = _peak_window(comb, target_peak, grid)
+    a = comb_amplitude(tau, comb)
+    f = pair_envelope(wideband, tau - delay)
+    pre = float(np.sum(w * np.abs(a) ** 2))
+    mag_max = 2.0 * float(np.max(np.abs(a))) / float(np.max(np.abs(f)))
+    mags = np.linspace(0.0, mag_max, n_magnitude)
+    phases = np.linspace(0.0, 2.0 * math.pi, n_phase, endpoint=False)
+    best = (math.inf, 0.0 + 0.0j)
+    for mag in mags:
+        zetas = mag * np.exp(1j * phases)
+        trial = a[None, :] + zetas[:, None] * f[None, :]
+        post = np.sum(w[None, :] * np.abs(trial) ** 2, axis=1)
+        j = int(np.argmin(post))
+        if post[j] / pre < best[0] - 1e-15:
+            best = (float(post[j] / pre), complex(zetas[j]))
+    return best[1], best[0]
+
+
+def csv_oracle(columns, series):
+    """CSV lines formatted cell by cell: ``repr(float(v))`` for every value of every row."""
+    return [",".join(columns)] + [",".join(repr(float(v)) for v in row) for row in zip(*series)]
 
 
 def _chunk_rng(seed, key):

@@ -32,7 +32,6 @@ from twophoton import (
     dither_averaged_rate,
     detect,
     DetectorModel,
-    excision_grid_search,
     find_dip_delays,
     gamma2_detector_averaged,
     gamma2_mode_locked,
@@ -49,6 +48,7 @@ from twophoton.config import config_from_output_header
 from conftest import (
     TWO_PI,
     dirichlet_oracle,
+    excision_grid_search,
     intensity_profile,
     jitter_convolution_oracle,
     make_comb,

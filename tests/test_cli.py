@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.engineering import matched_wideband
 from twophoton.errors import ConfigError
 from twophoton.montecarlo import MAX_EVENTS, Detections, histogram_delays
+
+from conftest import csv_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -688,6 +691,78 @@ class TestOutputFiles:
         assert "--out" in result.stderr and "Traceback" not in result.stderr
         assert afile.read_text(encoding="utf-8") == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_files_get_the_mode_open_gives_under_the_umask(self, tmp_path, umask):
+        cfg = TestMcCommand().mc_cfg(tmp_path)
+        out = tmp_path / "out"
+        code = f"import os, sys; os.umask({umask:#o}); from twophoton.cli import main; sys.exit(main())"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = ["mc", "--config", str(cfg), "--out", str(out)]
+        subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, capture_output=True)
+        assert sorted(p.name for p in out.iterdir()) == sorted(FILES["mc"])
+        for name in FILES["mc"]:
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask
+
+    def test_a_failed_write_keeps_the_old_run(self, tmp_path, capsys):
+        cfg = TestMcCommand().mc_cfg(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "mc_histogram.csv").write_text("# an older run\n", encoding="utf-8")
+        (out / "mc_summary.txt").mkdir()
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and captured.out == ""
+        assert (out / "mc_histogram.csv").read_text(encoding="utf-8") == "# an older run\n"
+        assert sorted(p.name for p in out.iterdir()) == ["mc_histogram.csv", "mc_summary.txt"]
+        assert list((out / "mc_summary.txt").iterdir()) == []
+
+
+class TestCsv:
+    """``cli._csv`` formats by column in row blocks; the oracle formats cell by cell."""
+
+    SPECIAL = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.5e-320,
+         2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -1e-12]
+    )
+    COUNTS = np.array([0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1], dtype=np.int64)
+
+    def test_special_values_and_counts(self):
+        floats = [self.SPECIAL, self.SPECIAL[::-1]]
+        assert cli._csv(["a", "b"], floats) == [csv_oracle(["a", "b"], floats)]
+        counts = [self.COUNTS, self.COUNTS.astype(float)]
+        assert cli._csv(["n", "x"], counts) == [csv_oracle(["n", "x"], counts)]
+
+    @pytest.mark.parametrize("extra", [-cli._BLOCK_ROWS, 1 - cli._BLOCK_ROWS, -1, 0, 1])
+    def test_lengths_around_the_block(self, extra):
+        n = cli._BLOCK_ROWS + extra
+        rng = np.random.default_rng(n)
+        series = [
+            np.linspace(-2e-12, 2e-12, n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            rng.integers(-(2**62), 2**62, n),
+        ]
+        (lines,) = cli._csv(["tau_s", "value", "count"], series)
+        assert len(lines) == n + 1
+        assert lines == csv_oracle(["tau_s", "value", "count"], series)
+
+    def test_a_shared_column_is_formatted_once_per_block(self):
+        class Sliced(np.ndarray):
+            slices = 0
+
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    Sliced.slices += 1
+                return super().__getitem__(key)
+
+        n = 2 * cli._BLOCK_ROWS + 3
+        tau = np.linspace(-2.5e-12, 2.5e-12, n).view(Sliced)
+        before, after = np.cos(np.arange(n)), np.sin(np.arange(n))
+        tables = cli._csv(["tau_s", "gamma2"], [tau, before], [tau, after])
+        assert Sliced.slices == 3
+        oracles = [csv_oracle(["tau_s", "gamma2"], [tau, col]) for col in (before, after)]
+        assert tables == oracles
 
 
 class TestHeaderEcho:

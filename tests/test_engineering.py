@@ -16,7 +16,6 @@ from twophoton import (
     WidebandState,
     combined_gamma2,
     dirichlet_F,
-    excision_grid_search,
     gamma2_mode_locked,
     matched_wideband,
     pair_envelope,
@@ -24,7 +23,7 @@ from twophoton import (
     wideband_gamma2,
 )
 
-from conftest import TWO_PI, make_comb, transform_oracle
+from conftest import TWO_PI, excision_grid_search, make_comb, transform_oracle
 
 T_R = 1.0
 
