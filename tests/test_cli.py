@@ -692,7 +692,6 @@ class TestOutputFiles:
         assert afile.read_text(encoding="utf-8") == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
 
-
     @pytest.mark.parametrize("umask", [0o022, 0o027])
     def test_files_get_the_mode_open_gives_under_the_umask(self, tmp_path, umask):
         cfg = TestMcCommand().mc_cfg(tmp_path)
