@@ -2,8 +2,9 @@
 """Run every bundled example config and collect the CSVs under out/.
 
 Each config exercises one pipeline: the comb correlation, the dithered
-delay scan with its half-round-trip dip revivals, phase fringes at full and
-half round trips, single-peak excision, and the two Monte Carlo detector
+delay scan with its half-round-trip dip revivals, the undithered scan on a
+window shorter than the envelope support, phase fringes at full and half
+round trips, single-peak excision, and the two Monte Carlo detector
 regimes.
 
 For each file it writes, the script prints ``<sha256>  <path under the
@@ -24,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = [
     ("correlation", "comb_correlation.cfg"),
     ("homscan", "hom_delay_scan.cfg"),
+    ("homscan", "hom_delay_scan_undithered.cfg"),
     ("fringe", "fringe_full_trip.cfg"),
     ("fringe", "fringe_half_trip.cfg"),
     ("engineer", "excise_peak.cfg"),

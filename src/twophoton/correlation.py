@@ -158,39 +158,31 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
             j = 2.0 * ad * math.exp(-2.0 * hw * ad) * np.sinc(k * ad / math.pi)
             j = j + 2.0 * np.real(np.exp(-z * ad) / z)
         else:
-            j = math.sqrt(math.pi) / hw * math.exp(-((hw * d) ** 2)) * np.exp(-((k / hw) ** 2) / 4.0)
+            j = math.sqrt(math.pi) / hw * math.exp(-((hw * d) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
         out.append(np.exp(-2j * s.center * d) * np.sum(a * j))
     return np.array(out)
 
 
-def _spectral_span(s: SpectralAmplitude) -> float:
-    """Highest detuning a sampled envelope must resolve: QUAD_SPAN_HALFWIDTHS
-    halfwidths, or the halfwidth itself for the compactly supported rectangle."""
-    return s.halfwidth if s.shape is Shape.RECTANGULAR else QUAD_SPAN_HALFWIDTHS * s.halfwidth
-
-
-def _closed_cosine_transform(shape: Shape, hw: float, power: int, tau: np.ndarray):
-    """Closed forms of the cosine transforms, with their tau=0 scale."""
-    t = np.abs(np.asarray(tau, dtype=float))
-    if shape is Shape.LORENTZIAN:
-        return math.pi * hw * np.exp(-hw * t), math.pi * hw
-    if shape is Shape.GAUSSIAN:
-        sigma = hw / math.sqrt(power)
-        scale = math.sqrt(2.0 * math.pi) * sigma
-        return scale * np.exp(-(sigma**2) * t**2 / 2.0), scale
-    return 2.0 * hw * np.sinc(hw * t / math.pi), 2.0 * hw
-
-
 def _line_transform(s, tau, power):
-    """Transform of the line profile to the ``power``, normalized to 1 at tau = 0.
+    """Transform of the line profile to the ``power``, normalized to 1 at tau = 0,
+    and the scale divided out: its closed-form cosine transform at tau = 0.
 
     The pair envelope (power 1) carries e^{-i*center*tau} and the coherence
     envelope (power 2) e^{+i*center*tau}.
     """
     tau = np.asarray(tau, dtype=float)
-    core, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, tau)
+    # |tau| is taken inline: a copy held to the end would add a grid-sized array to the peak
+    hw = s.halfwidth
+    if s.shape is Shape.LORENTZIAN:
+        core, scale = math.pi * hw * np.exp(-hw * np.abs(tau)), math.pi * hw
+    elif s.shape is Shape.GAUSSIAN:
+        sigma = hw / math.sqrt(power)
+        scale = math.sqrt(2.0 * math.pi) * sigma
+        core = scale * np.exp(-(sigma**2) * np.abs(tau) ** 2 / 2.0)
+    else:
+        core, scale = 2.0 * hw * np.sinc(hw * np.abs(tau) / math.pi), 2.0 * hw
     carrier = -1j if power == 1 else 1j
-    return (core / scale) * np.exp(carrier * s.center * tau)
+    return (core / scale) * np.exp(carrier * s.center * tau), scale
 
 
 def pair_envelope(s: SpectralAmplitude, tau):
@@ -198,12 +190,12 @@ def pair_envelope(s: SpectralAmplitude, tau):
 
     A line centered off zero contributes the carrier e^{-i*center*tau}.
     """
-    return _line_transform(s, tau, 1)
+    return _line_transform(s, tau, 1)[0]
 
 
 def coherence_envelope(s: SpectralAmplitude, tau):
     """Normalized field-coherence envelope G(tau): transform of the line intensity."""
-    return _line_transform(s, tau, 2)
+    return _line_transform(s, tau, 2)[0]
 
 
 def comb_amplitude(tau, comb: ModeComb):
@@ -212,15 +204,15 @@ def comb_amplitude(tau, comb: ModeComb):
 
 
 def _envelope_trace(s, grid, power) -> CorrelationTrace:
-    span = _spectral_span(s)
+    # the spectral content to resolve: the rectangle ends at its halfwidth
+    span = s.halfwidth * (1.0 if s.shape is Shape.RECTANGULAR else QUAD_SPAN_HALFWIDTHS)
     limit = math.pi / (10.0 * span)
     if grid.spacing >= limit:
         raise NyquistError(
             f"grid spacing {grid.spacing:.3e} s undersamples the spectrum: "
             f"needs < {limit:.3e} s for spectral content out to {span:.3e} rad/s"
         )
-    vals = _line_transform(s, grid.values, power)
-    _, scale = _closed_cosine_transform(s.shape, s.halfwidth, power, np.zeros(1))
+    vals, scale = _line_transform(s, grid.values, power)
     return CorrelationTrace(grid, vals, TraceKind.AMPLITUDE, normalization=scale)
 
 
@@ -280,8 +272,6 @@ def gamma2_detector_averaged(trace: CorrelationTrace, resolution_time: float) ->
     w = max(1, int(round(resolution_time / dt)))
     if w >= trace.grid.n_points:
         raise WindowError("averaging window exceeds the trace length")
-    if w == 1:
-        return replace(trace)
     pad_left = (w - 1) // 2
     pad_right = w - 1 - pad_left
     padded = np.pad(trace.samples, (pad_left, pad_right), mode="reflect")

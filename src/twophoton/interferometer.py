@@ -165,41 +165,55 @@ def _window_integrals(cfg: InterferometerConfig, w, x0, xp, xm, cross: bool = Tr
     return r0, s, cfg.mode_match * overlap / r0, c
 
 
-def _rate_integrals(cfg: InterferometerConfig, cross: bool = True):
-    """(R0, S, V, C) over the resolving window, which must cover the delay.
+def _rate(cfg: InterferometerConfig, delays, a_abs_sq=None):
+    """Coincidence rates |a|^2 R0 + (R0/2)(S - V) + C at each delay, clamped at 0,
+    with R0, S, the overlap visibility V and the cross term C.
 
-    A window covering the delay plus the envelope support is the whole line,
-    where S = 1 and, with P = ``pair_overlap``, R0 = P(0), V = Re P(D)/R0 and
-    C = P(D/2) - P(-D/2).  Other windows take the Simpson sums.  Only the
-    undithered rate uses C; without ``cross`` it is None and costs nothing.
+    ``a_abs_sq`` may be an array over one delay; None takes the undithered rate
+    at ``cfg.pump_phase``, the only one with a cross term (else C is None).
+    One route serves every delay.  A window covering the largest delay plus the
+    envelope support is the whole line, where S = 1 and, with P = ``pair_overlap``,
+    R0 = P(0), V = m Re P(D)/R0 and C = 2 m Re[a* b (P(D/2) - P(-D/2))], m the
+    mode match.  Other windows take the Simpson sums at each delay.  A cross term
+    of 1e-6 R0 or more, or a rate below -1e-9 R0, is a NumericsError.
     """
-    if cfg.resolution_time < cfg.delay:
+    delays, cross = np.asarray(delays, dtype=float), a_abs_sq is None
+    d = float(delays.max())
+    if cfg.resolution_time < d:
         raise ResolutionError(
             f"resolution_time {cfg.resolution_time:.3e} s is shorter than the "
-            f"delay {cfg.delay:.3e} s; the integrated-rate model does not apply"
+            f"delay {d:.3e} s; the integrated-rate model does not apply"
         )
-    d = cfg.delay
     # a covered rectangular line (sinc envelope) would need over 1e8 Simpson
     # nodes, so its window is always truncated or refused by the node cap
     covered = cfg.resolution_time / 2.0 >= d + envelope_support(cfg.comb.single_mode)
     if covered and cfg.comb.single_mode.shape is not Shape.RECTANGULAR:
-        # each delay is its own pass of the mode-pair sum: fewer leave P(0), P(D) as they are
-        p = pair_overlap(cfg.comb, [0.0, d, d / 2.0, -d / 2.0] if cross else [0.0, d])
-        c = complex(p[2] - p[3]) if cross else None
-        return p[0].real, 1.0, cfg.mode_match * p[1].real / p[0].real, c
-    return _window_integrals(cfg, *_window_amplitudes(cfg), cross)
-
-
-def _rate(r0: float, s: float, v: float, a_abs_sq, cross_int: float = 0.0):
-    """Coincidence rate |a|^2 R0 + (R0/2)(S - V) + cross term, clamped at 0.
-
-    ``a_abs_sq`` may be an array; a rate below -1e-9 R0 raises NumericsError.
-    """
-    rate = a_abs_sq * r0 + 0.5 * r0 * (s - v) + cross_int
-    lowest = float(np.min(rate, initial=0.0))
-    if lowest < -1e-9 * r0:
-        raise NumericsError(f"negative coincidence rate {lowest:.3e}; quadrature inconsistent")
-    return np.maximum(rate, 0.0)
+        # each delay is its own pass of the mode-pair sum, so every P keeps its bits
+        n, halves = delays.size, (delays / 2.0, -delays / 2.0) if cross else ()
+        p = pair_overlap(cfg.comb, np.concatenate(([0.0], delays, *halves)))
+        r0, s = np.full(n, p[0].real), np.ones(n)
+        v, c = cfg.mode_match * p[1 : n + 1].real / r0, p[n + 1 : 2 * n + 1] - p[2 * n + 1 :]
+    else:
+        cfgs = [replace(cfg, delay=float(x)) for x in delays]
+        sums = [_window_integrals(x, *_window_amplitudes(x), cross) for x in cfgs]
+        r0, s, v, c = map(np.array, zip(*sums))
+    cross_int = None
+    if cross:
+        a, b = _route_amplitudes(cfg)
+        a_abs_sq, ab = float(np.abs(a) ** 2), np.conj(a) * b
+        # Re(ab C) written out keeps the bits of the scalar product; an array product does not
+        cross_int = 2.0 * cfg.mode_match * (ab.real * c.real - ab.imag * c.imag)
+        bad = np.flatnonzero(~(np.abs(cross_int) < 1e-6 * r0))
+        if bad.size:
+            raise NumericsError(
+                f"cross term {cross_int[bad[0]]:.3e} did not integrate away (R0 = "
+                f"{r0[bad[0]]:.3e}); it vanishes only for an exchange-symmetric pair amplitude: "
+                "use scan.dithered = true or a pump phase that is a multiple of 2 pi")
+    rate = a_abs_sq * r0 + 0.5 * r0 * (s - v) + (0.0 if cross_int is None else cross_int)
+    if np.any(rate < -1e-9 * r0):
+        raise NumericsError(f"negative coincidence rate {np.min(rate):.3e}; "
+                            "quadrature inconsistent")
+    return np.maximum(rate, 0.0), r0, s, v, cross_int
 
 
 def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
@@ -209,15 +223,8 @@ def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     V(Delta).  The pointwise cross term must integrate away to within 1e-6 R0,
     as it does for exchange-symmetric X(-tau) = X(tau); else NumericsError.
     """
-    r0, s, v, cross = _rate_integrals(cfg)
-    a, b = _route_amplitudes(cfg)
-    cross_int = 2.0 * cfg.mode_match * float(np.real(np.conj(a) * b * cross))
-    if not abs(cross_int) < 1e-6 * r0:
-        raise NumericsError(f"cross term {cross_int:.3e} did not integrate away (R0 = {r0:.3e}); "
-                            "it vanishes only for an exchange-symmetric pair amplitude: use "
-                            "scan.dithered = true or a pump phase that is a multiple of 2 pi")
-    rate = float(_rate(r0, s, v, float(np.abs(a) ** 2), cross_int))
-    return CoincidenceResult(rate, r0, v, cross_int)
+    (rate,), (r0,), _, (v,), (cross_int,) = _rate(cfg, [cfg.delay])
+    return CoincidenceResult(float(rate), float(r0), float(v), float(cross_int))
 
 
 def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
@@ -227,8 +234,8 @@ def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     Once the window covers both copies (S = 1) the deepest possible dip is
     half the far-from-dip rate: the 50% visibility ceiling.
     """
-    r0, s, v, _ = _rate_integrals(cfg, cross=False)
-    return CoincidenceResult(float(_rate(r0, s, v, 0.5)), r0, v, 0.0)
+    (rate,), (r0,), _, (v,), _ = _rate(cfg, [cfg.delay], 0.5)
+    return CoincidenceResult(float(rate), float(r0), float(v), 0.0)
 
 
 def _singles_visibilities(cfg: InterferometerConfig, delays) -> np.ndarray:
@@ -258,8 +265,7 @@ def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
     over offset, 1/(1 + S - V) for the coincidence.
     """
     phase = np.asarray(phase_points, dtype=float)
-    r0, s, v, _ = _rate_integrals(cfg, cross=False)
-    coincidence = _rate(r0, s, v, 0.5 - 0.5 * np.cos(phase))
+    coincidence, (r0,), (s,), (v,), _ = _rate(cfg, [cfg.delay], 0.5 - 0.5 * np.cos(phase))
     s_vis = singles_fringe_visibility(cfg)
     singles_1 = 1.0 + s_vis * np.cos(phase)
     singles_2 = 1.0 - s_vis * np.cos(phase)
@@ -290,14 +296,11 @@ def delay_scan(cfg: InterferometerConfig, delay_points, dithered: bool = True) -
     point's rate with its overlap and cross terms taken out.
     """
     delays = np.asarray(delay_points, dtype=float)
-    if delays.size == 0:
-        raise ValueError("delay_points is empty; a delay scan needs at least one delay")
-    rate_at = dither_averaged_rate if dithered else coincidence_rate
-    results = [rate_at(replace(cfg, delay=float(d))) for d in delays]
-    rates = np.array([res.rate for res in results])
-    vis = np.array([res.visibility for res in results])
-    last = results[-1]
-    analytic_baseline = last.rate + 0.5 * last.r0 * last.visibility - last.cross_integral
+    if delays.size == 0 or delays.min() < 0:
+        raise ValueError("delay_points must hold at least one delay, and no delay below 0")
+    rates, r0, _, vis, cross_int = _rate(cfg, delays, 0.5 if dithered else None)
+    last_cross = 0.0 if dithered else cross_int[-1]
+    analytic_baseline = float(rates[-1] + 0.5 * r0[-1] * vis[-1] - last_cross)
     wings = np.abs(vis) < 0.01
     # the wings mean emulates stitching runs together; the overlap's side
     # lobes leave it a few permil off the analytic far-from-dip rate

@@ -134,6 +134,27 @@ BUNDLED_ECHO = {
             "# output.delay_to_mm = 11500000000000.0",
         ],
     ),
+    "hom_delay_scan_undithered.cfg": (
+        "homscan",
+        [
+            "# run.command = homscan",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 3e-12",
+            "# interferometer.mode_match = 1.0",
+            "# interferometer.pump_phase = 1.0",
+            "# scan.points = 261",
+            "# scan.delay_min = 0.0",
+            "# scan.delay_max = 1.3000000000000001e-12",
+            "# scan.dithered = false",
+            "# output.delay_to_mm = 11500000000000.0",
+        ],
+    ),
     "mc_fast_detector.cfg": (
         "mc",
         [
@@ -222,6 +243,19 @@ REJECTED = [
     ("mc", "detector.efficiency = 1.5"),
     ("mc", "detector.dark_rate = -1.0"),
 ]
+
+
+# config bodies main refuses: id -> (command, body, message); no other test reaches them
+REFUSED = {
+    "tau_range": ("correlation", BASE.format(linewidth="0.0628")
+                  + "scan.tau_min_tr = 2.0\nscan.tau_max_tr = -2.0",
+                  "scan.tau_max must exceed scan.tau_min"),
+    "mc_range": ("mc", BASE.format(linewidth="0.0628") + "mc.range_min = 1.0\nmc.range_max = -1.0",
+                 "mc.range_max must exceed mc.range_min"),
+    "replay_guard": ("correlation", "run.command = mc\n" + BASE.format(linewidth="0.0628"),
+                     "config was written for command 'mc', not 'correlation'"),
+    "malformed_key": ("correlation", "seed = 1\nScan.points = 3", "line 2: malformed key"),
+}
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -365,6 +399,19 @@ class TestHomscanCommand:
         assert not (out / "homscan.csv").exists()
 
 
+    def test_simpson_node_cap_exits_3_before_writing(self, tmp_path, capsys):
+        # the rectangular line always takes the Simpson window; 4001 modes over
+        # a 1 ns window need 64016005 nodes at 16 per comb peak
+        body = (CONFIGS / "hom_delay_scan.cfg").read_text(encoding="utf-8")
+        body = body.replace("comb.n_side_modes = 10", "comb.n_side_modes = 2000")
+        body = body.replace("resolution_time = 1.0e-8", "resolution_time = 1.0e-9")
+        body = body.replace("scan.points = 261", "scan.points = 3")
+        cfg = write_cfg(tmp_path, body + "comb.shape = rectangular\n")
+        out = tmp_path / "out"
+        assert main(["homscan", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"needs 64016005 nodes; cap is {MAX_QUAD_POINTS}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_many_modes_at_a_covered_window(self, tmp_path):
         # 601 modes would need 4.9e6 Simpson nodes over the envelope support,
         # beyond the node cap; the closed mode-pair sums need no nodes
@@ -447,6 +494,18 @@ class TestEngineerCommand:
         after = read_rows(tmp_path / "engineer_after.csv")
         near_peak = np.abs(before["tau_s"] - 1.0) < 0.25
         assert after["gamma2"][near_peak].max() < 1e-3 * before["gamma2"][near_peak].max()
+
+    def test_wideband_narrower_than_the_comb_line_exits_3(self, tmp_path, capsys):
+        # a fixed Lorentzian of halfwidth 1e9 rad/s is narrower than the comb line
+        body = (CONFIGS / "excise_peak.cfg").read_text(encoding="utf-8")
+        body = body.replace("wideband_shape = rectangular", "wideband_shape = lorentzian")
+        body = body.replace("optimize_width = true", "optimize_width = false")
+        cfg = write_cfg(tmp_path, body + "engineering.wideband_halfwidth = 1.0e9\n")
+        out = tmp_path / "out"
+        assert main(["engineer", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "PoorMatch" in err and "no candidate width is broader than the comb line" in err
+        assert not out.exists()
 
     def test_explicit_matched_halfwidth_changes_only_its_echo(self, tmp_path):
         # a wideband halfwidth given as the matched width solves the same excision
@@ -592,6 +651,24 @@ class TestConfigParsing:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert body.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_config_exits_2_with_its_message(self, tmp_path, capsys, case):
+        command, body, message = REFUSED[case]
+        cfg = write_cfg(tmp_path, body + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = str(tmp_path / "missing.cfg")
+        assert main(["correlation", "--config", missing, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_scan_points_are_capped_before_allocation(self, tmp_path, capsys):

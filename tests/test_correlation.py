@@ -332,6 +332,15 @@ class TestDetectorAveraging:
         out = gamma2_detector_averaged(flat, 0.1)
         np.testing.assert_allclose(out.samples, 2.5, rtol=1e-14)
 
+    def test_a_one_step_window_returns_the_samples(self):
+        # 1.2 grid steps round to a one-tap window, which spans 4.8 round trips
+        grid = TimeGrid(0.0, 8.0, 9)
+        samples = np.array([0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 2.5, 1e300, math.pi, 7.0])
+        trace = CorrelationTrace(grid, samples, TraceKind.INTENSITY, round_trip_time=0.25)
+        out = gamma2_detector_averaged(trace, 1.2)
+        assert out.samples.tobytes() == samples.tobytes()
+        assert (out.grid, out.kind, out.round_trip_time) == (grid, trace.kind, 0.25)
+
     def test_matches_windowed_mean_oracle(self):
         comb = make_comb(20, 0.01)
         t_r = comb.round_trip_time

@@ -22,7 +22,7 @@ from twophoton import (
     phase_fringe_scan,
     singles_fringe_visibility,
 )
-from twophoton.correlation import pair_overlap
+from twophoton.correlation import envelope_support, pair_overlap
 from conftest import TWO_PI, dirichlet_oracle, make_comb
 
 T_R = 1.0
@@ -523,6 +523,16 @@ class TestRateRoute:
 
         monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
 
+    def record_pair_sums(self, monkeypatch):
+        asked = []
+
+        def recording_overlap(comb, delays):
+            asked.append(len(delays))
+            return pair_overlap(comb, delays)
+
+        monkeypatch.setattr(interferometer, "pair_overlap", recording_overlap)
+        return asked
+
     @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
     def test_covered_window_needs_no_simpson_window(self, monkeypatch, shape):
         comb = make_comb(10, 0.01, shape=shape)
@@ -554,20 +564,57 @@ class TestRateRoute:
     )
     def test_only_the_undithered_rate_takes_the_cross_integral(self, monkeypatch, shape, window):
         cfg = make_cfg(make_comb(10, 0.01, shape=shape), 0.5 * T_R, resolution_time=window * T_R)
-        with_cross = interferometer._rate_integrals(cfg)
-        asked = []
-
-        def recording_overlap(comb, delays):
-            asked.append(len(delays))
-            return pair_overlap(comb, delays)
-
-        monkeypatch.setattr(interferometer, "pair_overlap", recording_overlap)
-        without = interferometer._rate_integrals(cfg, cross=False)
-        assert without[:3] == with_cross[:3]  # bit for bit
-        assert without[3] is None and with_cross[3] is not None
+        with_cross = interferometer._rate(cfg, [cfg.delay])
+        asked = self.record_pair_sums(monkeypatch)
+        without = interferometer._rate(cfg, [cfg.delay], 0.5)
+        # R0, S and V bit for bit
+        assert [x.tobytes() for x in without[1:4]] == [x.tobytes() for x in with_cross[1:4]]
+        assert without[4] is None and with_cross[4] is not None
         dither_averaged_rate(cfg)
         phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
         assert all(n == 2 for n in asked)
         coincidence_rate(cfg)
         covered = window > 1e3 and shape is not Shape.RECTANGULAR
         assert asked == ([2, 2, 2, 4] if covered else [])
+
+    @pytest.mark.parametrize("dithered", [True, False], ids=["dithered", "undithered"])
+    def test_a_covered_scan_asks_for_its_pair_sums_in_one_call(self, monkeypatch, dithered):
+        cfg = make_cfg(pump_phase=1.1)
+        delays = np.linspace(0.0, 1.3, 27) * T_R
+        rate_at = dither_averaged_rate if dithered else coincidence_rate
+        alone = [rate_at(replace(cfg, delay=float(d))) for d in delays]
+        asked = self.record_pair_sums(monkeypatch)
+        self.refuse_simpson(monkeypatch)
+        scan = delay_scan(cfg, delays, dithered=dithered)
+        # P(0) and P(D) at every delay, and P(+-D/2) when the cross term counts
+        assert asked == [1 + (1 if dithered else 3) * delays.size]
+        # one pass per delay: the scan keeps the bits of the single-delay rates
+        assert scan.metadata["visibility"].tolist() == [res.visibility for res in alone]
+        rates = np.array([res.rate for res in alone])
+        np.testing.assert_array_equal(scan.coincidence, rates / scan.metadata["baseline"])
+
+    @pytest.mark.parametrize("shape, v_abs", [(Shape.LORENTZIAN, 1.5e-8), (Shape.GAUSSIAN, 3e-12)])
+    def test_a_mixed_scan_takes_the_simpson_window_at_every_delay(self, monkeypatch, shape, v_abs):
+        # the window covers the first delay plus the envelope support, not the last;
+        # the bounds are those of TestClosedPairSums
+        comb = make_comb(10, 0.01, shape=shape)
+        cfg = make_cfg(comb, resolution_time=2.0 * envelope_support(comb.single_mode) + T_R)
+        delays = np.array([0.0, 0.3, 0.5, 1.0]) * T_R
+        closed = [dither_averaged_rate(replace(cfg, delay=float(d))).visibility for d in delays]
+        asked = self.record_pair_sums(monkeypatch)
+        dither_averaged_rate(cfg)
+        assert asked == [2]  # alone, the first delay takes the pair sums
+        scan = delay_scan(cfg, delays)
+        assert asked == [2]
+        np.testing.assert_allclose(scan.metadata["visibility"], closed, rtol=0.0, atol=v_abs)
+        self.refuse_simpson(monkeypatch)
+        with pytest.raises(self.SimpsonWindowCalled):
+            delay_scan(cfg, delays)
+
+    def test_a_scan_past_its_window_is_refused_before_any_work(self, monkeypatch):
+        asked = self.record_pair_sums(monkeypatch)
+        self.refuse_simpson(monkeypatch)
+        cfg = make_cfg(resolution_time=0.6 * T_R)
+        with pytest.raises(ResolutionError, match=r"delay 1\.000e\+00 s"):
+            delay_scan(cfg, np.array([0.0, 0.5, 1.0, 0.2]) * T_R)
+        assert asked == []
