@@ -15,7 +15,7 @@ period is ~1e-15 s while the delay grid moves in picoseconds).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,9 +106,9 @@ def bs_two_photon_state(transmission: float = 0.5) -> np.ndarray:
     return np.array([state[index[(2, 0)]], state[index[(0, 2)]], state[index[(1, 1)]]])
 
 
-def _route_amplitudes(cfg: InterferometerConfig):
-    a = 0.5 - 0.5 * np.exp(1j * cfg.pump_phase)  # short-short minus long-long
-    b = 0.5 * np.exp(1j * cfg.pump_phase / 2.0)  # HOM route
+def _route_amplitudes(phase):
+    a = 0.5 - 0.5 * np.exp(1j * phase)  # short-short minus long-long
+    b = 0.5 * np.exp(1j * phase / 2.0)  # HOM route
     return a, b
 
 
@@ -119,7 +119,7 @@ def gamma12(tau, cfg: InterferometerConfig):
     term that vanishes once integrated over the resolving window.  mode_match
     scales every product of amplitudes taken at different delays.
     """
-    a, b = _route_amplitudes(cfg)
+    a, b = _route_amplitudes(cfg.pump_phase)
     m = cfg.mode_match
     tau = np.asarray(tau, dtype=float)
     x0 = comb_amplitude(tau, cfg.comb)
@@ -134,50 +134,42 @@ def gamma12(tau, cfg: InterferometerConfig):
     return out if np.ndim(out) else float(out)
 
 
-def _window_amplitudes(cfg: InterferometerConfig):
-    """Simpson weights over the resolving window and X(tau), X(tau+D), X(tau-D) on its nodes.
-
-    The window is truncated to the delay plus the envelope support.
-    """
+def _window_sums(cfg: InterferometerConfig, delays):
+    """Simpson sums over one window, the largest delay plus the envelope support at most:
+    R0 = int |X|^2 and, at each delay D, S = (R+ + R-)/(2 R0) with R+- = int |X(tau +- D)|^2,
+    the visibility V (mode match included) and C = int X*(tau) [X(tau+D) - X(tau-D)]."""
     comb = cfg.comb
-    support = envelope_support(comb.single_mode)
-    half = min(cfg.resolution_time / 2.0, abs(cfg.delay) + support)
+    half = min(cfg.resolution_time / 2.0, delays.max() + envelope_support(comb.single_mode))
     dt_target = comb.round_trip_time / (comb.n_modes * SAMPLES_PER_PEAK)
     # an even number of Simpson panels puts tau = 0, the cusp of the Lorentzian
     # envelope, on a panel edge; mid-panel it costs the rule two orders
     tau, w = simpson_rule(-half, half, 4 * int(math.ceil(half / (2.0 * dt_target))) + 1)
     x0 = comb_amplitude(tau, comb)
-    xp = comb_amplitude(tau + cfg.delay, comb)
-    xm = comb_amplitude(tau - cfg.delay, comb)
-    return w, x0, xp, xm
-
-
-def _window_integrals(cfg: InterferometerConfig, w, x0, xp, xm, cross: bool = True):
-    """Window integrals R0 of |X|^2, S = (R+ + R-)/(2 R0), the overlap visibility V
-    and the cross integral C of X*(tau) [X(tau+D) - X(tau-D)] (None unless ``cross``).
-
-    R+- integrate |X(tau +- Delta)|^2; V includes the mode match.
-    """
     r0 = float(np.sum(w * np.abs(x0) ** 2))
-    overlap = float(np.sum(w * np.real(xp * np.conj(xm))))
-    s = float(np.sum(w * np.abs(xp) ** 2) + np.sum(w * np.abs(xm) ** 2)) / (2.0 * r0)
-    c = complex(np.sum(w * np.conj(x0) * (xp - xm))) if cross else None
-    return r0, s, cfg.mode_match * overlap / r0, c
+    s, v, c = np.empty(delays.size), np.empty(delays.size), np.empty(delays.size, complex)
+    for i, d in enumerate(delays):
+        xp, xm = comb_amplitude(tau + d, comb), comb_amplitude(tau - d, comb)
+        s[i] = float(np.sum(w * np.abs(xp) ** 2) + np.sum(w * np.abs(xm) ** 2)) / (2.0 * r0)
+        v[i] = cfg.mode_match * float(np.sum(w * np.real(xp * np.conj(xm)))) / r0
+        c[i] = complex(np.sum(w * np.conj(x0) * (xp - xm)))
+    return np.full(delays.size, r0), s, v, c
 
 
-def _rate(cfg: InterferometerConfig, delays, a_abs_sq=None):
-    """Coincidence rates |a|^2 R0 + (R0/2)(S - V) + C at each delay, clamped at 0,
-    with R0, S, the overlap visibility V and the cross term C.
+def _rate(cfg: InterferometerConfig, delays, phases=None):
+    """Coincidence rates |a|^2 R0 + (R0/2)(S - V) + C over delays and pump phases,
+    clamped at 0, with R0, S, the overlap visibility V and the cross term C.
 
-    ``a_abs_sq`` may be an array over one delay; None takes the undithered rate
-    at ``cfg.pump_phase``, the only one with a cross term (else C is None).
-    One route serves every delay.  A window covering the largest delay plus the
-    envelope support is the whole line, where S = 1 and, with P = ``pair_overlap``,
-    R0 = P(0), V = m Re P(D)/R0 and C = 2 m Re[a* b (P(D/2) - P(-D/2))], m the
-    mode match.  Other windows take the Simpson sums at each delay.  A cross term
+    One delay takes many phases, or many delays one phase.  At pump phase phi,
+    |a|^2 = (1 - cos phi)/2 and C = 2 m Re[a* b C'], m the mode match; ``phases``
+    None is the dithered mean, |a|^2 = 1/2 and C None.  One route serves every
+    delay: a window covering the largest delay plus the envelope support is the
+    whole line, where S = 1 and, with P = ``pair_overlap``, R0 = P(0), V = m Re P(D)/R0
+    and C' = P(D/2) - P(-D/2); other windows take ``_window_sums``.  A cross term
     of 1e-6 R0 or more, or a rate below -1e-9 R0, is a NumericsError.
     """
-    delays, cross = np.asarray(delays, dtype=float), a_abs_sq is None
+    delays, cross = np.asarray(delays, dtype=float), phases is not None
+    if not (np.isfinite(delays).all() and np.isfinite(phases if cross else 0.0).all()):
+        raise ValueError("delays and pump phases must be finite")
     d = float(delays.max())
     if cfg.resolution_time < d:
         raise ResolutionError(
@@ -194,21 +186,22 @@ def _rate(cfg: InterferometerConfig, delays, a_abs_sq=None):
         r0, s = np.full(n, p[0].real), np.ones(n)
         v, c = cfg.mode_match * p[1 : n + 1].real / r0, p[n + 1 : 2 * n + 1] - p[2 * n + 1 :]
     else:
-        cfgs = [replace(cfg, delay=float(x)) for x in delays]
-        sums = [_window_integrals(x, *_window_amplitudes(x), cross) for x in cfgs]
-        r0, s, v, c = map(np.array, zip(*sums))
-    cross_int = None
+        r0, s, v, c = _window_sums(cfg, delays)
+    a_abs_sq, cross_int = 0.5, None
     if cross:
-        a, b = _route_amplitudes(cfg)
-        a_abs_sq, ab = float(np.abs(a) ** 2), np.conj(a) * b
+        phases = np.asarray(phases, dtype=float)
+        a, b = _route_amplitudes(phases)
+        a_abs_sq, ab = 0.5 - 0.5 * np.cos(phases), np.conj(a) * b
         # Re(ab C) written out keeps the bits of the scalar product; an array product does not
         cross_int = 2.0 * cfg.mode_match * (ab.real * c.real - ab.imag * c.imag)
-        bad = np.flatnonzero(~(np.abs(cross_int) < 1e-6 * r0))
+        cross_int, r0_at = np.broadcast_arrays(cross_int, r0)
+        bad = np.flatnonzero(~(np.abs(cross_int) < 1e-6 * r0_at))
         if bad.size:
             raise NumericsError(
                 f"cross term {cross_int[bad[0]]:.3e} did not integrate away (R0 = "
-                f"{r0[bad[0]]:.3e}); it vanishes only for an exchange-symmetric pair amplitude: "
-                "use scan.dithered = true or a pump phase that is a multiple of 2 pi")
+                f"{r0_at[bad[0]]:.3e}); it vanishes only for an exchange-symmetric pair "
+                "amplitude or at a pump phase that is a multiple of 2 pi; a delay scan "
+                "can take scan.dithered = true")
     rate = a_abs_sq * r0 + 0.5 * r0 * (s - v) + (0.0 if cross_int is None else cross_int)
     if np.any(rate < -1e-9 * r0):
         raise NumericsError(f"negative coincidence rate {np.min(rate):.3e}; "
@@ -223,7 +216,7 @@ def coincidence_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     V(Delta).  The pointwise cross term must integrate away to within 1e-6 R0,
     as it does for exchange-symmetric X(-tau) = X(tau); else NumericsError.
     """
-    (rate,), (r0,), _, (v,), (cross_int,) = _rate(cfg, [cfg.delay])
+    (rate,), (r0,), _, (v,), (cross_int,) = _rate(cfg, [cfg.delay], [cfg.pump_phase])
     return CoincidenceResult(float(rate), float(r0), float(v), float(cross_int))
 
 
@@ -234,7 +227,7 @@ def dither_averaged_rate(cfg: InterferometerConfig) -> CoincidenceResult:
     Once the window covers both copies (S = 1) the deepest possible dip is
     half the far-from-dip rate: the 50% visibility ceiling.
     """
-    (rate,), (r0,), _, (v,), _ = _rate(cfg, [cfg.delay], 0.5)
+    (rate,), (r0,), _, (v,), _ = _rate(cfg, [cfg.delay])
     return CoincidenceResult(float(rate), float(r0), float(v), 0.0)
 
 
@@ -255,20 +248,27 @@ def singles_fringe_visibility(cfg: InterferometerConfig) -> float:
     return float(_singles_visibilities(cfg, np.array([cfg.delay]))[0])
 
 
+def _singles(cfg: InterferometerConfig, delays, phases):
+    """Singles 1 +- |gamma(Delta)| cos(phase); flat when dithered (``phases`` None)."""
+    if phases is None:
+        return np.ones(len(delays)), np.ones(len(delays))
+    fringe = _singles_visibilities(cfg, np.asarray(delays)) * np.cos(phases)
+    return 1.0 + fringe, 1.0 - fringe
+
+
 def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
     """Scan the pump phase at fixed arm delay.
 
     Single-detector counts fringe in anti-phase with visibility |gamma(Delta)|;
-    the coincidence follows the integrated two-detector rate with the
-    phase-sensitive term |a|^2 = (1 - cos phase)/2 scanned.  The fitted
-    visibilities are the closed forms of these exact sinusoids: amplitude
-    over offset, 1/(1 + S - V) for the coincidence.
+    the coincidence is ``coincidence_rate`` at each phase, cross term and its
+    check included.  The fitted visibilities are the closed forms of these
+    sinusoids without the cross term: amplitude over offset, 1/(1 + S - V) for
+    the coincidence.
     """
     phase = np.asarray(phase_points, dtype=float)
-    coincidence, (r0,), (s,), (v,), _ = _rate(cfg, [cfg.delay], 0.5 - 0.5 * np.cos(phase))
+    coincidence, (r0,), (s,), (v,), _ = _rate(cfg, [cfg.delay], phase)
+    singles_1, singles_2 = _singles(cfg, [cfg.delay], phase)
     s_vis = singles_fringe_visibility(cfg)
-    singles_1 = 1.0 + s_vis * np.cos(phase)
-    singles_2 = 1.0 - s_vis * np.cos(phase)
     coinc_vis = 0.5 / (0.5 + 0.5 * (s - v))
     fits = {"coincidence": coinc_vis, "singles_1": s_vis, "singles_2": s_vis}
     return ScanResult(
@@ -298,20 +298,15 @@ def delay_scan(cfg: InterferometerConfig, delay_points, dithered: bool = True) -
     delays = np.asarray(delay_points, dtype=float)
     if delays.size == 0 or delays.min() < 0:
         raise ValueError("delay_points must hold at least one delay, and no delay below 0")
-    rates, r0, _, vis, cross_int = _rate(cfg, delays, 0.5 if dithered else None)
+    phases = None if dithered else [cfg.pump_phase]
+    rates, r0, _, vis, cross_int = _rate(cfg, delays, phases)
     last_cross = 0.0 if dithered else cross_int[-1]
     analytic_baseline = float(rates[-1] + 0.5 * r0[-1] * vis[-1] - last_cross)
     wings = np.abs(vis) < 0.01
     # the wings mean emulates stitching runs together; the overlap's side
     # lobes leave it a few permil off the analytic far-from-dip rate
     baseline = float(rates[wings].mean()) if wings.any() else analytic_baseline
-    if dithered:
-        singles_1 = np.ones_like(delays)
-        singles_2 = np.ones_like(delays)
-    else:
-        s_vis = _singles_visibilities(cfg, delays)
-        singles_1 = 1.0 + s_vis * math.cos(cfg.pump_phase)
-        singles_2 = 1.0 - s_vis * math.cos(cfg.pump_phase)
+    singles_1, singles_2 = _singles(cfg, delays, phases)
     return ScanResult(
         abscissa=delays,
         coincidence=rates / baseline,

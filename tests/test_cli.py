@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import stat
@@ -255,6 +256,7 @@ REFUSED = {
     "replay_guard": ("correlation", "run.command = mc\n" + BASE.format(linewidth="0.0628"),
                      "config was written for command 'mc', not 'correlation'"),
     "malformed_key": ("correlation", "seed = 1\nScan.points = 3", "line 2: malformed key"),
+    "bool_value": ("homscan", "scan.dithered = yes", "expected true or false"),
 }
 
 
@@ -461,14 +463,27 @@ class TestFringeCommand:
 
 
     @pytest.mark.parametrize("phase_seed", [1, 2, 4, 5])
-    def test_random_phase_comb_runs(self, tmp_path, phase_seed):
-        # single-photon coherence ignores the mode phases, so the singles
-        # visibility stays within [0, 1] and both singles stay nonnegative
-        body = (CONFIGS / "fringe_half_trip.cfg").read_text(encoding="utf-8")
+    def test_random_phase_comb_runs(self, tmp_path, capsys, phase_seed):
+        # at a full round trip F has period t_r, so the cross term of independent
+        # mode phases is 0 up to rounding; single-photon coherence ignores the
+        # mode phases, so the singles visibility stays within [0, 1]
+        body = (CONFIGS / "fringe_full_trip.cfg").read_text(encoding="utf-8")
         cfg = write_cfg(tmp_path, body + f"comb.phase_seed = {phase_seed}\n")
         assert main(["fringe", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         cols = read_rows(tmp_path / "fringe.csv")
-        assert cols["singles_1"].min() >= 0.0 and cols["singles_2"].min() >= 0.0
+        for name in ("singles_1", "singles_2"):
+            assert 0.0 <= cols[name].min() and cols[name].max() <= 2.0
+        vis = (cols["singles_1"].max() - cols["singles_1"].min()) / 2.0
+        assert 0.0 <= vis <= 1.0
+        # at half a round trip the cross term of such phases is 1.0e-6 to 1.6e-6 R0
+        body = (CONFIGS / "fringe_half_trip.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, body + f"comb.phase_seed = {phase_seed}\n")
+        out = tmp_path / "half"
+        capsys.readouterr()
+        assert main(["fringe", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "cross term" in err and "exchange-symmetric" in err
+        assert not out.exists()
 
 
 class TestEngineerCommand:
@@ -637,6 +652,10 @@ class TestConfigParsing:
         raw = parse_config_text("mc.n_events = 10\n")
         with pytest.raises(ConfigError, match="not valid"):
             resolve_config(raw, "correlation")
+
+    def test_unknown_command_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown command 'nope'"):
+            resolve_config(parse_config_text("seed = 1\n"), "nope")
 
     def test_phase_seed_conflicts_with_phases(self):
         raw = parse_config_text("comb.mode_phases = 0,0,0\ncomb.phase_seed = 1\n")
@@ -842,6 +861,20 @@ class TestCsv:
 
 
 class TestHeaderEcho:
+    def test_every_bundled_config_is_pinned_and_in_the_example_run(self):
+        # the example run's hashes are the byte check of every change, so a
+        # new config must join its JOBS and these pinned echoes together
+        spec = importlib.util.spec_from_file_location(
+            "run_example_scans", ROOT / "scripts" / "run_example_scans.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        bundled = sorted(path.name for path in CONFIGS.glob("*.cfg"))
+        jobs = {config: command for command, config in script.JOBS}
+        assert len(bundled) == len(script.JOBS) == 8
+        assert sorted(jobs) == bundled == sorted(BUNDLED_ECHO)
+        assert jobs == {name: command for name, (command, _) in BUNDLED_ECHO.items()}
+
     @pytest.mark.parametrize("name", sorted(BUNDLED_ECHO))
     def test_bundled_config_echo_is_pinned(self, name):
         command, lines = BUNDLED_ECHO[name]

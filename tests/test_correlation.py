@@ -429,3 +429,41 @@ class TestGamma1Coherence:
         assert len(lobes) > 5
         tallest_non_revival = np.sort(mod[lobes])[-6]
         assert tallest_non_revival == pytest.approx(0.217, abs=0.02)
+
+
+GRID_5 = TimeGrid(-1.0, 1.0, 5)
+
+
+def trace_5(samples, kind=TraceKind.INTENSITY):
+    return CorrelationTrace(GRID_5, samples, kind, round_trip_time=0.1)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: trace_5(np.ones(4)), ValueError, "samples length"),
+        (lambda: trace_5(np.ones(5) + 1j), ValueError, "imaginary part"),
+        (lambda: trace_5(-np.ones(5)), ValueError, "negative samples"),
+        (lambda: dirichlet_F(0.0, -1, 1.0), ValueError, "n_side_modes must be >= 0"),
+        (lambda: dirichlet_F(0.0, 2, 0.0), ValueError, "mode_spacing must be > 0"),
+        (lambda: dirichlet_F(0.0, 2, -1.0), ValueError, "mode_spacing must be > 0"),
+        (
+            lambda: gamma2_detector_averaged(trace_5(np.ones(5), TraceKind.AMPLITUDE), 1.0),
+            ValueError,
+            "applies to intensity traces",
+        ),
+        (
+            lambda: gamma2_detector_averaged(trace_5(np.ones(5)), 2.5),
+            WindowError,
+            "exceeds the trace length",
+        ),
+    ],
+    ids=[
+        "trace_length", "trace_imaginary", "trace_negative", "dirichlet_negative_n",
+        "dirichlet_zero_spacing", "dirichlet_negative_spacing", "averaging_amplitude",
+        "averaging_window_as_long_as_the_trace",
+    ],
+)
+def test_refused_input(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twophoton import (
+    ExcisionSolution,
     GridError,
     PoorMatch,
     Shape,
@@ -215,3 +216,21 @@ class TestSolveExcision:
         narrow = SpectralAmplitude(Shape.GAUSSIAN, halfwidth=3.0 * comb.single_mode.halfwidth)
         with pytest.raises(PoorMatch):
             solve_excision(comb, narrow, 0, self.grid(), optimize_width=False)
+
+
+@pytest.mark.parametrize(
+    "changed, fragment",
+    [
+        ({"eta": 0.0}, "amplitudes must be nonzero"),
+        ({"zeta": 0j}, "amplitudes must be nonzero"),
+        ({"residual": -1e-3}, "residual must be >= 0"),
+    ],
+)
+def test_excision_solution_refuses_a_bad_field(changed, fragment):
+    fields = {
+        "eta": 1.0, "zeta": 0.5j, "delay": 0.0, "target_peak": 1, "residual": 0.0,
+        "wideband": SpectralAmplitude(Shape.RECTANGULAR, halfwidth=30.0),
+        "neighbor_retention": {}, **changed,
+    }
+    with pytest.raises(ValueError, match=fragment):
+        ExcisionSolution(**fields)

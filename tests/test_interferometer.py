@@ -22,7 +22,7 @@ from twophoton import (
     phase_fringe_scan,
     singles_fringe_visibility,
 )
-from twophoton.correlation import envelope_support, pair_overlap
+from twophoton.correlation import envelope_support, pair_overlap, simpson_rule
 from conftest import TWO_PI, dirichlet_oracle, make_comb
 
 T_R = 1.0
@@ -240,6 +240,24 @@ class TestPhaseFringes:
         degraded = singles_fringe_visibility(make_cfg(comb, delay=T_R, mode_match=0.6))
         assert degraded == pytest.approx(0.6 * full, rel=1e-12)
 
+    @pytest.mark.parametrize("window", [1e4, 3.0], ids=["covered", "simpson"])
+    def test_fringe_is_the_coincidence_rate_at_each_phase(self, window):
+        cfg = make_cfg(delay=0.5 * T_R, resolution_time=window * T_R)
+        phases = np.linspace(0.0, 4.0 * math.pi, 33)
+        scan = phase_fringe_scan(cfg, phases)
+        direct = [coincidence_rate(replace(cfg, pump_phase=p)).rate for p in phases]
+        assert scan.coincidence.tolist() == direct
+
+    def test_fringe_of_an_asymmetric_amplitude_is_refused_like_the_rate(self):
+        # the cross term is 0 at phase 0 and -1.16e-2 at 1.1, where R0 = 334
+        comb = make_comb(10, 0.01, phases=tuple(np.random.default_rng(4).uniform(0, TWO_PI, 21)))
+        cfg = make_cfg(comb, delay=0.3 * T_R, pump_phase=1.1)
+        with pytest.raises(NumericsError, match="exchange-symmetric") as rate_error:
+            coincidence_rate(cfg)
+        with pytest.raises(NumericsError) as fringe_error:
+            phase_fringe_scan(cfg, [0.0, 1.1])
+        assert str(fringe_error.value) == str(rate_error.value)
+
     def test_singles_visibility_does_not_depend_on_mode_phases(self):
         # each photon of a pair is in a mixture of the modes, so random
         # phases leave its first-order coherence that of the locked comb
@@ -338,18 +356,65 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="delay"):
             make_cfg(delay=-1.0)
 
+    @pytest.mark.parametrize(
+        "call, fragment",
+        [
+            (lambda: make_cfg(resolution_time=0.0), "resolution_time must be > 0"),
+            (lambda: ScanResult(np.zeros(2), np.ones(3), np.ones(2), np.ones(2), {}), "length"),
+            (lambda: ScanResult(np.zeros(2), np.ones(2), -np.ones(2), np.ones(2), {}), "nonneg"),
+            (lambda: bs_two_photon_state(1.5), "transmission must be in"),
+        ],
+        ids=["resolution_time", "scan_length", "scan_sign", "transmission"],
+    )
+    def test_refused_input(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite delay or pump phase is refused before any work."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def fake(*args):
+            raise AssertionError("a window or pair sum was computed")
+
+        monkeypatch.setattr(interferometer, "simpson_rule", fake)
+        monkeypatch.setattr(interferometer, "pair_overlap", fake)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dither_averaged_rate(make_cfg(delay=bad))
+        with pytest.raises(ValueError, match="finite"):
+            coincidence_rate(make_cfg(delay=bad))
+        with pytest.raises(ValueError, match="finite"):
+            coincidence_rate(make_cfg(pump_phase=bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("dithered", [True, False], ids=["dithered", "undithered"])
+    def test_delay_scan(self, bad, dithered):
+        with pytest.raises(ValueError, match="finite"):
+            delay_scan(make_cfg(), [0.0, bad], dithered=dithered)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_phase_fringe_scan(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            phase_fringe_scan(make_cfg(), [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            phase_fringe_scan(make_cfg(delay=math.nan), [0.0])
+
 
 class TestRateSelfChecks:
     """The rates check their own window integrals with NumericsError, not assert."""
 
     def distort_window(self, monkeypatch, distort):
-        real = interferometer._window_amplitudes
+        real = interferometer._window_sums
 
-        def fake(cfg):
-            w, x0, xp, xm = real(cfg)
-            return (w, x0) + distort(x0, xp, xm)
+        def fake(cfg, delays):
+            return distort(*real(cfg, delays))
 
-        monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
+        monkeypatch.setattr(interferometer, "_window_sums", fake)
 
     def distort_pair_sums(self, monkeypatch, distort):
         # a covered window takes P(0), P(D) and, for the undithered rate only,
@@ -369,8 +434,9 @@ class TestRateSelfChecks:
             coincidence_rate(make_cfg(delay=0.0, pump_phase=1.0))
 
     def test_cross_term_that_does_not_integrate_away_on_the_simpson_window(self, monkeypatch):
-        # the same distortion where the window is truncated and Simpson runs
-        self.distort_window(monkeypatch, lambda x0, xp, xm: (1j * x0, 0.0 * xm))
+        # the same distortion where the window is truncated and Simpson runs:
+        # X(tau+D) -> i X(tau), X(tau-D) -> 0 gives S = 1/2, V = 0 and C = i R0
+        self.distort_window(monkeypatch, lambda r0, s, v, c: (r0, 0.5 + 0 * s, 0 * v, 1j * r0))
         with pytest.raises(NumericsError, match="cross term"):
             coincidence_rate(make_cfg(delay=0.0, pump_phase=1.0, resolution_time=0.6 * T_R))
 
@@ -488,9 +554,7 @@ class TestClosedPairSums:
         comb = make_comb(10, 0.01, shape=shape, phases=phases, center=center)
         for d in (0.0, 0.3, 0.5, 1.0):
             cfg = make_cfg(comb, d * T_R)
-            r0, s, v, cross = interferometer._window_integrals(
-                cfg, *interferometer._window_amplitudes(cfg)
-            )
+            (r0,), (s,), (v,), (cross,) = interferometer._window_sums(cfg, np.array([cfg.delay]))
             p0, pd, p_half, m_half = pair_overlap(comb, [0.0, d, d / 2.0, -d / 2.0])
             assert p0.real == pytest.approx(r0, rel=r0_rel)
             assert pd.real / p0.real == pytest.approx(v, abs=v_abs)
@@ -518,10 +582,10 @@ class TestRateRoute:
         pass
 
     def refuse_simpson(self, monkeypatch):
-        def fake(cfg):
+        def fake(cfg, delays):
             raise self.SimpsonWindowCalled
 
-        monkeypatch.setattr(interferometer, "_window_amplitudes", fake)
+        monkeypatch.setattr(interferometer, "_window_sums", fake)
 
     def record_pair_sums(self, monkeypatch):
         asked = []
@@ -564,18 +628,18 @@ class TestRateRoute:
     )
     def test_only_the_undithered_rate_takes_the_cross_integral(self, monkeypatch, shape, window):
         cfg = make_cfg(make_comb(10, 0.01, shape=shape), 0.5 * T_R, resolution_time=window * T_R)
-        with_cross = interferometer._rate(cfg, [cfg.delay])
+        with_cross = interferometer._rate(cfg, [cfg.delay], [cfg.pump_phase])
         asked = self.record_pair_sums(monkeypatch)
-        without = interferometer._rate(cfg, [cfg.delay], 0.5)
+        without = interferometer._rate(cfg, [cfg.delay])
         # R0, S and V bit for bit
         assert [x.tobytes() for x in without[1:4]] == [x.tobytes() for x in with_cross[1:4]]
         assert without[4] is None and with_cross[4] is not None
         dither_averaged_rate(cfg)
-        phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
         assert all(n == 2 for n in asked)
+        phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
         coincidence_rate(cfg)
         covered = window > 1e3 and shape is not Shape.RECTANGULAR
-        assert asked == ([2, 2, 2, 4] if covered else [])
+        assert asked == ([2, 2, 4, 4] if covered else [])
 
     @pytest.mark.parametrize("dithered", [True, False], ids=["dithered", "undithered"])
     def test_a_covered_scan_asks_for_its_pair_sums_in_one_call(self, monkeypatch, dithered):
@@ -610,6 +674,20 @@ class TestRateRoute:
         self.refuse_simpson(monkeypatch)
         with pytest.raises(self.SimpsonWindowCalled):
             delay_scan(cfg, delays)
+
+    def test_a_simpson_scan_takes_one_window(self, monkeypatch):
+        windows = []
+
+        def recording_rule(lo, hi, n_min):
+            windows.append((lo, hi))
+            return simpson_rule(lo, hi, n_min)
+
+        monkeypatch.setattr(interferometer, "simpson_rule", recording_rule)
+        cfg = make_cfg(resolution_time=3.0 * T_R)
+        scan = delay_scan(cfg, np.linspace(0.0, 1.0, 5) * T_R, dithered=False)
+        assert windows == [(-1.5 * T_R, 1.5 * T_R)]
+        alone = [coincidence_rate(replace(cfg, delay=float(d))).visibility for d in scan.abscissa]
+        assert scan.metadata["visibility"].tolist() == alone
 
     def test_a_scan_past_its_window_is_refused_before_any_work(self, monkeypatch):
         asked = self.record_pair_sums(monkeypatch)

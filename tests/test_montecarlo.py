@@ -23,7 +23,7 @@ from twophoton import (
     summarize_records,
 )
 
-from twophoton.montecarlo import CHUNK, _dark_pairs, _window_pairs
+from twophoton.montecarlo import CHUNK, DelayHistogram, _dark_pairs, _window_pairs
 
 from conftest import detect_oracle, jitter_convolution_oracle, make_comb, sample_oracle
 
@@ -383,3 +383,55 @@ class TestHistogramAndContrast:
         expected = probs * n
         dev = np.abs(hist.counts - expected) / np.maximum(np.sqrt(expected), 1.0)
         assert dev[expected > 1].max() < 5.0
+
+
+def test_comb_contrast_of_empty_peak_bins_is_zero():
+    # counts only between the peaks: no peak level to compare against
+    edges = np.linspace(-1.0, 1.0, 201)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts = (np.abs(np.abs(centers) - 0.5) <= 0.125).astype(int)
+    assert comb_contrast(DelayHistogram(counts, edges), T_R, 10) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: DetectorModel(resolution_time=-1.0, coincidence_window=1.0), "resolution_time"),
+        (lambda: DetectorModel(resolution_time=0.0, coincidence_window=0.0), "coincidence_window"),
+        (
+            lambda: DetectorModel(resolution_time=0.0, coincidence_window=1.0, efficiency=1.5),
+            "efficiency",
+        ),
+        (
+            lambda: DetectorModel(resolution_time=0.0, coincidence_window=1.0, dark_rate=-1.0),
+            "dark_rate",
+        ),
+        (
+            lambda: sample_pair_delays(
+                CorrelationTrace(TimeGrid(-1.0, 1.0, 5), np.ones(5), TraceKind.AMPLITUDE), 3, 1
+            ),
+            "needs an intensity trace",
+        ),
+        (lambda: sample_pair_delays(flat_trace(), -1, 1), "n must be >= 0"),
+        (
+            lambda: detect([0.0], DetectorModel(0.0, 1.0), seed=1, duration=0.0),
+            "duration must be > 0",
+        ),
+        (
+            lambda: histogram_delays(Detections(np.empty(0), np.empty(0)), 0.0, (-1.0, 1.0)),
+            "bin_width must be > 0",
+        ),
+        (
+            lambda: histogram_delays(Detections(np.empty(0), np.empty(0)), 0.1, (1.0, 1.0)),
+            "empty delay range",
+        ),
+    ],
+    ids=[
+        "resolution_time", "coincidence_window", "efficiency", "dark_rate",
+        "sample_amplitude_trace", "sample_negative_n", "detect_zero_duration",
+        "histogram_zero_bin", "histogram_empty_range",
+    ],
+)
+def test_refused_input(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()

@@ -169,3 +169,17 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1.0, 8)
+
+
+@pytest.mark.parametrize(
+    "field, value, fragment",
+    [
+        ("n_side_modes", -1, "n_side_modes must be >= 0"),
+        ("mode_spacing", 0.0, "mode_spacing must be > 0"),
+        ("pump_frequency", 0.0, "pump_frequency must be > 0"),
+    ],
+)
+def test_mode_comb_refuses_a_bad_field(field, value, fragment):
+    fields = {"n_side_modes": 2, "mode_spacing": 1.0, "pump_frequency": 100.0, field: value}
+    with pytest.raises(ValueError, match=fragment):
+        ModeComb(**fields)
