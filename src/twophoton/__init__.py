@@ -60,6 +60,7 @@ from .montecarlo import (
     detect,
     histogram_delays,
     sample_pair_delays,
+    stream_histogram,
     summarize_records,
 )
 from .spectral import (

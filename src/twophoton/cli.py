@@ -36,13 +36,7 @@ from .engineering import (
 )
 from .errors import ConfigError, NumericsError
 from .interferometer import InterferometerConfig, delay_scan, phase_fringe_scan
-from .montecarlo import (
-    comb_contrast,
-    detect,
-    histogram_delays,
-    sample_pair_delays,
-    summarize_records,
-)
+from .montecarlo import comb_contrast, stream_histogram
 from .spectral import SpectralAmplitude, TimeGrid
 
 
@@ -183,18 +177,16 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
 def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     trace = gamma2_mode_locked(cfg.comb, grid)
-    delays = sample_pair_delays(trace, cfg["mc.n_events"], cfg["seed"], threads=threads)
-    records = detect(
-        delays,
+    hist, summary = stream_histogram(
+        trace,
+        cfg["mc.n_events"],
         cfg.detector,
         cfg["seed"],
+        cfg["mc.bin_width"],
+        (cfg["mc.range_min"], cfg["mc.range_max"]),
         duration=cfg["mc.duration"] if cfg["mc.duration"] > 0 else None,
         threads=threads,
     )
-    hist = histogram_delays(
-        records, cfg["mc.bin_width"], (cfg["mc.range_min"], cfg["mc.range_max"])
-    )
-    summary = summarize_records(records, cfg.detector)
     try:
         contrast = comb_contrast(hist, cfg.comb.round_trip_time, cfg.comb.n_side_modes)
         contrast_str = _fval(contrast)

@@ -45,6 +45,9 @@ class InterferometerConfig:
     def __post_init__(self):
         if not self.resolution_time > 0:
             raise ValueError(f"resolution_time must be > 0, got {self.resolution_time}")
+        for name in ("delay", "pump_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
         if not 0.0 < self.mode_match <= 1.0:

@@ -7,7 +7,9 @@ correlation comb directly; a slow one only its envelope.
 
 Randomness is chunked: every block of draws gets its own generator derived
 from (seed, chunk index), so the event stream is identical whether chunks
-run serially or on a thread pool.
+run serially or on a thread pool.  ``stream_histogram`` runs every stage
+chunk by chunk in one pass, in memory that does not grow with the number of
+draws.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from .correlation import CorrelationTrace, TraceKind
 from .errors import DegenerateDensity, NumericsError
 
 CHUNK = 1 << 16
-# the largest mc.n_events a config may ask for (an mc run grows by about 20 B
-# per event, to near 0.7 GB there), and the most dark counts a run may expect
-# per detector
+# the largest mc.n_events a config may ask for, and the most dark counts a run
+# may expect per detector; an mc run keeps no per-event array (53 MB at 2e6
+# events, 60 MB at the cap), so the cap bounds its run time (about 8 s at 2
+# threads), the staged functions' 8 B per event arrays and the dark lists
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
@@ -42,6 +45,9 @@ class DetectorModel:
     dark_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("resolution_time", "coincidence_window", "efficiency", "dark_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.resolution_time < 0:
             raise ValueError(f"resolution_time must be >= 0, got {self.resolution_time}")
         if not self.coincidence_window > 0:
@@ -87,6 +93,74 @@ def _run_chunks(worker, n_chunks: int, threads: int):
             yield running.popleft().result()
 
 
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, t0: float, dt: float) -> np.ndarray:
+    """The delays at uniforms ``u``, each placed uniformly inside its CDF bin.
+
+    Every step is monotone in ``u``, so a larger uniform never gives a
+    smaller delay.
+    """
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, cdf.size - 2)
+    width = cdf[idx + 1] - cdf[idx]
+    frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.5)
+    return t0 + (idx + frac) * dt
+
+
+@dataclass(frozen=True, eq=False)
+class _Sampler:
+    """n pair delays from an intensity trace, chunk k drawn from stream k."""
+
+    cdf: np.ndarray
+    t0: float
+    dt: float
+    n: int
+    seed: int
+
+    @classmethod
+    def of(cls, trace: CorrelationTrace, n: int, seed: int) -> _Sampler:
+        if trace.kind is not TraceKind.INTENSITY:
+            raise ValueError("sampling needs an intensity trace")
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        y = trace.samples
+        dt = trace.grid.spacing
+        mass = 0.5 * (y[1:] + y[:-1]) * dt
+        total = float(mass.sum())
+        if not total > 0:
+            raise DegenerateDensity("trace integrates to zero; nothing to sample")
+        cdf = np.concatenate([[0.0], np.cumsum(mass)]) / total
+        cdf[-1] = 1.0
+        return cls(cdf, trace.grid.t_min, dt, n, seed)
+
+    @property
+    def n_chunks(self) -> int:
+        return max(1, math.ceil(self.n / CHUNK))
+
+    def _uniforms(self, k: int) -> np.ndarray:
+        return _chunk_rng(self.seed, k).random(min(CHUNK, self.n - k * CHUNK))
+
+    def chunk(self, k: int) -> np.ndarray:
+        """The delays of chunk k, in draw order."""
+        u = self._uniforms(k)
+        # the CDF search walks sorted keys in one pass; each draw keeps its
+        # own index, so the result is the unsorted search's, scattered back
+        order = np.argsort(u)
+        out = np.empty(u.size)
+        out[order] = _inverse_cdf(self.cdf, u[order], self.t0, self.dt)
+        return out
+
+    def max_abs(self, threads: int) -> float:
+        """max |delay| over all n draws, bit for bit, from each chunk's extreme uniforms."""
+
+        def extreme(k: int) -> float:
+            u = self._uniforms(k)
+            if not u.size:
+                return 0.0
+            ends = _inverse_cdf(self.cdf, np.array([u.min(), u.max()]), self.t0, self.dt)
+            return float(np.max(np.abs(ends)))
+
+        return max(_run_chunks(extreme, self.n_chunks, threads))
+
+
 def sample_pair_delays(
     trace: CorrelationTrace, n: int, seed: int, threads: int = 1
 ) -> np.ndarray:
@@ -95,43 +169,11 @@ def sample_pair_delays(
     Inverse-CDF over the trapezoid bin masses with the draw placed uniformly
     inside its bin.  Deterministic for a given seed, independent of threads.
     """
-    if trace.kind is not TraceKind.INTENSITY:
-        raise ValueError("sampling needs an intensity trace")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    y = trace.samples
-    dt = trace.grid.spacing
-    mass = 0.5 * (y[1:] + y[:-1]) * dt
-    total = float(mass.sum())
-    if not total > 0:
-        raise DegenerateDensity("trace integrates to zero; nothing to sample")
-    cdf = np.concatenate([[0.0], np.cumsum(mass)]) / total
-    cdf[-1] = 1.0
-    t0 = trace.grid.t_min
+    sampler = _Sampler.of(trace, n, seed)
     out = np.empty(n)
-
-    def draw(k: int) -> None:
-        lo = k * CHUNK
-        u = _chunk_rng(seed, k).random(min(CHUNK, n - lo))
-        # the CDF search walks sorted keys in one pass; each draw keeps its
-        # own index, so the result is the unsorted search's, scattered back
-        order = np.argsort(u)
-        u = u[order]
-        idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, mass.size - 1)
-        width = cdf[idx + 1] - cdf[idx]
-        frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.5)
-        out[lo : lo + u.size][order] = t0 + (idx + frac) * dt
-
-    for _ in _run_chunks(draw, max(1, math.ceil(n / CHUNK)), threads):
-        pass
+    for k, delays in enumerate(_run_chunks(sampler.chunk, sampler.n_chunks, threads)):
+        out[k * CHUNK : k * CHUNK + delays.size] = delays
     return out
-
-
-def _default_duration(delays: np.ndarray, det: DetectorModel) -> float:
-    # sparse enough that accidentals stay rare amid the true pairs
-    span = float(np.max(np.abs(delays), initial=0.0))
-    pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * span
-    return max(len(delays), 1) * pitch
 
 
 def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
@@ -173,6 +215,70 @@ def _dark_pairs(dark1: np.ndarray, dark2: np.ndarray, w: float) -> np.ndarray:
     return np.unique(np.column_stack([np.concatenate(c) for c in found]), axis=0)
 
 
+@dataclass(frozen=True, eq=False)
+class _Detector:
+    """One run's detection: its duration, timestamp offset and dark lists."""
+
+    det: DetectorModel
+    seed: int
+    duration: float
+    offset: float
+    darks: tuple
+
+    @classmethod
+    def of(cls, det: DetectorModel, seed: int, n: int, span: float, duration) -> _Detector:
+        """Set up the detection of n pairs whose largest |delay| is ``span``."""
+        if duration is None:
+            # sparse enough that accidentals stay rare amid the true pairs
+            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * span
+            duration = max(n, 1) * pitch
+        if not duration > 0:
+            raise ValueError("duration must be > 0")
+        if det.dark_rate * duration > MAX_EVENTS:
+            raise NumericsError(
+                f"detector.dark_rate {det.dark_rate:.3e} over mc.duration {duration:.3e} s "
+                f"expects more than {MAX_EVENTS} dark counts per detector"
+            )
+        # keep all timestamps positive regardless of jitter and delay signs; they
+        # stay inside the detection, but their magnitude sets the rounding of
+        # every delay
+        offset = det.resolution_time + det.coincidence_window + span
+        darks = []
+        if det.dark_rate > 0:
+            for d in (0, 1):
+                rng = _chunk_rng(seed, _DARK_KEY + d)
+                count = rng.poisson(det.dark_rate * duration)
+                darks.append(np.sort(offset + rng.uniform(0.0, duration, count)))
+        return cls(det, seed, duration, offset, tuple(darks))
+
+    def chunk(self, k: int, delays: np.ndarray):
+        """Chunk k's pair record delays and its accidental (t1, t2) rows."""
+        m = delays.size
+        tr, w = self.det.resolution_time, self.det.coincidence_window
+        rng = _chunk_rng(self.seed, _DETECT_KEY + k)
+        s = self.offset + rng.uniform(0.0, self.duration, m)
+        t1, t2 = s, s + delays
+        if tr > 0:
+            t1 = s + rng.uniform(-tr / 2.0, tr / 2.0, m)
+            t2 += rng.uniform(-tr / 2.0, tr / 2.0, m)
+        keep1 = rng.random(m) < self.det.efficiency
+        keep2 = rng.random(m) < self.det.efficiency
+        found = []  # accidental (detector-1 times, detector-2 times)
+        if self.darks:
+            found.append(_window_pairs(self.darks[0], np.sort(t2[keep2]), w))
+            found.append(_window_pairs(self.darks[1], np.sort(t1[keep1]), w)[::-1])
+        both = keep1 & keep2
+        return t2[both] - t1[both], found
+
+    def accidentals(self, rows: list) -> np.ndarray:
+        """The accidental delays from every chunk's rows and the dark-dark pairs."""
+        if not self.darks:
+            return np.empty(0)
+        rows = rows + [tuple(_dark_pairs(*self.darks, self.det.coincidence_window).T)]
+        t1, t2 = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0).T
+        return t2 - t1
+
+
 def detect(
     pair_delays,
     det: DetectorModel,
@@ -195,43 +301,10 @@ def detect(
     """
     delays = np.asarray(pair_delays, dtype=float)
     n = delays.size
-    if duration is None:
-        duration = _default_duration(delays, det)
-    if not duration > 0:
-        raise ValueError("duration must be > 0")
-    if det.dark_rate * duration > MAX_EVENTS:
-        raise NumericsError(
-            f"detector.dark_rate {det.dark_rate:.3e} over mc.duration {duration:.3e} s "
-            f"expects more than {MAX_EVENTS} dark counts per detector"
-        )
-    # keep all timestamps positive regardless of jitter and delay signs; they
-    # stay inside detect, but their magnitude sets the rounding of every delay
-    offset = det.resolution_time + det.coincidence_window
-    offset += float(np.max(np.abs(delays), initial=0.0))
-    tr, w = det.resolution_time, det.coincidence_window
-    darks = []
-    if det.dark_rate > 0:
-        for d in (0, 1):
-            rng = _chunk_rng(seed, _DARK_KEY + d)
-            count = rng.poisson(det.dark_rate * duration)
-            darks.append(np.sort(offset + rng.uniform(0.0, duration, count)))
+    run = _Detector.of(det, seed, n, float(np.max(np.abs(delays), initial=0.0)), duration)
 
     def pair_chunk(k: int):
-        m = min(CHUNK, n - k * CHUNK)
-        rng = _chunk_rng(seed, _DETECT_KEY + k)
-        s = offset + rng.uniform(0.0, duration, m)
-        t1, t2 = s, s + delays[k * CHUNK : k * CHUNK + m]
-        if tr > 0:
-            t1 = s + rng.uniform(-tr / 2.0, tr / 2.0, m)
-            t2 += rng.uniform(-tr / 2.0, tr / 2.0, m)
-        keep1 = rng.random(m) < det.efficiency
-        keep2 = rng.random(m) < det.efficiency
-        found = []  # accidental (detector-1 times, detector-2 times)
-        if darks:
-            found.append(_window_pairs(darks[0], np.sort(t2[keep2]), w))
-            found.append(_window_pairs(darks[1], np.sort(t1[keep1]), w)[::-1])
-        both = keep1 & keep2
-        return t2[both] - t1[both], found
+        return run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK])
 
     # the pair records fill the front of a buffer sized for every pair, so the
     # pages past the last record are never touched
@@ -241,12 +314,7 @@ def detect(
         pairs[n_pair : n_pair + delay.size] = delay
         n_pair += delay.size
         rows += found
-    accidentals = np.empty(0)
-    if darks:
-        rows.append(tuple(_dark_pairs(*darks, w).T))
-        t1, t2 = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0).T
-        accidentals = t2 - t1
-    return Detections(pairs[:n_pair], accidentals)
+    return Detections(pairs[:n_pair], run.accidentals(rows))
 
 
 @dataclass(frozen=True)
@@ -263,15 +331,19 @@ class DelayHistogram:
         return int(self.counts.sum())
 
 
-def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) -> DelayHistogram:
-    """Histogram of the record delays t2 - t1, pairs and accidentals together."""
+def _edges(bin_width: float, delay_range: tuple) -> np.ndarray:
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     lo, hi = delay_range
     if not hi > lo:
         raise ValueError(f"empty delay range {delay_range}")
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
-    edges = lo + bin_width * np.arange(n_bins + 1)
+    return lo + bin_width * np.arange(n_bins + 1)
+
+
+def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) -> DelayHistogram:
+    """Histogram of the record delays t2 - t1, pairs and accidentals together."""
+    edges = _edges(bin_width, delay_range)
     counts = np.histogram(records.pairs, bins=edges)[0]
     counts += np.histogram(records.accidentals, bins=edges)[0]
     return DelayHistogram(counts=counts, edges=edges)
@@ -292,15 +364,64 @@ def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: in
     return 1.0 - float(hist.counts[inter].mean()) / peak_level
 
 
-def summarize_records(records: Detections, det: DetectorModel) -> dict:
-    """Counting summary: totals, in-window coincidences, accidentals."""
-    w = det.coincidence_window
-    in_pair = int(np.count_nonzero(np.abs(records.pairs) <= w))
-    in_accidental = int(np.count_nonzero(np.abs(records.accidentals) <= w))
+def _n_in_window(delays: np.ndarray, w: float) -> int:
+    return int(np.count_nonzero(np.abs(delays) <= w))
+
+
+def _summary(n_pair: int, in_pair: int, accidentals: np.ndarray, w: float) -> dict:
+    in_accidental = _n_in_window(accidentals, w)
     return {
-        "n_records": len(records),
-        "n_pair_records": records.pairs.size,
-        "n_accidental_records": records.accidentals.size,
+        "n_records": n_pair + accidentals.size,
+        "n_pair_records": n_pair,
+        "n_accidental_records": accidentals.size,
         "n_coincidences_in_window": in_pair + in_accidental,
         "n_pair_coincidences_in_window": in_pair,
     }
+
+
+def summarize_records(records: Detections, det: DetectorModel) -> dict:
+    """Counting summary: totals, in-window coincidences, accidentals."""
+    w, pairs = det.coincidence_window, records.pairs
+    return _summary(pairs.size, _n_in_window(pairs, w), records.accidentals, w)
+
+
+def stream_histogram(
+    trace: CorrelationTrace,
+    n: int,
+    det: DetectorModel,
+    seed: int,
+    bin_width: float,
+    delay_range: tuple,
+    duration: float | None = None,
+    threads: int = 1,
+) -> tuple[DelayHistogram, dict]:
+    """Sample, detect, histogram and count n pairs in one chunked pass.
+
+    Gives ``histogram_delays`` and ``summarize_records`` of
+    ``detect(sample_pair_delays(trace, n, seed), det, seed, duration)``, bit
+    for bit, without building a full-length delay or record array: each
+    chunk's pairs are drawn, detected, histogrammed and counted before the
+    next chunk's are needed, and only the accidental rows, which are few,
+    are kept whole.  The largest |delay|, which sets the timestamp offset
+    and the default duration, comes first from a pass that draws only each
+    chunk's uniforms.
+    """
+    edges = _edges(bin_width, delay_range)
+    sampler = _Sampler.of(trace, n, seed)
+    run = _Detector.of(det, seed, n, sampler.max_abs(threads), duration)
+    w = det.coincidence_window
+
+    def pair_chunk(k: int):
+        return run.chunk(k, sampler.chunk(k))
+
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    n_pair = in_pair = 0
+    rows = []
+    for delay, found in _run_chunks(pair_chunk, sampler.n_chunks, threads):
+        counts += np.histogram(delay, bins=edges)[0]
+        n_pair += delay.size
+        in_pair += _n_in_window(delay, w)
+        rows += found
+    accidentals = run.accidentals(rows)
+    counts += np.histogram(accidentals, bins=edges)[0]
+    return DelayHistogram(counts=counts, edges=edges), _summary(n_pair, in_pair, accidentals, w)

@@ -363,8 +363,15 @@ class TestConfigValidation:
             (lambda: ScanResult(np.zeros(2), np.ones(3), np.ones(2), np.ones(2), {}), "length"),
             (lambda: ScanResult(np.zeros(2), np.ones(2), -np.ones(2), np.ones(2), {}), "nonneg"),
             (lambda: bs_two_photon_state(1.5), "transmission must be in"),
+            (lambda: make_cfg(delay=math.nan), "delay must be finite"),
+            (lambda: make_cfg(delay=math.inf), "delay must be finite"),
+            (lambda: make_cfg(pump_phase=math.nan), "pump_phase must be finite"),
+            (lambda: make_cfg(pump_phase=-math.inf), "pump_phase must be finite"),
         ],
-        ids=["resolution_time", "scan_length", "scan_sign", "transmission"],
+        ids=[
+            "resolution_time", "scan_length", "scan_sign", "transmission",
+            "delay_nan", "delay_inf", "pump_phase_nan", "pump_phase_inf",
+        ],
     )
     def test_refused_input(self, call, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -20,10 +20,11 @@ from twophoton import (
     gamma2_mode_locked,
     histogram_delays,
     sample_pair_delays,
+    stream_histogram,
     summarize_records,
 )
 
-from twophoton.montecarlo import CHUNK, DelayHistogram, _dark_pairs, _window_pairs
+from twophoton.montecarlo import CHUNK, DelayHistogram, _dark_pairs, _Sampler, _window_pairs
 
 from conftest import detect_oracle, jitter_convolution_oracle, make_comb, sample_oracle
 
@@ -39,6 +40,13 @@ def comb_trace(n_side=10, linewidth_frac=0.01, span=20.0, points=2**18 + 1):
 def flat_trace(lo=-1.0, hi=1.0, points=513, value=1.0):
     grid = TimeGrid(lo, hi, points)
     return CorrelationTrace(grid, np.full(points, value), TraceKind.INTENSITY)
+
+
+def gapped_trace():
+    """A comb with empty bins between the peaks: some CDF steps are flat."""
+    grid = TimeGrid(-2.0, 2.0, 4097)
+    y = np.maximum(comb_trace(points=4097, span=2.0)[1].samples - 2.0, 0.0)
+    return CorrelationTrace(grid, y, TraceKind.INTENSITY)
 
 
 class TestSamplePairDelays:
@@ -113,11 +121,8 @@ class TestSamplePairDelays:
     @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_matches_the_unsorted_search_oracle(self, n, threads):
-        # a comb with empty bins between the peaks: some CDF steps are flat
-        grid = TimeGrid(-2.0, 2.0, 4097)
-        y = np.maximum(comb_trace(points=4097, span=2.0)[1].samples - 2.0, 0.0)
-        trace = CorrelationTrace(grid, y, TraceKind.INTENSITY)
-        assert np.count_nonzero(y == 0) > 1000
+        trace = gapped_trace()
+        assert np.count_nonzero(trace.samples == 0) > 1000
         got = sample_pair_delays(trace, n, seed=23, threads=threads)
         np.testing.assert_array_equal(got, sample_oracle(trace, n, seed=23))
 
@@ -241,6 +246,82 @@ class TestDetect:
             tracemalloc.stop()
         assert records.accidentals.size > 1000
         assert peak / n <= 32.0
+
+
+class TestStreamHistogram:
+    """The one-pass route gives the staged route's histogram and summary."""
+
+    @pytest.mark.parametrize(
+        "n, threads, efficiency, dark, resolution_time, derived_duration",
+        list(
+            itertools.product(
+                [0, 1, 2 * CHUNK + 3], [1, 3], [1.0, 0.8], [False, True], [0.0, 0.3], [False, True]
+            )
+        ),
+    )
+    def test_matches_the_staged_route(
+        self, n, threads, efficiency, dark, resolution_time, derived_duration
+    ):
+        trace = gapped_trace()
+        duration = 20.0 * max(n, 50)
+        det = DetectorModel(
+            resolution_time=resolution_time,
+            coincidence_window=0.5,
+            efficiency=efficiency,
+            dark_rate=400.0 / duration if dark else 0.0,
+        )
+        if derived_duration:
+            duration = None
+        # the range cuts off part of the comb, and its top edge is not a bin edge
+        args = (0.01, (-1.5, 1.755))
+        hist, summary = stream_histogram(
+            trace, n, det, 25, *args, duration=duration, threads=threads
+        )
+        delays = sample_pair_delays(trace, n, seed=25)
+        records = detect(delays, det, seed=25, duration=duration)
+        want = histogram_delays(records, *args)
+        np.testing.assert_array_equal(hist.edges, want.edges)
+        np.testing.assert_array_equal(hist.counts, want.counts)
+        assert summary == summarize_records(records, det)
+        if n > 1:
+            assert 0 < hist.n_counted < len(records)
+        if dark:
+            assert summary["n_accidental_records"] > 0
+
+    @pytest.mark.parametrize(
+        "trace",
+        [gapped_trace(), flat_trace(-0.5, 3.0), flat_trace(-3.0, 0.5)],
+        ids=["gapped", "positive", "negative"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_pre_pass_finds_the_largest_delay(self, trace, n, threads):
+        want = float(np.max(np.abs(sample_pair_delays(trace, n, seed=29)), initial=0.0))
+        assert _Sampler.of(trace, n, 29).max_abs(threads) == want
+
+    def test_memory_does_not_grow_with_the_event_count(self):
+        trace = flat_trace()
+        det = DetectorModel(
+            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=3e-5
+        )
+
+        def peak(n, threads):
+            tracemalloc.start()
+            try:
+                _, summary = stream_histogram(trace, n, det, 30, 0.01, (-2.0, 2.0), threads=threads)
+                assert summary["n_accidental_records"] > 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1 << 16, 2)  # warm-up
+        # one thread holds one chunk at a time, whatever the event count
+        small = peak(1 << 18, 1)
+        assert peak(1 << 20, 1) - small <= 1 << 20
+        # on a pool, each worker holds at most one chunk's temporaries, and the
+        # finished chunks waiting for the caller hold only their pair delays;
+        # how many wait at the peak depends on the scheduling
+        assert peak(1 << 20, 2) <= 2 * small + (2 << 20)
 
 
 class TestWindowPairs:
@@ -407,6 +488,26 @@ def test_comb_contrast_of_empty_peak_bins_is_zero():
             "dark_rate",
         ),
         (
+            lambda: DetectorModel(resolution_time=math.nan, coincidence_window=1.0),
+            "resolution_time must be finite",
+        ),
+        (
+            lambda: DetectorModel(resolution_time=math.inf, coincidence_window=1.0),
+            "resolution_time must be finite",
+        ),
+        (
+            lambda: DetectorModel(resolution_time=0.0, coincidence_window=math.inf),
+            "coincidence_window must be finite",
+        ),
+        (
+            lambda: DetectorModel(resolution_time=0.0, coincidence_window=1.0, dark_rate=math.nan),
+            "dark_rate must be finite",
+        ),
+        (
+            lambda: DetectorModel(resolution_time=0.0, coincidence_window=1.0, dark_rate=math.inf),
+            "dark_rate must be finite",
+        ),
+        (
             lambda: sample_pair_delays(
                 CorrelationTrace(TimeGrid(-1.0, 1.0, 5), np.ones(5), TraceKind.AMPLITUDE), 3, 1
             ),
@@ -428,6 +529,8 @@ def test_comb_contrast_of_empty_peak_bins_is_zero():
     ],
     ids=[
         "resolution_time", "coincidence_window", "efficiency", "dark_rate",
+        "resolution_time_nan", "resolution_time_inf", "coincidence_window_inf", "dark_rate_nan",
+        "dark_rate_inf",
         "sample_amplitude_trace", "sample_negative_n", "detect_zero_duration",
         "histogram_zero_bin", "histogram_empty_range",
     ],
