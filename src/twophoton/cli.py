@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import COMMANDS, RunConfig, parse_config_file, resolve_config
+from .config import COMMANDS, RunConfig, parse_config_file, resolve_config, value_lines
 from .correlation import gamma1_coherence, gamma2_mode_locked
 from .engineering import (
     WidebandState,
@@ -36,12 +36,8 @@ from .engineering import (
 )
 from .errors import ConfigError, NumericsError
 from .interferometer import InterferometerConfig, delay_scan, phase_fringe_scan
-from .montecarlo import comb_contrast, stream_histogram
+from .montecarlo import DetectorModel, comb_contrast, stream_histogram
 from .spectral import SpectralAmplitude, TimeGrid
-
-
-def _fval(x) -> str:
-    return repr(float(x))
 
 
 def _write_atomic(path: Path, lines) -> None:
@@ -59,8 +55,8 @@ def _csv(columns, *tables) -> list:
 
     A table is a list of equal-length columns.  Rows are formatted
     ``_BLOCK_ROWS`` at a time, column by column: ``float64.tolist()`` gives
-    the doubles ``float(x)`` gives, so each cell is ``_fval(x)``.  A column
-    object that several tables share is formatted once per block.
+    the doubles ``float(x)`` gives, so each cell is ``repr(float(x))`` as in
+    every ``name = value`` line.  A shared column is formatted once per block.
     """
     files = [[",".join(columns)] for _ in tables]
     for lo in range(0, len(tables[0][0]), _BLOCK_ROWS):
@@ -114,16 +110,14 @@ def cmd_fringe(cfg: RunConfig, threads: int) -> dict:
         mode_match=cfg["interferometer.mode_match"],
     )
     scan = phase_fringe_scan(icfg, phases)
-    fits = scan.metadata["fitted_visibility"]
-    lines = [
-        f"# result.singles_visibility = {_fval(scan.metadata['singles_visibility'])}",
-        f"# result.overlap_visibility = {_fval(scan.metadata['visibility_v'])}",
-    ]
-    for channel in ("coincidence", "singles_1", "singles_2"):
-        lines.append(f"# result.fit_visibility_{channel} = {_fval(fits[channel])}")
+    results = {
+        "singles_visibility": scan.metadata["singles_visibility"],
+        "overlap_visibility": scan.metadata["visibility_v"],
+        **{f"fit_visibility_{c}": v for c, v in scan.metadata["fitted_visibility"].items()},
+    }
     columns = ["phase_rad", "coincidence", "singles_1", "singles_2"]
     series = [scan.abscissa, scan.coincidence, scan.singles_1, scan.singles_2]
-    return {"fringe.csv": lines + _csv(columns, series)[0]}
+    return {"fringe.csv": value_lines(results, "# result.") + _csv(columns, series)[0]}
 
 
 def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
@@ -148,39 +142,41 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
         solution.zeta,
         grid,
     )
-    solution_lines = [
-        "",
-        f"eta_real = {_fval(solution.eta.real)}",
-        f"eta_imag = {_fval(solution.eta.imag)}",
-        f"zeta_real = {_fval(solution.zeta.real)}",
-        f"zeta_imag = {_fval(solution.zeta.imag)}",
-        f"delay_s = {_fval(solution.delay)}",
-        f"target_peak = {solution.target_peak}",
-        f"residual = {_fval(solution.residual)}",
-        f"wideband_shape = {solution.wideband.shape.value}",
-        f"wideband_halfwidth = {_fval(solution.wideband.halfwidth)}",
-    ]
-    for k in sorted(solution.neighbor_retention):
-        solution_lines.append(
-            f"neighbor_retention_{k} = {_fval(solution.neighbor_retention[k])}"
-        )
+    results = {
+        "eta_real": solution.eta.real,
+        "eta_imag": solution.eta.imag,
+        "zeta_real": solution.zeta.real,
+        "zeta_imag": solution.zeta.imag,
+        "delay_s": solution.delay,
+        "target_peak": solution.target_peak,
+        "residual": solution.residual,
+        "wideband_shape": solution.wideband.shape,
+        "wideband_halfwidth": solution.wideband.halfwidth,
+        **{f"neighbor_retention_{k}": v for k, v in sorted(solution.neighbor_retention.items())},
+    }
     before_lines, after_lines = _csv(
         ["tau_s", "gamma2"], [grid.values, before.samples], [grid.values, after.samples]
     )
     return {
         "engineer_before.csv": before_lines,
         "engineer_after.csv": after_lines,
-        "engineer_solution.txt": solution_lines,
+        "engineer_solution.txt": [""] + value_lines(results),
     }
 
 
 def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
     trace = gamma2_mode_locked(cfg.comb, grid)
+    det = DetectorModel(
+        resolution_time=cfg["detector.resolution_time"],
+        coincidence_window=cfg["detector.coincidence_window"],
+        efficiency=cfg["detector.efficiency"],
+        dark_rate=cfg["detector.dark_rate"],
+    )
     hist, summary = stream_histogram(
         trace,
         cfg["mc.n_events"],
-        cfg.detector,
+        det,
         cfg["seed"],
         cfg["mc.bin_width"],
         (cfg["mc.range_min"], cfg["mc.range_max"]),
@@ -189,15 +185,13 @@ def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     )
     try:
         contrast = comb_contrast(hist, cfg.comb.round_trip_time, cfg.comb.n_side_modes)
-        contrast_str = _fval(contrast)
     except ValueError:
-        contrast_str = "nan"
-    summary_lines = ["", f"n_events_requested = {cfg['mc.n_events']}"]
-    summary_lines += [f"{name} = {count}" for name, count in summary.items()]
-    summary_lines += [f"n_histogrammed = {hist.n_counted}", f"comb_contrast = {contrast_str}"]
+        contrast = float("nan")
+    counts = {"n_events_requested": cfg["mc.n_events"], **summary}
+    counts.update(n_histogrammed=hist.n_counted, comb_contrast=contrast)
     return {
         "mc_histogram.csv": _csv(["bin_center_s", "count"], [hist.centers, hist.counts])[0],
-        "mc_summary.txt": summary_lines,
+        "mc_summary.txt": [""] + value_lines(counts),
     }
 
 

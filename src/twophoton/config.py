@@ -22,7 +22,7 @@ import numpy as np
 
 from .correlation import MAX_QUAD_POINTS
 from .errors import ConfigError
-from .montecarlo import MAX_EVENTS, DetectorModel
+from .montecarlo import MAX_EVENTS, histogram_edge_count
 from .spectral import ModeComb, Shape, SpectralAmplitude
 
 _TWO_PI = 2.0 * math.pi
@@ -239,12 +239,17 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     if isinstance(value, tuple):
-        return ",".join(repr(p) for p in value)
+        return ",".join(map(_fmt, value))
     if isinstance(value, Shape):
         return value.value
     return str(value)
+
+
+def value_lines(values: dict, prefix: str = "") -> list:
+    """One ``<prefix>name = value`` line per entry, in order; a float as ``repr(float(x))``."""
+    return [f"{prefix}{name} = {_fmt(value)}" for name, value in values.items()]
 
 
 @dataclass
@@ -258,18 +263,18 @@ class RunConfig:
     command: str
     comb: ModeComb
     values: dict
-    detector: DetectorModel | None = None  # mc only
 
     def __getitem__(self, name: str):
         return self.values[name]
 
     def echo_lines(self) -> list:
         table = KEY_TABLES[self.command]
-        return [f"# run.command = {self.command}"] + [
-            f"# {name} = {_fmt(value)}"
+        echoed = {
+            name: value
             for name, value in self.values.items()
             if table[name].echo == ALWAYS or value != table[name].default
-        ]
+        }
+        return value_lines({"run.command": self.command, **echoed}, "# ")
 
 
 def _one_of(raw: dict, key: str, alternative: str) -> None:
@@ -349,25 +354,16 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
             values["mc.range_min"] = values["scan.tau_min"] - pad
         if values["mc.range_max"] is None:
             values["mc.range_max"] = values["scan.tau_max"] + pad
+        width, span = values["mc.bin_width"], (values["mc.range_min"], values["mc.range_max"])
+        if histogram_edge_count(width, span) > MAX_QUAD_POINTS:
+            raise ConfigError(f"mc.bin_width {width!r}: over {MAX_QUAD_POINTS} histogram edges")
     for low in [name for name in table if name.endswith("_min")]:
         high = low.removesuffix("_min") + "_max"
         if not values[high] > values[low]:
             raise ConfigError(f"{high} must exceed {low}, got {values[low]} .. {values[high]}")
 
-    detector = None
-    if command == "mc":
-        # histogram_delays makes ceil(span / width) + 1 edges
-        width = values["mc.bin_width"]
-        if not (values["mc.range_max"] - values["mc.range_min"]) / width <= MAX_QUAD_POINTS - 1:
-            raise ConfigError(
-                f"mc.bin_width: {width!r} makes over {MAX_QUAD_POINTS} histogram edges"
-            )
-        detector = DetectorModel(**{
-            k.removeprefix("detector."): v for k, v in values.items() if k.startswith("detector.")
-        })
     return RunConfig(
         command=command,
         comb=comb,
         values={name: values[name] for name, key in table.items() if key.echo != NEVER},
-        detector=detector,
     )

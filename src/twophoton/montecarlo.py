@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationTrace, TraceKind
-from .errors import DegenerateDensity, NumericsError
+from .correlation import MAX_QUAD_POINTS, CorrelationTrace, TraceKind
+from .errors import DegenerateDensity, GridError, NumericsError
 
 CHUNK = 1 << 16
 # the largest mc.n_events a config may ask for, and the most dark counts a run
@@ -73,13 +73,14 @@ def _chunk_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _run_chunks(worker, n_chunks: int, threads: int):
-    """Yield worker(k) for every chunk k, in order.
+def _run_chunks(worker, n: int, threads: int):
+    """Yield worker(k) for every chunk k of n draws, in order; n = 0 is one empty chunk.
 
     With threads > 1 the chunks run on a pool, at most one more than
     ``threads`` ahead of the caller, so a caller that stores each result and
     lets it go holds a few chunks at a time, however many there are.
     """
+    n_chunks = max(1, math.ceil(n / CHUNK))
     if threads <= 1 or n_chunks <= 1:
         yield from map(worker, range(n_chunks))
         return
@@ -131,10 +132,6 @@ class _Sampler:
         cdf[-1] = 1.0
         return cls(cdf, trace.grid.t_min, dt, n, seed)
 
-    @property
-    def n_chunks(self) -> int:
-        return max(1, math.ceil(self.n / CHUNK))
-
     def _uniforms(self, k: int) -> np.ndarray:
         return _chunk_rng(self.seed, k).random(min(CHUNK, self.n - k * CHUNK))
 
@@ -158,7 +155,7 @@ class _Sampler:
             ends = _inverse_cdf(self.cdf, np.array([u.min(), u.max()]), self.t0, self.dt)
             return float(np.max(np.abs(ends)))
 
-        return max(_run_chunks(extreme, self.n_chunks, threads))
+        return max(_run_chunks(extreme, self.n, threads))
 
 
 def sample_pair_delays(
@@ -171,7 +168,7 @@ def sample_pair_delays(
     """
     sampler = _Sampler.of(trace, n, seed)
     out = np.empty(n)
-    for k, delays in enumerate(_run_chunks(sampler.chunk, sampler.n_chunks, threads)):
+    for k, delays in enumerate(_run_chunks(sampler.chunk, n, threads)):
         out[k * CHUNK : k * CHUNK + delays.size] = delays
     return out
 
@@ -202,17 +199,6 @@ def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
     index = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
     pairs = np.repeat(keys, count), found[index]
     return pairs if keys is left else pairs[::-1]
-
-
-def _dark_pairs(dark1: np.ndarray, dark2: np.ndarray, w: float) -> np.ndarray:
-    """The (detector-1, detector-2) rows of two sorted dark lists, sorted, each once.
-
-    A pair can lie inside one time's rounded window bounds but not the
-    other's when the difference sits within an ulp of ``w``, so the pairs
-    are searched from both sides and the two sets joined.
-    """
-    found = zip(_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)[::-1])
-    return np.unique(np.column_stack([np.concatenate(c) for c in found]), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,10 +257,14 @@ class _Detector:
         return t2[both] - t1[both], found
 
     def accidentals(self, rows: list) -> np.ndarray:
-        """The accidental delays from every chunk's rows and the dark-dark pairs."""
+        """The accidental delays from every chunk's rows and the dark-dark pairs, each once."""
         if not self.darks:
             return np.empty(0)
-        rows = rows + [tuple(_dark_pairs(*self.darks, self.det.coincidence_window).T)]
+        # a dark pair within an ulp of the window can lie inside one time's
+        # rounded bounds only, so both sides are searched; the one np.unique
+        # orders every (detector-1, detector-2) row and keeps each once
+        (dark1, dark2), w = self.darks, self.det.coincidence_window
+        rows = rows + [_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)[::-1]]
         t1, t2 = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0).T
         return t2 - t1
 
@@ -310,7 +300,7 @@ def detect(
     # pages past the last record are never touched
     pairs = np.empty(n)
     n_pair, rows = 0, []
-    for delay, found in _run_chunks(pair_chunk, max(1, math.ceil(n / CHUNK)), threads):
+    for delay, found in _run_chunks(pair_chunk, n, threads):
         pairs[n_pair : n_pair + delay.size] = delay
         n_pair += delay.size
         rows += found
@@ -331,14 +321,21 @@ class DelayHistogram:
         return int(self.counts.sum())
 
 
+def histogram_edge_count(bin_width: float, delay_range: tuple) -> float:
+    """ceil(span / bin_width) + 1 edges over ``delay_range``, at least 2; inf past the floats."""
+    return max(2.0, float(np.ceil((delay_range[1] - delay_range[0]) / bin_width)) + 1.0)
+
+
 def _edges(bin_width: float, delay_range: tuple) -> np.ndarray:
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     lo, hi = delay_range
     if not hi > lo:
         raise ValueError(f"empty delay range {delay_range}")
-    n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
-    return lo + bin_width * np.arange(n_bins + 1)
+    n = histogram_edge_count(bin_width, delay_range)
+    if n > MAX_QUAD_POINTS:
+        raise GridError(f"{n:.0f} histogram edges over {delay_range}; cap is {MAX_QUAD_POINTS}")
+    return lo + bin_width * np.arange(int(n))
 
 
 def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) -> DelayHistogram:
@@ -417,7 +414,7 @@ def stream_histogram(
     counts = np.zeros(edges.size - 1, dtype=np.intp)
     n_pair = in_pair = 0
     rows = []
-    for delay, found in _run_chunks(pair_chunk, sampler.n_chunks, threads):
+    for delay, found in _run_chunks(pair_chunk, n, threads):
         counts += np.histogram(delay, bins=edges)[0]
         n_pair += delay.size
         in_pair += _n_in_window(delay, w)

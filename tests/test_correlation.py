@@ -467,3 +467,10 @@ def trace_5(samples, kind=TraceKind.INTENSITY):
 def test_refused_input(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_an_intensity_with_a_negligible_imaginary_part_keeps_real_samples():
+    samples = np.linspace(1.0, 2.0, 5) + 1e-12j
+    trace = trace_5(samples)
+    assert not np.iscomplexobj(trace.samples)
+    np.testing.assert_array_equal(trace.samples, samples.real)

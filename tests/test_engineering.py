@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twophoton.engineering as engineering
 from twophoton import (
     ExcisionSolution,
     GridError,
@@ -216,6 +217,19 @@ class TestSolveExcision:
         narrow = SpectralAmplitude(Shape.GAUSSIAN, halfwidth=3.0 * comb.single_mode.halfwidth)
         with pytest.raises(PoorMatch):
             solve_excision(comb, narrow, 0, self.grid(), optimize_width=False)
+
+    def test_a_neighbor_that_loses_its_peak_is_named(self, monkeypatch):
+        # the solution itself is clean (see above); only peak 2's energy is cut
+        real = engineering._window_energies
+
+        def fake(comb, wideband, delay, zeta, peak, grid):
+            before, after = real(comb, wideband, delay, zeta, peak, grid)
+            return before, 0.5 * before if peak == 2 else after
+
+        monkeypatch.setattr(engineering, "_window_energies", fake)
+        comb = make_comb(10, 0.01)
+        with pytest.raises(PoorMatch, match="neighbor peak 2 retains only 0.500"):
+            solve_excision(comb, matched_wideband(comb), 1, self.grid())
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import twophoton.montecarlo as montecarlo
 from twophoton import (
     CorrelationTrace,
     DegenerateDensity,
     DetectorModel,
     Detections,
+    GridError,
     NumericsError,
     TimeGrid,
     TraceKind,
@@ -24,7 +26,16 @@ from twophoton import (
     summarize_records,
 )
 
-from twophoton.montecarlo import CHUNK, DelayHistogram, _dark_pairs, _Sampler, _window_pairs
+from twophoton.correlation import MAX_QUAD_POINTS
+from twophoton.montecarlo import (
+    CHUNK,
+    MAX_EVENTS,
+    DelayHistogram,
+    _Detector,
+    _Sampler,
+    _window_pairs,
+    histogram_edge_count,
+)
 
 from conftest import detect_oracle, jitter_convolution_oracle, make_comb, sample_oracle
 
@@ -370,10 +381,16 @@ class TestWindowPairs:
 
 
 class TestDarkPairs:
+    """The dark-dark pairs among the accidentals, with no chunk rows beside them."""
+
     W = 3e-9
     # the window edge of D1 crosses 2^-5: D2 lies inside D1's rounded bounds
     # fl(D1 -+ W), but D1 lies outside D2's
     D1, D2 = 0.03124999719478273, 0.03125000019478273
+
+    def accidentals(self, dark1, dark2):
+        det = DetectorModel(resolution_time=0.0, coincidence_window=self.W)
+        return _Detector(det, 0, 1.0, 0.0, (np.array(dark1), np.array(dark2))).accidentals([])
 
     def test_the_rounded_bounds_differ_by_side(self):
         assert self.D1 - self.W <= self.D2 <= self.D1 + self.W
@@ -381,16 +398,16 @@ class TestDarkPairs:
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_a_pair_inside_one_side_bounds_is_kept(self, swap):
-        dark1, dark2 = np.array([self.D1]), np.array([self.D2])
+        dark1, dark2 = [self.D1], [self.D2]
         if swap:
             dark1, dark2 = dark2, dark1
-        np.testing.assert_array_equal(_dark_pairs(dark1, dark2, self.W), [[dark1[0], dark2[0]]])
+        np.testing.assert_array_equal(self.accidentals(dark1, dark2), [dark2[0] - dark1[0]])
 
     def test_a_pair_inside_both_sides_bounds_comes_out_once(self):
-        dark1 = np.array([self.D1, 1.0])
-        dark2 = np.array([self.D2, 1.0 + 1e-9, 2.0])
-        want = [[self.D1, self.D2], [1.0, 1.0 + 1e-9]]
-        np.testing.assert_array_equal(_dark_pairs(dark1, dark2, self.W), want)
+        dark1 = [self.D1, 1.0]
+        dark2 = [self.D2, 1.0 + 1e-9, 2.0]
+        t1, t2 = np.array([[self.D1, self.D2], [1.0, 1.0 + 1e-9]]).T
+        np.testing.assert_array_equal(self.accidentals(dark1, dark2), t2 - t1)
 
 
 class TestHistogramAndContrast:
@@ -464,6 +481,51 @@ class TestHistogramAndContrast:
         expected = probs * n
         dev = np.abs(hist.counts - expected) / np.maximum(np.sqrt(expected), 1.0)
         assert dev[expected > 1].max() < 5.0
+
+
+class TestHistogramEdgeCap:
+    """Past MAX_QUAD_POINTS edges a histogram is refused before any edge is made."""
+
+    AT_CAP = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges over (-2, 2) land exactly
+    OVER_CAP = [
+        (math.nextafter(AT_CAP, 0.0), (-2.0, 2.0), MAX_QUAD_POINTS + 1),
+        (2e-9, (-1.0, 1.0), 1e9 + 1),
+        (0.1, (0.0, math.inf), math.inf),
+    ]
+
+    def refused(self, call) -> int:
+        """The tracemalloc peak of ``call``, which must raise GridError."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridError, match=f"histogram edges .*; cap is {MAX_QUAD_POINTS}"):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_the_count_at_the_cap(self):
+        assert histogram_edge_count(self.AT_CAP, (-2.0, 2.0)) == MAX_QUAD_POINTS
+        assert histogram_edge_count(1.0, (0.0, 0.5)) == 2
+
+    @pytest.mark.parametrize("width, delay_range, edges", OVER_CAP)
+    def test_histogram_delays(self, width, delay_range, edges):
+        assert histogram_edge_count(width, delay_range) == edges
+        empty = Detections(np.empty(0), np.empty(0))
+        # cap + 1 float64 edges alone would take 32 MB
+        assert self.refused(lambda: histogram_delays(empty, width, delay_range)) < 1 << 20
+
+    @pytest.mark.parametrize("width, delay_range, edges", OVER_CAP)
+    def test_stream_histogram_draws_nothing(self, monkeypatch, width, delay_range, edges):
+        def no_draws(seed, key):
+            raise AssertionError(f"stream {key} drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        trace = flat_trace()
+        det = DetectorModel(resolution_time=0.0, coincidence_window=0.5, dark_rate=1.0)
+        peak = self.refused(
+            lambda: stream_histogram(trace, MAX_EVENTS, det, 1, width, delay_range)
+        )
+        assert peak < 1 << 20
 
 
 def test_comb_contrast_of_empty_peak_bins_is_zero():
