@@ -327,8 +327,8 @@ def histogram_edge_count(bin_width: float, delay_range: tuple) -> float:
 
 
 def _edges(bin_width: float, delay_range: tuple) -> np.ndarray:
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be > 0 and finite, got {bin_width}")
     lo, hi = delay_range
     if not hi > lo:
         raise ValueError(f"empty delay range {delay_range}")

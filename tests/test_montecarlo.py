@@ -528,6 +528,13 @@ class TestHistogramEdgeCap:
         assert peak < 1 << 20
 
 
+def test_an_infinite_bin_width_is_refused():
+    # lo + inf * 0 would make the first edge NaN and leave every delay uncounted
+    records = Detections(np.array([0.0]), np.empty(0))
+    with pytest.raises(ValueError, match="bin_width must be > 0 and finite"):
+        histogram_delays(records, math.inf, (-1.0, 1.0))
+
+
 def test_comb_contrast_of_empty_peak_bins_is_zero():
     # counts only between the peaks: no peak level to compare against
     edges = np.linspace(-1.0, 1.0, 201)
