@@ -52,17 +52,7 @@ from .interferometer import (
     phase_fringe_scan,
     singles_fringe_visibility,
 )
-from .montecarlo import (
-    DelayHistogram,
-    DetectorModel,
-    Detections,
-    comb_contrast,
-    detect,
-    histogram_delays,
-    sample_pair_delays,
-    stream_histogram,
-    summarize_records,
-)
+from .montecarlo import DelayHistogram, DetectorModel, comb_contrast, stream_histogram
 from .spectral import (
     ModeComb,
     Shape,

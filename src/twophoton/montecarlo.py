@@ -14,6 +14,7 @@ draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -25,10 +26,10 @@ from .correlation import MAX_QUAD_POINTS, CorrelationTrace, TraceKind
 from .errors import DegenerateDensity, GridError, NumericsError
 
 CHUNK = 1 << 16
-# the largest mc.n_events a config may ask for, and the most dark counts a run
-# may expect per detector; an mc run keeps no per-event array (53 MB at 2e6
-# events, 60 MB at the cap), so the cap bounds its run time (about 8 s at 2
-# threads), the staged functions' 8 B per event arrays and the dark lists
+# the largest mc.n_events a config may ask for, and the most dark counts per
+# detector and accidental rows a run may expect; an mc run keeps no per-event
+# array (53 MB at 2e6 events; 61 MB and 6.4 s at the cap, 2 threads), so the
+# cap bounds its run time, the dark lists and the accidental rows
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
@@ -56,17 +57,6 @@ class DetectorModel:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.dark_rate < 0:
             raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
-
-
-@dataclass(frozen=True, eq=False)
-class Detections:
-    """Record delays t2 - t1, the pair records and the accidentals apart."""
-
-    pairs: np.ndarray
-    accidentals: np.ndarray
-
-    def __len__(self) -> int:
-        return self.pairs.size + self.accidentals.size
 
 
 def _chunk_rng(seed: int, key: int) -> np.random.Generator:
@@ -158,21 +148,6 @@ class _Sampler:
         return max(_run_chunks(extreme, self.n, threads))
 
 
-def sample_pair_delays(
-    trace: CorrelationTrace, n: int, seed: int, threads: int = 1
-) -> np.ndarray:
-    """Draw n pair delays from a nonnegative intensity trace.
-
-    Inverse-CDF over the trapezoid bin masses with the draw placed uniformly
-    inside its bin.  Deterministic for a given seed, independent of threads.
-    """
-    sampler = _Sampler.of(trace, n, seed)
-    out = np.empty(n)
-    for k, delays in enumerate(_run_chunks(sampler.chunk, n, threads)):
-        out[k * CHUNK : k * CHUNK + delays.size] = delays
-    return out
-
-
 def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
     """Every (left[i], right[j]) with fl(left[i] - w) <= right[j] <= fl(left[i] + w).
 
@@ -201,6 +176,19 @@ def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
     return pairs if keys is left else pairs[::-1]
 
 
+def accidental_rows(det: DetectorModel, n: int, duration: float) -> float:
+    """The expected accidental rows a detection of n pairs builds before its one np.unique.
+
+    Each detector's dark counts meet the other's n * efficiency photons and
+    dark counts within the window, the dark-dark pairs once from each side;
+    two uniform times on [0, duration] lie within w of each other with
+    probability x (2 - x), x = min(w / duration, 1).
+    """
+    darks = det.dark_rate * duration
+    x = min(det.coincidence_window / duration, 1.0)
+    return 2.0 * x * (2.0 - x) * darks * (n * det.efficiency + darks)
+
+
 @dataclass(frozen=True, eq=False)
 class _Detector:
     """One run's detection: its duration, timestamp offset and dark lists."""
@@ -212,23 +200,35 @@ class _Detector:
     darks: tuple
 
     @classmethod
-    def of(cls, det: DetectorModel, seed: int, n: int, span: float, duration) -> _Detector:
-        """Set up the detection of n pairs whose largest |delay| is ``span``."""
+    def of(cls, det: DetectorModel, seed: int, n: int, max_abs, duration) -> _Detector:
+        """Set up the detection of n pairs whose largest |delay| is ``max_abs()``.
+
+        ``max_abs`` draws, so a given duration is checked before it is called:
+        a refused run draws nothing.
+        """
+        max_abs = functools.cache(max_abs)
         if duration is None:
             # sparse enough that accidentals stay rare amid the true pairs
-            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * span
+            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * max_abs()
             duration = max(n, 1) * pitch
-        if not duration > 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < duration < math.inf:
+            raise ValueError(f"duration must be > 0 and finite, got {duration}")
         if det.dark_rate * duration > MAX_EVENTS:
             raise NumericsError(
                 f"detector.dark_rate {det.dark_rate:.3e} over mc.duration {duration:.3e} s "
                 f"expects more than {MAX_EVENTS} dark counts per detector"
             )
+        rows = accidental_rows(det, n, duration)
+        if rows > MAX_EVENTS:
+            raise NumericsError(
+                f"detector.dark_rate {det.dark_rate:.3e} with detector.coincidence_window "
+                f"{det.coincidence_window:.3e} s over mc.duration {duration:.3e} s expects "
+                f"{rows:.3e} accidental rows; cap is {MAX_EVENTS}"
+            )
         # keep all timestamps positive regardless of jitter and delay signs; they
         # stay inside the detection, but their magnitude sets the rounding of
         # every delay
-        offset = det.resolution_time + det.coincidence_window + span
+        offset = det.resolution_time + det.coincidence_window + max_abs()
         darks = []
         if det.dark_rate > 0:
             for d in (0, 1):
@@ -269,44 +269,6 @@ class _Detector:
         return t2 - t1
 
 
-def detect(
-    pair_delays,
-    det: DetectorModel,
-    seed: int,
-    duration: float | None = None,
-    threads: int = 1,
-) -> Detections:
-    """Detect pair emissions: jitter, thinning, darks.
-
-    Each photon timestamp gets independent uniform jitter of width equal to
-    the resolution time and survives with the detector efficiency; a pair
-    record needs both photons.  Dark counts arrive as a Poisson process on
-    each detector over the run duration and are paired with whatever the
-    opposite detector saw inside the coincidence window (the accidentals).
-
-    Each chunk of pairs matches its kept photons against the whole dark list
-    and hands back only its pair delays and accidental rows, so no full-length
-    photon column is ever built.  Records leave as delays t2 - t1, pairs in
-    draw order, accidentals sorted by (detector-1, detector-2 time), each once.
-    """
-    delays = np.asarray(pair_delays, dtype=float)
-    n = delays.size
-    run = _Detector.of(det, seed, n, float(np.max(np.abs(delays), initial=0.0)), duration)
-
-    def pair_chunk(k: int):
-        return run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK])
-
-    # the pair records fill the front of a buffer sized for every pair, so the
-    # pages past the last record are never touched
-    pairs = np.empty(n)
-    n_pair, rows = 0, []
-    for delay, found in _run_chunks(pair_chunk, n, threads):
-        pairs[n_pair : n_pair + delay.size] = delay
-        n_pair += delay.size
-        rows += found
-    return Detections(pairs[:n_pair], run.accidentals(rows))
-
-
 @dataclass(frozen=True)
 class DelayHistogram:
     counts: np.ndarray
@@ -338,14 +300,6 @@ def _edges(bin_width: float, delay_range: tuple) -> np.ndarray:
     return lo + bin_width * np.arange(int(n))
 
 
-def histogram_delays(records: Detections, bin_width: float, delay_range: tuple) -> DelayHistogram:
-    """Histogram of the record delays t2 - t1, pairs and accidentals together."""
-    edges = _edges(bin_width, delay_range)
-    counts = np.histogram(records.pairs, bins=edges)[0]
-    counts += np.histogram(records.accidentals, bins=edges)[0]
-    return DelayHistogram(counts=counts, edges=edges)
-
-
 def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: int) -> float:
     """1 - (mean inter-peak bin) / (mean peak bin) for a comb-period histogram."""
     n_modes = 2 * n_side_modes + 1
@@ -361,27 +315,6 @@ def comb_contrast(hist: DelayHistogram, round_trip_time: float, n_side_modes: in
     return 1.0 - float(hist.counts[inter].mean()) / peak_level
 
 
-def _n_in_window(delays: np.ndarray, w: float) -> int:
-    return int(np.count_nonzero(np.abs(delays) <= w))
-
-
-def _summary(n_pair: int, in_pair: int, accidentals: np.ndarray, w: float) -> dict:
-    in_accidental = _n_in_window(accidentals, w)
-    return {
-        "n_records": n_pair + accidentals.size,
-        "n_pair_records": n_pair,
-        "n_accidental_records": accidentals.size,
-        "n_coincidences_in_window": in_pair + in_accidental,
-        "n_pair_coincidences_in_window": in_pair,
-    }
-
-
-def summarize_records(records: Detections, det: DetectorModel) -> dict:
-    """Counting summary: totals, in-window coincidences, accidentals."""
-    w, pairs = det.coincidence_window, records.pairs
-    return _summary(pairs.size, _n_in_window(pairs, w), records.accidentals, w)
-
-
 def stream_histogram(
     trace: CorrelationTrace,
     n: int,
@@ -394,18 +327,17 @@ def stream_histogram(
 ) -> tuple[DelayHistogram, dict]:
     """Sample, detect, histogram and count n pairs in one chunked pass.
 
-    Gives ``histogram_delays`` and ``summarize_records`` of
-    ``detect(sample_pair_delays(trace, n, seed), det, seed, duration)``, bit
-    for bit, without building a full-length delay or record array: each
-    chunk's pairs are drawn, detected, histogrammed and counted before the
-    next chunk's are needed, and only the accidental rows, which are few,
-    are kept whole.  The largest |delay|, which sets the timestamp offset
-    and the default duration, comes first from a pass that draws only each
-    chunk's uniforms.
+    Chunk k's pair delays are drawn from sampling stream k, detected with
+    detection stream k, histogrammed and counted before the next chunk's are
+    needed, so no full-length delay or record array is built; only the
+    accidental rows, which are few, are kept whole and join at the end, each
+    once.  Records are delays t2 - t1.  The largest |delay|, which sets the
+    timestamp offset and the default duration, comes first from a pass that
+    draws only each chunk's uniforms.
     """
     edges = _edges(bin_width, delay_range)
     sampler = _Sampler.of(trace, n, seed)
-    run = _Detector.of(det, seed, n, sampler.max_abs(threads), duration)
+    run = _Detector.of(det, seed, n, lambda: sampler.max_abs(threads), duration)
     w = det.coincidence_window
 
     def pair_chunk(k: int):
@@ -417,8 +349,15 @@ def stream_histogram(
     for delay, found in _run_chunks(pair_chunk, n, threads):
         counts += np.histogram(delay, bins=edges)[0]
         n_pair += delay.size
-        in_pair += _n_in_window(delay, w)
+        in_pair += int(np.count_nonzero(np.abs(delay) <= w))
         rows += found
     accidentals = run.accidentals(rows)
     counts += np.histogram(accidentals, bins=edges)[0]
-    return DelayHistogram(counts=counts, edges=edges), _summary(n_pair, in_pair, accidentals, w)
+    in_window = in_pair + int(np.count_nonzero(np.abs(accidentals) <= w))
+    return DelayHistogram(counts=counts, edges=edges), {
+        "n_records": n_pair + accidentals.size,
+        "n_pair_records": n_pair,
+        "n_accidental_records": accidentals.size,
+        "n_coincidences_in_window": in_window,
+        "n_pair_coincidences_in_window": in_pair,
+    }

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from twophoton import Detections, ModeComb, Shape, SpectralAmplitude, pair_envelope
+from twophoton import ModeComb, Shape, SpectralAmplitude, pair_envelope
 from twophoton.correlation import comb_amplitude
 from twophoton.engineering import _peak_window
 from twophoton.montecarlo import _DARK_KEY, _DETECT_KEY, CHUNK
@@ -239,9 +239,9 @@ def sample_oracle(trace, n, seed):
 
 
 def detect_oracle(pair_delays, det, seed, duration):
-    """Detection records built stream-wide, on one thread.
+    """Detection records built stream-wide, on one thread: (pair delays, accidental delays).
 
-    Draws the same chunked streams as ``twophoton.detect`` but keeps every
+    Draws the same chunked streams as the package's detection but keeps every
     photon column whole: the kept photons and dark counts of each detector
     are sorted into one stream, each dark count is matched against the
     whole opposite stream, and the rows found twice are dropped.
@@ -281,4 +281,16 @@ def detect_oracle(pair_delays, det, seed, duration):
                 for j in range(lo[i], hi[i]):
                     found.append((left[i], right[j])[::order])
         accidental = np.unique(np.array(found).reshape(-1, 2), axis=0)
-    return Detections(t2[both] - t1[both], accidental[:, 1] - accidental[:, 0])
+    return t2[both] - t1[both], accidental[:, 1] - accidental[:, 0]
+
+
+def summary_oracle(pairs, accidentals, window):
+    """The Monte Carlo counting summary, counted from the record delays."""
+    in_pair = int(np.sum(np.abs(pairs) <= window))
+    return {
+        "n_records": pairs.size + accidentals.size,
+        "n_pair_records": pairs.size,
+        "n_accidental_records": accidentals.size,
+        "n_coincidences_in_window": in_pair + int(np.sum(np.abs(accidentals) <= window)),
+        "n_pair_coincidences_in_window": in_pair,
+    }

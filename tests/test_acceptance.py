@@ -30,17 +30,15 @@ from twophoton import (
     combined_gamma2,
     delay_scan,
     dither_averaged_rate,
-    detect,
     DetectorModel,
     find_dip_delays,
     gamma2_detector_averaged,
     gamma2_mode_locked,
-    histogram_delays,
     matched_wideband,
     pair_envelope,
     phase_fringe_scan,
-    sample_pair_delays,
     solve_excision,
+    stream_histogram,
 )
 from twophoton.cli import main
 from twophoton.config import config_from_output_header
@@ -130,14 +128,14 @@ def test_criterion_2_detector_averaging_and_mc():
         mc_comb = make_comb(10, 0.01)
         mc_grid = TimeGrid(-20.0 * T_R, 20.0 * T_R, 2**18 + 1)
         mc_trace = gamma2_mode_locked(mc_comb, mc_grid)
-        delays = sample_pair_delays(mc_trace, 10**6, seed=42)
         det = DetectorModel(resolution_time=10.0 * T_R, coincidence_window=1e5)
-        records = detect(delays, det, seed=43, duration=1e6)
-        hist = histogram_delays(records, 0.5 * T_R, (-32.0 * T_R, 32.0 * T_R))
+        hist, summary = stream_histogram(
+            mc_trace, 10**6, det, 42, 0.5 * T_R, (-32.0 * T_R, 32.0 * T_R), duration=1e6
+        )
         probs = jitter_convolution_oracle(
             mc_grid.values, mc_trace.samples, det.resolution_time, hist.edges
         )
-        expected = probs * len(records)
+        expected = probs * summary["n_records"]
         keep = expected > 10.0
         chi2 = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
         dof = int(keep.sum()) - 1
@@ -295,13 +293,13 @@ def test_criterion_8_numerical_hygiene():
         trace = gamma2_mode_locked(comb, grid)
         det = DetectorModel(resolution_time=0.5 * T_R, coincidence_window=10.0, efficiency=0.9)
         n = (1 << 17) + 11
-        d1 = sample_pair_delays(trace, n, seed=7, threads=1)
-        d3 = sample_pair_delays(trace, n, seed=7, threads=3)
-        np.testing.assert_array_equal(d1, d3)
-        r1 = detect(d1, det, seed=8, duration=1e4, threads=1)
-        r3 = detect(d3, det, seed=8, duration=1e4, threads=3)
-        for column in ("pairs", "accidentals"):
-            np.testing.assert_array_equal(getattr(r1, column), getattr(r3, column))
+        # bins of 1/1000 round trip that hold every record, whatever its jitter
+        args = (1e-3 * T_R, (-11.0 * T_R, 11.0 * T_R))
+        h1, s1 = stream_histogram(trace, n, det, 7, *args, duration=1e4, threads=1)
+        h3, s3 = stream_histogram(trace, n, det, 7, *args, duration=1e4, threads=3)
+        np.testing.assert_array_equal(h1.counts, h3.counts)
+        assert s1 == s3
+        assert h1.n_counted == s1["n_records"]
 
 
 def test_criterion_9_cli_round_trip(tmp_path):

@@ -21,7 +21,7 @@ from twophoton.config import (
 from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.engineering import matched_wideband
 from twophoton.errors import ConfigError
-from twophoton.montecarlo import MAX_EVENTS, Detections, histogram_delays
+from twophoton.montecarlo import MAX_EVENTS, _edges
 
 from conftest import csv_oracle
 
@@ -728,13 +728,24 @@ class TestMcBounds:
         assert "detector.dark_rate" in err and "mc.duration" in err
         assert not out.exists()
 
+    def test_accidental_rows_past_the_event_cap_exit_3(self, tmp_path, capsys):
+        text = (CONFIGS / "mc_slow_detector.cfg").read_text(encoding="utf-8")
+        text = text.replace("mc.n_events = 200000", "mc.n_events = 2000")
+        text = text.replace("detector.coincidence_window = 1.0e-8", "detector.coincidence_window = 2")
+        cfg = write_cfg(tmp_path, text + "detector.dark_rate = 2097152\n")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "detector.dark_rate" in err and "detector.coincidence_window" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_histogram_edges_at_the_cap(self):
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
         at_cap = resolve_config(parse_config_text(body.format(width)), "mc")
-        empty = Detections(np.empty(0), np.empty(0))
         delay_range = (at_cap["mc.range_min"], at_cap["mc.range_max"])
-        edges = histogram_delays(empty, at_cap["mc.bin_width"], delay_range).edges
+        edges = _edges(at_cap["mc.bin_width"], delay_range)
         assert edges.size == MAX_QUAD_POINTS
         with pytest.raises(ConfigError, match="mc.bin_width"):
             resolve_config(parse_config_text(body.format(math.nextafter(width, 0.0))), "mc")

@@ -12,18 +12,13 @@ from twophoton import (
     CorrelationTrace,
     DegenerateDensity,
     DetectorModel,
-    Detections,
     GridError,
     NumericsError,
     TimeGrid,
     TraceKind,
     comb_contrast,
-    detect,
     gamma2_mode_locked,
-    histogram_delays,
-    sample_pair_delays,
     stream_histogram,
-    summarize_records,
 )
 
 from twophoton.correlation import MAX_QUAD_POINTS
@@ -32,12 +27,21 @@ from twophoton.montecarlo import (
     MAX_EVENTS,
     DelayHistogram,
     _Detector,
+    _edges,
+    _run_chunks,
     _Sampler,
     _window_pairs,
+    accidental_rows,
     histogram_edge_count,
 )
 
-from conftest import detect_oracle, jitter_convolution_oracle, make_comb, sample_oracle
+from conftest import (
+    detect_oracle,
+    jitter_convolution_oracle,
+    make_comb,
+    sample_oracle,
+    summary_oracle,
+)
 
 T_R = 1.0
 
@@ -60,27 +64,53 @@ def gapped_trace():
     return CorrelationTrace(grid, y, TraceKind.INTENSITY)
 
 
-class TestSamplePairDelays:
+def sample(trace, n, seed, threads=1):
+    """The pair delays of every ``_Sampler`` chunk, in order."""
+    return np.concatenate(list(_run_chunks(_Sampler.of(trace, n, seed).chunk, n, threads)))
+
+
+def records(delays, det, seed, duration, threads=1):
+    """(pair delays, accidental delays) of ``delays`` from the ``_Detector`` chunks."""
+    delays = np.asarray(delays, dtype=float)
+    span = float(np.max(np.abs(delays), initial=0.0))
+    run = _Detector.of(det, seed, delays.size, lambda: span, duration)
+
+    def chunk(k):
+        return run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK])
+
+    chunks = list(_run_chunks(chunk, delays.size, threads))
+    pairs = np.concatenate([pair for pair, _ in chunks])
+    return pairs, run.accidentals([row for _, found in chunks for row in found])
+
+
+def stream_range(trace=None, n=1, bin_width=0.1, delay_range=(-1.0, 1.0), duration=None):
+    """``stream_histogram`` of n draws from ``trace`` (flat by default) on an ideal detector."""
+    trace = flat_trace() if trace is None else trace
+    det = DetectorModel(0.0, 1.0)
+    return stream_histogram(trace, n, det, 1, bin_width, delay_range, duration=duration)
+
+
+class TestSampler:
     def test_single_hot_bin_confines_the_samples(self):
         grid = TimeGrid(-1.0, 1.0, 201)
         y = np.zeros(201)
         y[120] = 1.0
         trace = CorrelationTrace(grid, y, TraceKind.INTENSITY)
-        samples = sample_pair_delays(trace, 5000, seed=1)
+        samples = sample(trace, 5000, seed=1)
         lo, hi = grid.values[119], grid.values[121]
         assert samples.min() >= lo and samples.max() <= hi
 
     def test_uniform_trace_passes_ks(self):
         trace = flat_trace()
         n = 40000
-        samples = sample_pair_delays(trace, n, seed=2)
+        samples = sample(trace, n, seed=2)
         stat = stats.kstest(samples, stats.uniform(loc=-1.0, scale=2.0).cdf).statistic
         assert stat < 1.36 / math.sqrt(n)
 
     def test_comb_concentrates_near_round_trips(self):
         comb, trace = comb_trace()
         n = 100_000
-        samples = sample_pair_delays(trace, n, seed=3)
+        samples = sample(trace, n, seed=3)
         peak_halfwidth = T_R / (2 * comb.n_side_modes + 1)
         phase = np.abs((samples + T_R / 2) % T_R - T_R / 2)
         frac = float(np.mean(phase < peak_halfwidth))
@@ -96,22 +126,22 @@ class TestSamplePairDelays:
     def test_deterministic_and_thread_invariant(self):
         trace = flat_trace()
         n = (1 << 16) + 7  # straddles a chunk boundary
-        a = sample_pair_delays(trace, n, seed=11, threads=1)
-        b = sample_pair_delays(trace, n, seed=11, threads=4)
-        c = sample_pair_delays(trace, n, seed=11, threads=1)
+        a = sample(trace, n, seed=11, threads=1)
+        b = sample(trace, n, seed=11, threads=4)
+        c = sample(trace, n, seed=11, threads=1)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
-        assert not np.array_equal(a, sample_pair_delays(trace, n, seed=12))
+        assert not np.array_equal(a, sample(trace, n, seed=12))
 
     def test_zero_density_is_degenerate(self):
         with pytest.raises(DegenerateDensity):
-            sample_pair_delays(flat_trace(value=0.0), 10, seed=0)
+            stream_range(flat_trace(value=0.0), n=10)
 
     def test_zero_draws(self):
-        assert sample_pair_delays(flat_trace(), 0, seed=0).size == 0
+        assert sample(flat_trace(), 0, seed=0).size == 0
 
     def test_chunks_stay_apart_under_frequent_thread_switches(self):
-        # the sampling chunks write into one shared array, each into its own slice
+        # the chunks run on a pool and come back in order, each with its own streams
         trace = flat_trace()
         n = 5 * CHUNK + 11
         det = DetectorModel(
@@ -120,93 +150,93 @@ class TestSamplePairDelays:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            delays = sample_pair_delays(trace, n, seed=27, threads=8)
-            records = detect(delays, det, seed=28, duration=1e5, threads=8)
+            delays = sample(trace, n, seed=27, threads=8)
+            pooled = records(delays, det, seed=28, duration=1e5, threads=8)
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(delays, sample_pair_delays(trace, n, seed=27))
-        serial = detect(delays, det, seed=28, duration=1e5)
-        for column in ("pairs", "accidentals"):
-            np.testing.assert_array_equal(getattr(records, column), getattr(serial, column))
+        np.testing.assert_array_equal(delays, sample(trace, n, seed=27))
+        for got, want in zip(pooled, records(delays, det, seed=28, duration=1e5)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_matches_the_unsorted_search_oracle(self, n, threads):
         trace = gapped_trace()
         assert np.count_nonzero(trace.samples == 0) > 1000
-        got = sample_pair_delays(trace, n, seed=23, threads=threads)
+        got = sample(trace, n, seed=23, threads=threads)
         np.testing.assert_array_equal(got, sample_oracle(trace, n, seed=23))
 
 
-class TestDetect:
+class TestDetector:
     def test_identity_detector_preserves_delays(self):
         delays = np.linspace(-0.4, 0.4, 1001)
         det = DetectorModel(resolution_time=0.0, coincidence_window=1.0)
-        records = detect(delays, det, seed=4, duration=1.0)
-        assert len(records) == delays.size
-        np.testing.assert_allclose(records.pairs, delays, atol=1e-12)
-        assert records.accidentals.size == 0
+        pairs, accidentals = records(delays, det, seed=4, duration=1.0)
+        assert pairs.size == delays.size
+        np.testing.assert_allclose(pairs, delays, atol=1e-12)
+        assert accidentals.size == 0
 
     def test_efficiency_thins_pairs_quadratically(self):
         delays = np.zeros(40000)
         det = DetectorModel(resolution_time=0.0, coincidence_window=1.0, efficiency=0.5)
-        records = detect(delays, det, seed=5, duration=100.0)
-        frac = len(records) / delays.size
+        pairs, accidentals = records(delays, det, seed=5, duration=100.0)
+        frac = (pairs.size + accidentals.size) / delays.size
         sigma = math.sqrt(0.25 * 0.75 / delays.size)
         assert abs(frac - 0.25) < 3.0 * sigma
 
     def test_slow_detector_washes_out_the_comb(self):
         comb, trace = comb_trace()
-        delays = sample_pair_delays(trace, 200_000, seed=6)
         det = DetectorModel(resolution_time=10.0 * T_R, coincidence_window=1e4)
-        records = detect(delays, det, seed=7, duration=1e6)
-        hist = histogram_delays(records, bin_width=0.5, delay_range=(-32.0, 32.0))
+        hist, summary = stream_histogram(trace, 200_000, det, 6, 0.5, (-32.0, 32.0), duration=1e6)
         probs = jitter_convolution_oracle(
             trace.grid.values, trace.samples, det.resolution_time, hist.edges
         )
-        expected = probs * len(records)
+        expected = probs * summary["n_records"]
         keep = expected > 10
         chi2 = float(np.sum((hist.counts[keep] - expected[keep]) ** 2 / expected[keep]))
         dof = int(keep.sum()) - 1
         assert chi2 < stats.chi2.ppf(0.95, dof)
 
     def test_dark_counts_appear_as_accidentals(self):
-        delays = np.zeros(2000)
         det = DetectorModel(
             resolution_time=0.0, coincidence_window=1e-3, efficiency=1.0, dark_rate=0.05
         )
-        records = detect(delays, det, seed=8, duration=2e4)
-        n_dark = records.accidentals.size
-        assert len(records) - n_dark == 2000
+        pairs, accidentals = records(np.zeros(2000), det, seed=8, duration=2e4)
+        n_dark = accidentals.size
+        assert pairs.size == 2000
         assert n_dark > 0
-        assert np.unique(records.accidentals).size == n_dark  # no double counting
-        summary = summarize_records(records, det)
-        assert summary["n_accidental_records"] == n_dark
-        assert summary["n_pair_coincidences_in_window"] == 2000
+        assert np.unique(accidentals).size == n_dark  # no double counting
+        # the summary counts the same records: every pair delay lies in the window
+        _, summary = stream_histogram(
+            flat_trace(-1e-4, 1e-4), 2000, det, 8, 1e-4, (-1e-3, 1e-3), duration=2e4
+        )
+        assert summary["n_accidental_records"] > 0
+        assert summary["n_pair_records"] == summary["n_pair_coincidences_in_window"] == 2000
 
     def test_dark_counts_past_the_event_cap_are_refused(self):
         det = DetectorModel(resolution_time=0.0, coincidence_window=1e-3, dark_rate=1e15)
         with pytest.raises(NumericsError, match="detector.dark_rate"):
-            detect(np.zeros(1000), det, seed=1, duration=1.0)
+            stream_histogram(flat_trace(), 1000, det, 1, 0.1, (-1.0, 1.0), duration=1.0)
 
     def test_thread_invariance(self):
         delays = np.linspace(-0.2, 0.2, (1 << 16) + 100)
         det = DetectorModel(resolution_time=0.3, coincidence_window=1.0, efficiency=0.8)
-        r1 = detect(delays, det, seed=9, duration=50.0, threads=1)
-        r2 = detect(delays, det, seed=9, duration=50.0, threads=3)
-        for column in ("pairs", "accidentals"):
-            np.testing.assert_array_equal(getattr(r1, column), getattr(r2, column))
+        r1 = records(delays, det, seed=9, duration=50.0, threads=1)
+        r2 = records(delays, det, seed=9, duration=50.0, threads=3)
+        for a, b in zip(r1, r2):
+            np.testing.assert_array_equal(a, b)
 
     def test_darks_with_thinning_across_a_chunk_boundary(self):
         delays = np.linspace(-0.2, 0.2, (1 << 16) + 100)
         det = DetectorModel(
             resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=0.02
         )
-        d1 = detect(delays, det, seed=20, duration=1e4, threads=1)
-        d3 = detect(delays, det, seed=20, duration=1e4, threads=3)
-        for column in ("pairs", "accidentals"):
-            np.testing.assert_array_equal(getattr(d1, column), getattr(d3, column))
-        assert 1000 < d1.accidentals.size < len(d1)
+        d1 = records(delays, det, seed=20, duration=1e4, threads=1)
+        d3 = records(delays, det, seed=20, duration=1e4, threads=3)
+        for a, b in zip(d1, d3):
+            np.testing.assert_array_equal(a, b)
+        pairs, accidentals = d1
+        assert 1000 < accidentals.size < pairs.size + accidentals.size
 
     def test_accidentals_keep_the_detector_order(self):
         # each record is (detector-1 time, detector-2 time), so a dark count
@@ -214,8 +244,7 @@ class TestDetect:
         det = DetectorModel(
             resolution_time=0.0, coincidence_window=1.0, efficiency=0.8, dark_rate=0.05
         )
-        dets = detect(np.zeros(20000), det, seed=3, duration=2e4)
-        deltas = dets.accidentals
+        _, deltas = records(np.zeros(20000), det, seed=3, duration=2e4)
         n = deltas.size
         positive = int(np.count_nonzero(deltas > 0))
         assert n > 1000
@@ -235,32 +264,58 @@ class TestDetect:
             dark_rate=400.0 / duration if dark else 0.0,
         )
         delays = np.random.default_rng(24).normal(0.0, 0.1, n)
-        got = detect(delays, det, seed=25, duration=duration, threads=threads)
+        got = records(delays, det, seed=25, duration=duration, threads=threads)
         want = detect_oracle(delays, det, seed=25, duration=duration)
-        for column in ("pairs", "accidentals"):
-            np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
         if dark:
-            assert got.accidentals.size > 0
+            assert got[1].size > 0
 
-    def test_one_call_peaks_below_32_bytes_per_event(self):
-        n = 1 << 18
-        delays = np.linspace(-0.2, 0.2, n)
-        det = DetectorModel(
-            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=0.02
-        )
-        detect(delays[:1000], det, seed=26, duration=1e4, threads=2)  # warm-up
+
+class TestAccidentalRowCap:
+    """Runs that expect more than MAX_EVENTS accidental rows are refused before any draw."""
+
+    @staticmethod
+    def built_rows(det, n, duration, seed):
+        """The accidental rows of n <= CHUNK zero delays, before the np.unique."""
+        run = _Detector.of(det, seed, n, lambda: 0.0, duration)
+        (dark1, dark2), w = run.darks, det.coincidence_window
+        rows = run.chunk(0, np.zeros(n))[1]
+        rows += [_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)]
+        return sum(t1.size for t1, _ in rows)
+
+    @pytest.mark.parametrize(
+        "window", [3e-3, 0.3, 2.0], ids=["narrow", "comparable", "wider_than_the_run"]
+    )
+    def test_the_expectation_counts_the_rows_built(self, window):
+        # the mean over seeds of the rows built, both dark-dark searches included
+        n, duration = 300, 1.0
+        det = DetectorModel(0.0, window, efficiency=0.5, dark_rate=200.0)
+        got = [self.built_rows(det, n, duration, seed) for seed in range(32)]
+        want = accidental_rows(det, n, duration)
+        assert abs(np.mean(got) - want) < 5.0 * np.std(got) / math.sqrt(len(got))
+
+    def test_the_overflowing_run_draws_nothing(self, monkeypatch):
+        def no_draws(seed, key):
+            raise AssertionError(f"stream {key} drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        # 41943 dark counts per detector, under their cap, all within one
+        # window of each other: about 3.7e9 rows
+        det = DetectorModel(1e-11, 2.0, dark_rate=2097152.0)
+        assert det.dark_rate * 2e-2 < MAX_EVENTS < accidental_rows(det, 2000, 2e-2)
         tracemalloc.start()
         try:
-            records = detect(delays, det, seed=26, duration=4e4, threads=2)
+            with pytest.raises(NumericsError, match="dark_rate .* detector.coincidence_window"):
+                stream_histogram(flat_trace(), 2000, det, 1, 0.01, (-1.0, 1.0), duration=2e-2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert records.accidentals.size > 1000
-        assert peak / n <= 32.0
+        assert peak < 1 << 20
 
 
 class TestStreamHistogram:
-    """The one-pass route gives the staged route's histogram and summary."""
+    """The one-pass route gives the histogram and summary of the oracle records."""
 
     @pytest.mark.parametrize(
         "n, threads, efficiency, dark, resolution_time, derived_duration",
@@ -270,7 +325,7 @@ class TestStreamHistogram:
             )
         ),
     )
-    def test_matches_the_staged_route(
+    def test_matches_the_oracle_records(
         self, n, threads, efficiency, dark, resolution_time, derived_duration
     ):
         trace = gapped_trace()
@@ -281,21 +336,25 @@ class TestStreamHistogram:
             efficiency=efficiency,
             dark_rate=400.0 / duration if dark else 0.0,
         )
+        delays = sample_oracle(trace, n, seed=25)
         if derived_duration:
             duration = None
+            span = float(np.max(np.abs(delays), initial=0.0))
+            run_duration = max(n, 1) * (100.0 * 0.5 + 10.0 * resolution_time + 4.0 * span)
+        else:
+            run_duration = duration
         # the range cuts off part of the comb, and its top edge is not a bin edge
-        args = (0.01, (-1.5, 1.755))
         hist, summary = stream_histogram(
-            trace, n, det, 25, *args, duration=duration, threads=threads
+            trace, n, det, 25, 0.01, (-1.5, 1.755), duration=duration, threads=threads
         )
-        delays = sample_pair_delays(trace, n, seed=25)
-        records = detect(delays, det, seed=25, duration=duration)
-        want = histogram_delays(records, *args)
-        np.testing.assert_array_equal(hist.edges, want.edges)
-        np.testing.assert_array_equal(hist.counts, want.counts)
-        assert summary == summarize_records(records, det)
+        pairs, accidentals = detect_oracle(delays, det, seed=25, duration=run_duration)
+        edges = -1.5 + 0.01 * np.arange(327)
+        np.testing.assert_array_equal(hist.edges, edges)
+        want = np.histogram(np.concatenate([pairs, accidentals]), bins=edges)[0]
+        np.testing.assert_array_equal(hist.counts, want)
+        assert summary == summary_oracle(pairs, accidentals, det.coincidence_window)
         if n > 1:
-            assert 0 < hist.n_counted < len(records)
+            assert 0 < hist.n_counted < summary["n_records"]
         if dark:
             assert summary["n_accidental_records"] > 0
 
@@ -307,7 +366,7 @@ class TestStreamHistogram:
     @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_the_pre_pass_finds_the_largest_delay(self, trace, n, threads):
-        want = float(np.max(np.abs(sample_pair_delays(trace, n, seed=29)), initial=0.0))
+        want = float(np.max(np.abs(sample_oracle(trace, n, seed=29)), initial=0.0))
         assert _Sampler.of(trace, n, 29).max_abs(threads) == want
 
     def test_memory_does_not_grow_with_the_event_count(self):
@@ -333,6 +392,7 @@ class TestStreamHistogram:
         # finished chunks waiting for the caller hold only their pair delays;
         # how many wait at the peak depends on the scheduling
         assert peak(1 << 20, 2) <= 2 * small + (2 << 20)
+
 
 
 class TestWindowPairs:
@@ -412,58 +472,54 @@ class TestDarkPairs:
 
 class TestHistogramAndContrast:
     def test_empty_input(self):
-        empty = Detections(np.empty(0), np.empty(0))
-        hist = histogram_delays(empty, 0.1, (-1.0, 1.0))
+        hist, summary = stream_range(n=0)
         assert hist.counts.sum() == 0
         assert hist.counts.size == 20
+        assert summary["n_records"] == 0
 
-    def test_hand_built_records(self):
+    def test_hand_built_records(self, monkeypatch):
         # pairs exactly at the window edges count as in the window; 2.0 lies
         # outside the window and the histogram range, -0.9 alone in its bin
-        records = Detections(
-            pairs=np.array([-0.5, 0.5, 0.1, 0.15, 2.0]), accidentals=np.array([0.05, 0.3, -0.9])
-        )
+        pairs, accidentals = np.array([-0.5, 0.5, 0.1, 0.15, 2.0]), np.array([0.05, 0.3, -0.9])
+        monkeypatch.setattr(_Detector, "chunk", lambda self, k, delays: (pairs, []))
+        monkeypatch.setattr(_Detector, "accidentals", lambda self, rows: accidentals)
         det = DetectorModel(resolution_time=0.0, coincidence_window=0.5)
-        assert summarize_records(records, det) == {
+        hist, summary = stream_histogram(flat_trace(), 5, det, 0, 0.25, (-1.0, 1.0), duration=1.0)
+        assert summary == {
             "n_records": 8,
             "n_pair_records": 5,
             "n_accidental_records": 3,
             "n_coincidences_in_window": 6,
             "n_pair_coincidences_in_window": 4,
         }
-        hist = histogram_delays(records, 0.25, (-1.0, 1.0))
         np.testing.assert_array_equal(hist.counts, [1, 0, 1, 0, 3, 1, 1, 0])
 
     def test_counts_conserved_when_range_covers(self):
-        delays = np.linspace(-0.9, 0.9, 777)
         det = DetectorModel(resolution_time=0.0, coincidence_window=10.0)
-        records = detect(delays, det, seed=10, duration=5.0)
-        hist = histogram_delays(records, 0.05, (-1.0, 1.0))
-        assert hist.n_counted == len(records)
+        hist, summary = stream_histogram(
+            flat_trace(-0.9, 0.9), 777, det, 10, 0.05, (-1.0, 1.0), duration=5.0
+        )
+        assert hist.n_counted == summary["n_records"] == 777
 
     def test_fast_detector_shows_the_comb(self):
         comb, trace = comb_trace()
-        delays = sample_pair_delays(trace, 300_000, seed=12)
         det = DetectorModel(resolution_time=T_R / 100.0, coincidence_window=1e4)
-        records = detect(delays, det, seed=13, duration=1e6)
-        hist = histogram_delays(records, T_R / 100.0, (-20.0, 20.0))
+        args = (T_R / 100.0, (-20.0, 20.0))
+        hist, _ = stream_histogram(trace, 300_000, det, 12, *args, duration=1e6)
         contrast = comb_contrast(hist, T_R, comb.n_side_modes)
         assert contrast > 0.99
 
     def test_slow_detector_contrast_collapses(self):
         comb, trace = comb_trace()
-        delays = sample_pair_delays(trace, 300_000, seed=14)
         det = DetectorModel(resolution_time=10.0 * T_R, coincidence_window=1e4)
-        records = detect(delays, det, seed=15, duration=1e6)
-        hist = histogram_delays(records, T_R / 100.0, (-20.0, 20.0))
+        args = (T_R / 100.0, (-20.0, 20.0))
+        hist, _ = stream_histogram(trace, 300_000, det, 14, *args, duration=1e6)
         assert comb_contrast(hist, T_R, comb.n_side_modes) < 0.05
 
     def test_slow_detector_contour_is_smooth(self):
         comb, trace = comb_trace()
-        delays = sample_pair_delays(trace, 1_000_000, seed=16)
         det = DetectorModel(resolution_time=10.0 * T_R, coincidence_window=1e4)
-        records = detect(delays, det, seed=17, duration=1e6)
-        hist = histogram_delays(records, T_R / 4.0, (-5.0, 5.0))
+        hist, _ = stream_histogram(trace, 1_000_000, det, 16, T_R / 4.0, (-5.0, 5.0), duration=1e6)
         mid = hist.counts[1:-1].astype(float)
         neighbors = 0.5 * (hist.counts[:-2] + hist.counts[2:])
         ripple = np.abs(mid - neighbors) / neighbors
@@ -473,10 +529,9 @@ class TestHistogramAndContrast:
         # with no jitter the per-bin counts follow the trace exactly
         comb, trace = comb_trace()
         n = 1_000_000
-        delays = sample_pair_delays(trace, n, seed=18)
         bw = T_R / 50.0
-        records = detect(delays, DetectorModel(0.0, 1.0), seed=19, duration=1.0)
-        hist = histogram_delays(records, bw, (-20.0, 20.0))
+        det = DetectorModel(0.0, 1.0)
+        hist, _ = stream_histogram(trace, n, det, 18, bw, (-20.0, 20.0), duration=1.0)
         probs = jitter_convolution_oracle(trace.grid.values, trace.samples, 0.0, hist.edges)
         expected = probs * n
         dev = np.abs(hist.counts - expected) / np.maximum(np.sqrt(expected), 1.0)
@@ -508,11 +563,10 @@ class TestHistogramEdgeCap:
         assert histogram_edge_count(1.0, (0.0, 0.5)) == 2
 
     @pytest.mark.parametrize("width, delay_range, edges", OVER_CAP)
-    def test_histogram_delays(self, width, delay_range, edges):
+    def test_edges(self, width, delay_range, edges):
         assert histogram_edge_count(width, delay_range) == edges
-        empty = Detections(np.empty(0), np.empty(0))
         # cap + 1 float64 edges alone would take 32 MB
-        assert self.refused(lambda: histogram_delays(empty, width, delay_range)) < 1 << 20
+        assert self.refused(lambda: _edges(width, delay_range)) < 1 << 20
 
     @pytest.mark.parametrize("width, delay_range, edges", OVER_CAP)
     def test_stream_histogram_draws_nothing(self, monkeypatch, width, delay_range, edges):
@@ -530,9 +584,8 @@ class TestHistogramEdgeCap:
 
 def test_an_infinite_bin_width_is_refused():
     # lo + inf * 0 would make the first edge NaN and leave every delay uncounted
-    records = Detections(np.array([0.0]), np.empty(0))
     with pytest.raises(ValueError, match="bin_width must be > 0 and finite"):
-        histogram_delays(records, math.inf, (-1.0, 1.0))
+        stream_histogram(flat_trace(), 1, DetectorModel(0.0, 1.0), 1, math.inf, (-1.0, 1.0))
 
 
 def test_comb_contrast_of_empty_peak_bins_is_zero():
@@ -577,31 +630,25 @@ def test_comb_contrast_of_empty_peak_bins_is_zero():
             "dark_rate must be finite",
         ),
         (
-            lambda: sample_pair_delays(
-                CorrelationTrace(TimeGrid(-1.0, 1.0, 5), np.ones(5), TraceKind.AMPLITUDE), 3, 1
+            lambda: stream_range(
+                CorrelationTrace(TimeGrid(-1.0, 1.0, 5), np.ones(5), TraceKind.AMPLITUDE), n=3
             ),
             "needs an intensity trace",
         ),
-        (lambda: sample_pair_delays(flat_trace(), -1, 1), "n must be >= 0"),
-        (
-            lambda: detect([0.0], DetectorModel(0.0, 1.0), seed=1, duration=0.0),
-            "duration must be > 0",
-        ),
-        (
-            lambda: histogram_delays(Detections(np.empty(0), np.empty(0)), 0.0, (-1.0, 1.0)),
-            "bin_width must be > 0",
-        ),
-        (
-            lambda: histogram_delays(Detections(np.empty(0), np.empty(0)), 0.1, (1.0, 1.0)),
-            "empty delay range",
-        ),
+        (lambda: stream_range(n=-1), "n must be >= 0"),
+        (lambda: stream_range(duration=0.0), "duration must be > 0"),
+        (lambda: stream_range(duration=math.inf), "duration must be > 0 and finite"),
+        (lambda: stream_range(duration=math.nan), "duration must be > 0 and finite"),
+        (lambda: stream_range(bin_width=0.0), "bin_width must be > 0"),
+        (lambda: stream_range(delay_range=(1.0, 1.0)), "empty delay range"),
     ],
     ids=[
         "resolution_time", "coincidence_window", "efficiency", "dark_rate",
         "resolution_time_nan", "resolution_time_inf", "coincidence_window_inf", "dark_rate_nan",
         "dark_rate_inf",
         "sample_amplitude_trace", "sample_negative_n", "detect_zero_duration",
-        "histogram_zero_bin", "histogram_empty_range",
+        "detect_infinite_duration", "detect_nan_duration", "histogram_zero_bin",
+        "histogram_empty_range",
     ],
 )
 def test_refused_input(call, fragment):
