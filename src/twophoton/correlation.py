@@ -27,6 +27,8 @@ QUAD_SPAN_HALFWIDTHS = 50.0
 MAX_QUAD_POINTS = 4_194_305
 #: envelope intensity below which a delay counts as outside the envelope support
 SUPPORT_INTENSITY_EPS = 1e-14
+#: (delay, lag) entries of one block of ``pair_overlap``: 1 MiB per complex array
+PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
 class TraceKind(str, enum.Enum):
@@ -139,6 +141,7 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
     p_m = e^{i phi_m - i m dOm d} with q_m = e^{i phi_m + i m dOm d}, and J is the
     transform of the carrier-free envelope product g(tau + d) g(tau - d).
     Lorentzian and Gaussian lines; more than 65536 modes is a GridError.
+    Delays go in blocks of at most PAIR_BLOCK_ELEMENTS (delay, lag) entries.
     """
     s, n_modes = comb.single_mode, comb.n_modes
     if s.shape is Shape.RECTANGULAR:
@@ -149,18 +152,47 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
     phase = np.exp(1j * np.array(comb.mode_phases))
     m = np.arange(-comb.n_side_modes, comb.n_side_modes + 1) * comb.mode_spacing
     k = np.arange(-2 * comb.n_side_modes, 2 * comb.n_side_modes + 1) * comb.mode_spacing
-    hw, out = s.halfwidth, []
-    for d in np.atleast_1d(np.asarray(delays, dtype=float)):
-        a = np.correlate(phase * np.exp(-1j * m * d), phase * np.exp(1j * m * d), "full")
-        if s.shape is Shape.LORENTZIAN:
-            # the envelope product is e^{-2 hw |d|} inside |tau| <= |d|, e^{-2 hw |tau|} outside
-            z, ad = 2.0 * hw + 1j * k, abs(d)
-            j = 2.0 * ad * math.exp(-2.0 * hw * ad) * np.sinc(k * ad / math.pi)
-            j = j + 2.0 * np.real(np.exp(-z * ad) / z)
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    rows = max(1, PAIR_BLOCK_ELEMENTS // k.size)
+    out = np.empty(delays.size, dtype=complex)
+    for lo in range(0, delays.size, rows):
+        out[lo : lo + rows] = _pair_block(s, phase, m, k, delays[lo : lo + rows])
+    return out
+
+
+def _pair_block(s, phase, m, k, d):
+    """``pair_overlap`` at a block of delays d, each factor one (delays x modes) array.
+
+    The bits equal those of one pass per delay because np.correlate still runs
+    per delay (a batched correlate differs in the last bit), the scalar decay
+    factor is math.exp per delay (NumPy's vector exp differs) and the carrier a
+    NumPy scalar per delay, and the carrier product is written out in real and
+    imaginary parts (an array complex product differs).
+    """
+    col, hw, lorentzian = d[:, None], s.halfwidth, s.shape is Shape.LORENTZIAN
+    p, q = phase * np.exp(-1j * m * col), phase * np.exp(1j * m * col)
+    a = np.empty((d.size, k.size), complex)
+    scale, carrier = np.empty(d.size), np.empty(d.size, complex)
+    for i, x in enumerate(d):
+        a[i] = np.correlate(p[i], q[i], "full")
+        carrier[i] = np.exp(-2j * s.center * x)
+        if lorentzian:
+            scale[i] = 2.0 * abs(x) * math.exp(-2.0 * hw * abs(x))
         else:
-            j = math.sqrt(math.pi) / hw * math.exp(-((hw * d) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
-        out.append(np.exp(-2j * s.center * d) * np.sum(a * j))
-    return np.array(out)
+            scale[i] = math.sqrt(math.pi) / hw * math.exp(-((hw * x) ** 2))
+    del p, q  # freed before J is built: 0.9 MB less at the peak of a wide comb
+    if lorentzian:
+        # the envelope product is e^{-2 hw |d|} inside |tau| <= |d|, e^{-2 hw |tau|} outside
+        z, ad = 2.0 * hw + 1j * k, np.abs(col)
+        j = scale[:, None] * np.sinc(k * ad / math.pi)
+        j = j + 2.0 * np.real(np.exp(-z * ad) / z)
+    else:
+        j = scale[:, None] * np.exp(-(k / hw) ** 2 / 4.0)
+    t = np.sum(a * j, axis=1)
+    out = np.empty(d.size, complex)
+    out.real = carrier.real * t.real - carrier.imag * t.imag
+    out.imag = carrier.real * t.imag + carrier.imag * t.real
+    return out
 
 
 def _line_transform(s, tau, power):

@@ -183,7 +183,7 @@ def _rate(cfg: InterferometerConfig, delays, phases=None):
     # nodes, so its window is always truncated or refused by the node cap
     covered = cfg.resolution_time / 2.0 >= d + envelope_support(cfg.comb.single_mode)
     if covered and cfg.comb.single_mode.shape is not Shape.RECTANGULAR:
-        # each delay is its own pass of the mode-pair sum, so every P keeps its bits
+        # one mode-pair pass over every delay; its blocks keep the bits of a pass per delay
         n, halves = delays.size, (delays / 2.0, -delays / 2.0) if cross else ()
         p = pair_overlap(cfg.comb, np.concatenate(([0.0], delays, *halves)))
         r0, s = np.full(n, p[0].real), np.ones(n)

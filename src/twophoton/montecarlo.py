@@ -209,8 +209,16 @@ class _Detector:
         max_abs = functools.cache(max_abs)
         if duration is None:
             # sparse enough that accidentals stay rare amid the true pairs
-            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * max_abs()
+            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time
             duration = max(n, 1) * pitch
+            if duration < math.inf:  # an overflow is refused before max_abs draws
+                duration = max(n, 1) * (pitch + 4.0 * max_abs())
+            if duration == math.inf:
+                raise NumericsError(
+                    f"detector.coincidence_window {det.coincidence_window:.3e} s and "
+                    f"detector.resolution_time {det.resolution_time:.3e} s over {n} pairs "
+                    "make the derived mc.duration overflow; set mc.duration"
+                )
         if not 0 < duration < math.inf:
             raise ValueError(f"duration must be > 0 and finite, got {duration}")
         if det.dark_rate * duration > MAX_EVENTS:

@@ -62,6 +62,25 @@ def brute_force_comb_sum(comb, omega):
     return total
 
 
+def pair_overlap_oracle(comb, delays):
+    """``pair_overlap`` one delay at a time: the mode-pair sum as scalar code per delay."""
+    s = comb.single_mode
+    phase = np.exp(1j * np.array(comb.mode_phases))
+    m = np.arange(-comb.n_side_modes, comb.n_side_modes + 1) * comb.mode_spacing
+    k = np.arange(-2 * comb.n_side_modes, 2 * comb.n_side_modes + 1) * comb.mode_spacing
+    hw, out = s.halfwidth, []
+    for d in np.atleast_1d(np.asarray(delays, dtype=float)):
+        a = np.correlate(phase * np.exp(-1j * m * d), phase * np.exp(1j * m * d), "full")
+        if s.shape is Shape.LORENTZIAN:
+            z, ad = 2.0 * hw + 1j * k, abs(d)
+            j = 2.0 * ad * math.exp(-2.0 * hw * ad) * np.sinc(k * ad / math.pi)
+            j = j + 2.0 * np.real(np.exp(-z * ad) / z)
+        else:
+            j = math.sqrt(math.pi) / hw * math.exp(-((hw * d) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
+        out.append(np.exp(-2j * s.center * d) * np.sum(a * j))
+    return np.array(out)
+
+
 def pair_profile(s, u):
     """Exchange-symmetrized line profile, written out per shape."""
     if s.shape is Shape.LORENTZIAN:

@@ -740,6 +740,16 @@ class TestMcBounds:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_an_overflowing_derived_duration_exits_3(self, tmp_path, capsys):
+        # no mc.duration: 1000 pairs at a pitch of 100 windows overflow to inf
+        cfg = write_cfg(tmp_path, "mc.n_events = 1000\ndetector.coincidence_window = 1e306\n")
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "detector.coincidence_window" in err and "mc.duration" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_histogram_edges_at_the_cap(self):
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from twophoton import (
     generalized_F,
     pair_envelope,
 )
-from twophoton.correlation import pair_overlap
+from twophoton.correlation import PAIR_BLOCK_ELEMENTS, pair_overlap
 
 from conftest import (
     TWO_PI,
@@ -33,6 +34,7 @@ from conftest import (
     intensity_profile,
     make_comb,
     moving_average_oracle,
+    pair_overlap_oracle,
     pair_profile,
     transform_oracle,
 )
@@ -153,6 +155,64 @@ class TestPairOverlap:
     def test_rectangular_line_has_no_closed_form(self):
         with pytest.raises(ValueError, match="rectangular"):
             pair_overlap(make_comb(4, 0.01, shape=Shape.RECTANGULAR), [0.0])
+
+    @staticmethod
+    def assert_same_bits(comb, delays):
+        got, want = pair_overlap(comb, delays), pair_overlap_oracle(comb, delays)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([Shape.LORENTZIAN, Shape.GAUSSIAN]),
+        n_side=st.integers(0, 40),
+        phase_seed=st.none() | st.integers(0, 2**32 - 1),
+        center=st.sampled_from([0.0, 3.7, -211.0]),
+        delays=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5])
+            | st.floats(-4.0, 4.0, allow_nan=False),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_batched_sum_keeps_every_bit_of_the_per_delay_sum(
+        self, shape, n_side, phase_seed, center, delays
+    ):
+        phases = ()
+        if phase_seed is not None:
+            phases = tuple(np.random.default_rng(phase_seed).uniform(0.0, TWO_PI, 2 * n_side + 1))
+        self.assert_same_bits(make_comb(n_side, 0.01, shape, phases=phases, center=center), delays)
+
+    @pytest.mark.parametrize("center", [0.0, 1.5])
+    @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
+    def test_a_covered_hom_scan_keeps_its_bits(self, shape, center):
+        # the delays one covered scan asks for: 0, the 261 scan delays and their halves
+        d = np.linspace(0.0, 1.3, 261)
+        self.assert_same_bits(make_comb(10, 0.01, shape, center=center), [0.0, *d, *d / 2, *-d / 2])
+
+    @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
+    def test_delays_past_one_block_keep_their_bits(self, shape):
+        # 4N + 1 = 4001 lags: 16 delays a block, so 40 delays take three blocks
+        comb = make_comb(1000, 0.01, shape, phases=tuple(np.linspace(0.0, 5.0, 2001)), center=1.5)
+        assert PAIR_BLOCK_ELEMENTS // (4 * 1000 + 1) == 16
+        self.assert_same_bits(comb, np.linspace(-1.3, 1.3, 40))
+
+    def test_a_wide_comb_keeps_its_bits(self):
+        self.assert_same_bits(make_comb(3000, 0.01), [0.0, 5e-324, 0.25, -0.5, 1.0])
+
+    def test_no_delays_give_an_empty_array(self):
+        assert pair_overlap(make_comb(4, 0.01), []).shape == (0,)
+
+    def test_the_blocks_bound_the_memory(self):
+        # 64 delays at N = 3000: 13 blocks of at most 65536 entries, about 4 MB at the peak
+        comb = make_comb(3000, 0.01)
+        tracemalloc.start()
+        try:
+            pair_overlap(comb, np.linspace(0.0, 1.3, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 class TestEnvelopes:

@@ -313,6 +313,16 @@ class TestAccidentalRowCap:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_an_overflowing_derived_duration_draws_nothing(self, monkeypatch):
+        def no_draws(seed, key):
+            raise AssertionError(f"stream {key} drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        # 1000 pairs times a pitch of 100 windows: 1e311 s
+        det = DetectorModel(1e-8, 1e306)
+        with pytest.raises(NumericsError, match="detector.coincidence_window .* mc.duration"):
+            stream_histogram(flat_trace(), 1000, det, 1, 0.01, (-1.0, 1.0))
+
 
 class TestStreamHistogram:
     """The one-pass route gives the histogram and summary of the oracle records."""
