@@ -34,6 +34,8 @@ MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
 _DETECT_KEY = 1 << 33
+# the most time cells per dark list in the detection prefilter (1 MB each)
+_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -84,23 +86,19 @@ def _run_chunks(worker, n: int, threads: int):
             yield running.popleft().result()
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray, t0: float, dt: float) -> np.ndarray:
-    """The delays at uniforms ``u``, each placed uniformly inside its CDF bin.
-
-    Every step is monotone in ``u``, so a larger uniform never gives a
-    smaller delay.
-    """
-    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, cdf.size - 2)
-    width = cdf[idx + 1] - cdf[idx]
-    frac = np.where(width > 0, (u - cdf[idx]) / np.where(width > 0, width, 1.0), 0.5)
-    return t0 + (idx + frac) * dt
-
-
 @dataclass(frozen=True, eq=False)
 class _Sampler:
-    """n pair delays from an intensity trace, chunk k drawn from stream k."""
+    """n pair delays from an intensity trace, chunk k drawn from stream k.
+
+    The CDF search goes through a guide table: ``guide[j]`` is the CDF index
+    of the bucket edge j / G, G the power of two above the number of CDF
+    bins, so G <= 2 (K - 1) for K CDF points.  ``u * G`` is exact, so a
+    draw's index is at least its bucket's guide entry, and ``cdf`` ends in
+    +inf so that the two CDF points past it can always be read.
+    """
 
     cdf: np.ndarray
+    guide: np.ndarray
     t0: float
     dt: float
     n: int
@@ -118,22 +116,43 @@ class _Sampler:
         total = float(mass.sum())
         if not total > 0:
             raise DegenerateDensity("trace integrates to zero; nothing to sample")
-        cdf = np.concatenate([[0.0], np.cumsum(mass)]) / total
-        cdf[-1] = 1.0
-        return cls(cdf, trace.grid.t_min, dt, n, seed)
+        cdf = np.concatenate([[0.0], np.cumsum(mass), [math.inf]])
+        cdf[:-1] /= total
+        cdf[-2] = 1.0
+        buckets = 1 << mass.size.bit_length()
+        edges = np.arange(buckets) / buckets
+        guide = (np.searchsorted(cdf, edges, side="right") - 1).astype(np.int32)
+        return cls(cdf, guide, trace.grid.t_min, dt, n, seed)
+
+    def _index(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(cdf, u, "right") - 1`` for uniforms in [0, 1), bit for bit."""
+        cdf = self.cdf
+        lo = self.guide[(u * self.guide.size).astype(np.intp)].astype(np.intp)
+        # a draw below the second CDF point past its guide entry needs one
+        # comparison; the rest, a few percent, are searched
+        idx = lo + (cdf[lo + 1] <= u)
+        far = cdf[lo + 2] <= u
+        idx[far] = np.searchsorted(cdf, u[far], side="right") - 1
+        return idx
+
+    def _delays(self, u: np.ndarray) -> np.ndarray:
+        """The delays at uniforms ``u``, each placed uniformly inside its CDF bin.
+
+        Every step is monotone in ``u``, so a larger uniform never gives a
+        smaller delay.
+        """
+        idx = self._index(u)
+        low = self.cdf[idx]
+        width = self.cdf[idx + 1] - low
+        frac = np.divide(u - low, width, out=np.full(u.size, 0.5), where=width > 0)
+        return self.t0 + (idx + frac) * self.dt
 
     def _uniforms(self, k: int) -> np.ndarray:
         return _chunk_rng(self.seed, k).random(min(CHUNK, self.n - k * CHUNK))
 
     def chunk(self, k: int) -> np.ndarray:
         """The delays of chunk k, in draw order."""
-        u = self._uniforms(k)
-        # the CDF search walks sorted keys in one pass; each draw keeps its
-        # own index, so the result is the unsorted search's, scattered back
-        order = np.argsort(u)
-        out = np.empty(u.size)
-        out[order] = _inverse_cdf(self.cdf, u[order], self.t0, self.dt)
-        return out
+        return self._delays(self._uniforms(k))
 
     def max_abs(self, threads: int) -> float:
         """max |delay| over all n draws, bit for bit, from each chunk's extreme uniforms."""
@@ -142,8 +161,7 @@ class _Sampler:
             u = self._uniforms(k)
             if not u.size:
                 return 0.0
-            ends = _inverse_cdf(self.cdf, np.array([u.min(), u.max()]), self.t0, self.dt)
-            return float(np.max(np.abs(ends)))
+            return float(np.max(np.abs(self._delays(np.array([u.min(), u.max()])))))
 
         return max(_run_chunks(extreme, self.n, threads))
 
@@ -190,14 +208,63 @@ def accidental_rows(det: DetectorModel, n: int, duration: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _DarkCells:
+    """Time cells of width h >= 2w, marked where a dark count's window reaches.
+
+    h = max(2w, span / cells) over the span of the dark windows, with 32
+    cells per dark count of the longer list and at most 2^20.  A photon
+    matches dark count d when fl(d - w) <= t <= fl(d + w).  The cell index
+    is monotone in time, so such a photon's cell lies between the cells of
+    the two rounded bounds, which are marked; a photon in an unmarked cell
+    matches no dark count and is never sorted.  Where the span or 1/h is
+    not finite, every time falls in one cell, marked if there are dark
+    counts.
+    """
+
+    origin: float
+    scale: float
+    marked: tuple  # one boolean table per detector's dark list
+
+    @classmethod
+    def of(cls, darks: tuple, w: float) -> _DarkCells:
+        one_cell = cls(0.0, 1.0, tuple(np.array([d.size > 0]) for d in darks))
+        ends = [float(e) for d in darks if d.size for e in (d[0] - w, d[-1] + w)]
+        if not ends:
+            return one_cell
+        span = max(ends) - min(ends)
+        # about 32 cells per dark count, so that a few percent are marked
+        scale = 1.0 / max(2.0 * w, span / min(_CELLS, 32 * max(d.size for d in darks)))
+        if not (span < math.inf and 0.0 < scale < math.inf):
+            return one_cell
+        size = int(span * scale) + 1
+        cells = cls(min(ends), scale, tuple(np.zeros(size, dtype=bool) for _ in darks))
+        for table, d in zip(cells.marked, darks):
+            first, last = cells.index(d - w), cells.index(d + w)
+            # a window covers one or two cells, and more only by rounding
+            for step in range(int(np.max(last - first, initial=-1)) + 1):
+                table[np.minimum(first + step, last)] = True
+        return cells
+
+    def index(self, t: np.ndarray) -> np.ndarray:
+        """The cells of times ``t``, clipped to the table."""
+        top = self.marked[0].size - 1
+        return np.clip((t - self.origin) * self.scale, 0.0, top).astype(np.intp)
+
+    def near(self, d: int, t: np.ndarray) -> np.ndarray:
+        """Which times ``t`` lie in a cell that dark list d marks."""
+        return self.marked[d][self.index(t)]
+
+
+@dataclass(frozen=True, eq=False)
 class _Detector:
-    """One run's detection: its duration, timestamp offset and dark lists."""
+    """One run's detection: its duration, timestamp offset, dark lists and their cells."""
 
     det: DetectorModel
     seed: int
     duration: float
     offset: float
     darks: tuple
+    cells: _DarkCells
 
     @classmethod
     def of(cls, det: DetectorModel, seed: int, n: int, max_abs, duration) -> _Detector:
@@ -243,7 +310,8 @@ class _Detector:
                 rng = _chunk_rng(seed, _DARK_KEY + d)
                 count = rng.poisson(det.dark_rate * duration)
                 darks.append(np.sort(offset + rng.uniform(0.0, duration, count)))
-        return cls(det, seed, duration, offset, tuple(darks))
+        darks = tuple(darks)
+        return cls(det, seed, duration, offset, darks, _DarkCells.of(darks, det.coincidence_window))
 
     def chunk(self, k: int, delays: np.ndarray):
         """Chunk k's pair record delays and its accidental (t1, t2) rows."""
@@ -259,10 +327,11 @@ class _Detector:
         keep2 = rng.random(m) < self.det.efficiency
         found = []  # accidental (detector-1 times, detector-2 times)
         if self.darks:
-            found.append(_window_pairs(self.darks[0], np.sort(t2[keep2]), w))
-            found.append(_window_pairs(self.darks[1], np.sort(t1[keep1]), w)[::-1])
+            near1, near2 = self.cells.near(1, t1), self.cells.near(0, t2)
+            found.append(_window_pairs(self.darks[0], np.sort(t2[keep2 & near2]), w))
+            found.append(_window_pairs(self.darks[1], np.sort(t1[keep1 & near1]), w)[::-1])
         both = keep1 & keep2
-        return t2[both] - t1[both], found
+        return (t2 - t1)[both], found
 
     def accidentals(self, rows: list) -> np.ndarray:
         """The accidental delays from every chunk's rows and the dark-dark pairs, each once."""
@@ -336,10 +405,10 @@ def stream_histogram(
     """Sample, detect, histogram and count n pairs in one chunked pass.
 
     Chunk k's pair delays are drawn from sampling stream k, detected with
-    detection stream k, histogrammed and counted before the next chunk's are
-    needed, so no full-length delay or record array is built; only the
-    accidental rows, which are few, are kept whole and join at the end, each
-    once.  Records are delays t2 - t1.  The largest |delay|, which sets the
+    detection stream k, and histogrammed and counted by the same worker, so
+    the caller only adds counts and no full-length delay or record array is
+    built; only the accidental rows, which are few, are kept whole and join
+    at the end, each once.  Records are delays t2 - t1.  The largest |delay|, which sets the
     timestamp offset and the default duration, comes first from a pass that
     draws only each chunk's uniforms.
     """
@@ -349,15 +418,17 @@ def stream_histogram(
     w = det.coincidence_window
 
     def pair_chunk(k: int):
-        return run.chunk(k, sampler.chunk(k))
+        delay, found = run.chunk(k, sampler.chunk(k))
+        in_window = int(np.count_nonzero(np.abs(delay) <= w))
+        return np.histogram(delay, bins=edges)[0], delay.size, in_window, found
 
     counts = np.zeros(edges.size - 1, dtype=np.intp)
     n_pair = in_pair = 0
     rows = []
-    for delay, found in _run_chunks(pair_chunk, n, threads):
-        counts += np.histogram(delay, bins=edges)[0]
-        n_pair += delay.size
-        in_pair += int(np.count_nonzero(np.abs(delay) <= w))
+    for chunk_counts, chunk_pairs, chunk_in_window, found in _run_chunks(pair_chunk, n, threads):
+        counts += chunk_counts
+        n_pair += chunk_pairs
+        in_pair += chunk_in_window
         rows += found
     accidentals = run.accidentals(rows)
     counts += np.histogram(accidentals, bins=edges)[0]

@@ -750,6 +750,26 @@ class TestMcBounds:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "dark_rate, window", [("5e-324", "1.0e-8"), ("1e-305", "1.0e-8"), ("1e-305", "1e300")]
+    )
+    def test_a_duration_near_the_float_maximum_never_raises(
+        self, tmp_path, capsys, dark_rate, window
+    ):
+        # a subnormal rate expects no dark count; 1e-305 expects about 1800 over
+        # a span whose time cells are each about 1.7e302 s wide
+        text = (CONFIGS / "mc_slow_detector.cfg").read_text(encoding="utf-8")
+        for old, new in (
+            ("mc.n_events = 200000", "mc.n_events = 1000"),
+            ("mc.duration = 2.0e-2", "mc.duration = 1.7976931348623157e308"),
+            ("detector.coincidence_window = 1.0e-8", f"detector.coincidence_window = {window}"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text + f"detector.dark_rate = {dark_rate}\n")
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_histogram_edges_at_the_cap(self):
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly

@@ -26,6 +26,7 @@ from twophoton.montecarlo import (
     CHUNK,
     MAX_EVENTS,
     DelayHistogram,
+    _DarkCells,
     _Detector,
     _edges,
     _run_chunks,
@@ -167,6 +168,80 @@ class TestSampler:
         np.testing.assert_array_equal(got, sample_oracle(trace, n, seed=23))
 
 
+def two_point_trace():
+    grid = TimeGrid(-1.0, 1.0, 2)
+    return CorrelationTrace(grid, np.array([1.0, 3.0]), TraceKind.INTENSITY)
+
+
+def spiky_trace():
+    """Spikes on a floor 1e-9 as high: the floor's CDF points crowd into single buckets."""
+    grid = TimeGrid(-1.0, 1.0, 4097)
+    y = np.where(np.arange(4097) % 256 == 0, 1.0, 1e-9)
+    return CorrelationTrace(grid, y, TraceKind.INTENSITY)
+
+
+def oracle_cdf(trace):
+    y, dt = trace.samples, trace.grid.spacing
+    mass = 0.5 * (y[1:] + y[:-1]) * dt
+    cdf = np.concatenate([[0.0], np.cumsum(mass)]) / float(mass.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+class TestGuideTable:
+    """The guide-table index is the CDF search's, bit for bit."""
+
+    TRACES = {"gapped": gapped_trace, "two_point": two_point_trace, "spiky": spiky_trace}
+
+    @staticmethod
+    def adversarial_uniforms(cdf, buckets):
+        edges = np.arange(buckets) / buckets
+        u = np.concatenate(
+            [
+                [0.0, 1.0 - 2.0**-53],
+                cdf,
+                np.nextafter(cdf, -np.inf),
+                np.nextafter(cdf, np.inf),
+                edges,
+                np.nextafter(edges[1:], -np.inf),
+            ]
+        )
+        return u[(u >= 0.0) & (u < 1.0)]
+
+    @pytest.mark.parametrize("name", sorted(TRACES))
+    def test_the_index_is_the_search(self, name):
+        trace = self.TRACES[name]()
+        sampler = _Sampler.of(trace, 1, 0)
+        cdf = oracle_cdf(trace)
+        np.testing.assert_array_equal(sampler.cdf[:-1], cdf)
+        u = self.adversarial_uniforms(cdf, sampler.guide.size)
+        want = np.searchsorted(cdf, u, side="right") - 1
+        np.testing.assert_array_equal(sampler._index(u), want)
+        # and the delays are the plain inverse CDF's at these uniforms
+        width = cdf[want + 1] - cdf[want]
+        frac = np.where(width > 0, (u - cdf[want]) / np.where(width > 0, width, 1.0), 0.5)
+        want_delays = trace.grid.t_min + (want + frac) * trace.grid.spacing
+        np.testing.assert_array_equal(sampler._delays(u), want_delays)
+
+    def test_crowded_buckets_are_searched(self):
+        trace = spiky_trace()
+        sampler = _Sampler.of(trace, 1, 0)
+        cdf = oracle_cdf(trace)
+        assert np.bincount((cdf[:-1] * sampler.guide.size).astype(np.intp)).max() > 100
+        u = self.adversarial_uniforms(cdf, sampler.guide.size)
+        lo = sampler.guide[(u * sampler.guide.size).astype(np.intp)]
+        assert np.count_nonzero(sampler.cdf[lo + 2] <= u) > 1000
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 4097, 131073])
+    def test_the_guide_is_no_larger_than_the_cdf(self, points):
+        trace = flat_trace(points=points)
+        sampler = _Sampler.of(trace, 1, 0)
+        buckets = sampler.guide.size
+        assert buckets & (buckets - 1) == 0 and points - 1 < buckets <= 2 * (points - 1)
+        assert sampler.guide.nbytes <= sampler.cdf.nbytes
+        assert sampler.guide.dtype == np.int32
+
+
 class TestDetector:
     def test_identity_detector_preserves_delays(self):
         delays = np.linspace(-0.4, 0.4, 1001)
@@ -270,6 +345,88 @@ class TestDetector:
             np.testing.assert_array_equal(a, b)
         if dark:
             assert got[1].size > 0
+
+
+class TestDarkCells:
+    """The prefilter keeps every photon that a dark count's window reaches."""
+
+    @staticmethod
+    def adversarial_photons(darks, w, cells):
+        rng = np.random.default_rng(31)
+        h = 1.0 / cells.scale
+        size = cells.marked[0].size
+        # cell edges around every dark count's cells, the first and the last
+        around = np.concatenate([cells.index(d) for d in darks])
+        k = np.concatenate([around - 1, around, around + 1, around + 2, [0, 1, size - 1, size]])
+        edges = cells.origin + np.clip(k, 0, size) * h
+        photons = [edges, np.nextafter(edges, -np.inf)]
+        for d in darks:
+            for bound in (d - w, d + w):
+                photons += [bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]
+        lo, hi = cells.origin, cells.origin + size * h
+        photons.append(rng.uniform(lo - 3.0 * w, hi + 3.0 * w, 4000))
+        photons.append([0.0, lo - 1e3, hi + 1e3, math.inf])
+        return np.concatenate(photons)
+
+    @pytest.mark.parametrize(
+        "window", [1e-6, 0.05, 20.0], ids=["narrower_than_a_cell", "half_a_cell", "wider_than_the_run"]
+    )
+    def test_the_rows_are_the_unfiltered_rows(self, window):
+        rng = np.random.default_rng(30)
+        darks = tuple(np.sort(5.0 + rng.uniform(0.0, 10.0, 200)) for _ in range(2))
+        cells = _DarkCells.of(darks, window)
+        span = max(d[-1] for d in darks) - min(d[0] for d in darks) + 2.0 * window
+        # 32 cells per dark count of the longer list
+        assert 1.0 / cells.scale == pytest.approx(max(2.0 * window, span / (32 * 200)))
+        photons = self.adversarial_photons(darks, window, cells)
+        for d, dark in enumerate(darks):
+            near = cells.near(d, photons)
+            got = set(zip(*_window_pairs(dark, np.sort(photons[near]), window)))
+            want = set(zip(*_window_pairs(dark, np.sort(photons), window)))
+            assert got == want and len(want) > 400
+            # the widest window marks every cell; the others drop some photons
+            assert cells.marked[d].all() == (window == 20.0) == near.all()
+
+    @pytest.mark.parametrize(
+        "darks, window",
+        [
+            ((np.array([1.0, np.finfo(float).max]), np.array([2.0])), 1e300),  # infinite bound
+            ((np.array([1.0, 2.0]), np.array([3.0])), 1e308),  # infinite h
+            ((np.array([1.0, 1.0]), np.array([1.0])), 5e-324),  # infinite 1/h
+            ((np.array([math.inf]), np.array([math.inf])), 1.0),  # no finite span
+            ((np.empty(0), np.empty(0)), 1.0),  # no dark counts
+        ],
+        ids=["inf_bound", "inf_cell", "inf_scale", "inf_darks", "no_darks"],
+    )
+    def test_an_overflowing_table_is_one_cell(self, darks, window):
+        # fl(d + w) itself may overflow, as it does in _window_pairs
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = _DarkCells.of(darks, window)
+        assert [table.tolist() for table in cells.marked] == [[d.size > 0] for d in darks]
+        photons = np.array([0.0, 1.0, np.finfo(float).max, math.inf])
+        for d in (0, 1):
+            np.testing.assert_array_equal(cells.near(d, photons), darks[d].size > 0)
+
+    def test_an_empty_dark_list_marks_nothing(self):
+        cells = _DarkCells.of((np.array([1.0, 4.0]), np.empty(0)), 0.5)
+        # cells of width 2w = 1 from 0.5: the windows [0.5, 1.5] and [3.5, 4.5] reach their edges
+        assert cells.marked[0].tolist() == [True, True, False, True, True]
+        assert not cells.marked[1].any()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_whole_runs_narrower_than_a_cell_match_the_oracle(self, threads):
+        # the window is a fifth of a cell: only the marked cells' photons are sorted
+        n, duration = CHUNK + 5, 1e4
+        det = DetectorModel(resolution_time=1e-3, coincidence_window=2e-3, efficiency=0.8, dark_rate=4.0)
+        delays = np.random.default_rng(32).normal(0.0, 1e-3, n)
+        got = records(delays, det, seed=33, duration=duration, threads=threads)
+        want = detect_oracle(delays, det, seed=33, duration=duration)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert got[1].size > 1000
+        cells = _Detector.of(det, 33, n, lambda: float(np.max(np.abs(delays))), duration).cells
+        assert 1.0 / cells.scale > 4.0 * det.coincidence_window
+        assert all(table.mean() < 0.1 for table in cells.marked)
 
 
 class TestAccidentalRowCap:
@@ -379,6 +536,22 @@ class TestStreamHistogram:
         want = float(np.max(np.abs(sample_oracle(trace, n, seed=29)), initial=0.0))
         assert _Sampler.of(trace, n, 29).max_abs(threads) == want
 
+    def test_counts_and_summary_do_not_depend_on_the_thread_count(self):
+        # each worker histograms and counts its own chunks; the caller only adds
+        trace = gapped_trace()
+        n = 2 * CHUNK + 17
+        det = DetectorModel(
+            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=400.0 / (20.0 * n)
+        )
+        runs = [
+            stream_histogram(trace, n, det, 34, 0.01, (-1.5, 1.755), duration=20.0 * n, threads=t)
+            for t in (1, 2, 3)
+        ]
+        for hist, summary in runs[1:]:
+            np.testing.assert_array_equal(hist.counts, runs[0][0].counts)
+            assert summary == runs[0][1]
+        assert runs[0][1]["n_accidental_records"] > 0
+
     def test_memory_does_not_grow_with_the_event_count(self):
         trace = flat_trace()
         det = DetectorModel(
@@ -460,7 +633,8 @@ class TestDarkPairs:
 
     def accidentals(self, dark1, dark2):
         det = DetectorModel(resolution_time=0.0, coincidence_window=self.W)
-        return _Detector(det, 0, 1.0, 0.0, (np.array(dark1), np.array(dark2))).accidentals([])
+        darks = np.array(dark1), np.array(dark2)
+        return _Detector(det, 0, 1.0, 0.0, darks, _DarkCells.of(darks, self.W)).accidentals([])
 
     def test_the_rounded_bounds_differ_by_side(self):
         assert self.D1 - self.W <= self.D2 <= self.D1 + self.W
