@@ -28,7 +28,7 @@ from .errors import DegenerateDensity, GridError, NumericsError
 CHUNK = 1 << 16
 # the largest mc.n_events a config may ask for, and the most dark counts per
 # detector and accidental rows a run may expect; an mc run keeps no per-event
-# array (53 MB at 2e6 events; 61 MB and 6.4 s at the cap, 2 threads), so the
+# array (50 MB at 2e6 events; 62 MB and 2.7 s at the cap, 2 threads), so the
 # cap bounds its run time, the dark lists and the accidental rows
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated

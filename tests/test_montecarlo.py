@@ -369,7 +369,9 @@ class TestDarkCells:
         return np.concatenate(photons)
 
     @pytest.mark.parametrize(
-        "window", [1e-6, 0.05, 20.0], ids=["narrower_than_a_cell", "half_a_cell", "wider_than_the_run"]
+        "window",
+        [1e-6, 0.05, 20.0],
+        ids=["narrower_than_a_cell", "half_a_cell", "wider_than_the_run"],
     )
     def test_the_rows_are_the_unfiltered_rows(self, window):
         rng = np.random.default_rng(30)
@@ -378,6 +380,9 @@ class TestDarkCells:
         span = max(d[-1] for d in darks) - min(d[0] for d in darks) + 2.0 * window
         # 32 cells per dark count of the longer list
         assert 1.0 / cells.scale == pytest.approx(max(2.0 * window, span / (32 * 200)))
+        # the outermost dark counts reach the first and the last cell
+        assert min(cells.index(d - window).min() for d in darks) == 0
+        assert max(cells.index(d + window).max() for d in darks) == cells.marked[0].size - 1
         photons = self.adversarial_photons(darks, window, cells)
         for d, dark in enumerate(darks):
             near = cells.near(d, photons)
@@ -398,7 +403,7 @@ class TestDarkCells:
         ],
         ids=["inf_bound", "inf_cell", "inf_scale", "inf_darks", "no_darks"],
     )
-    def test_an_overflowing_table_is_one_cell(self, darks, window):
+    def test_a_table_without_a_finite_span_is_one_cell(self, darks, window):
         # fl(d + w) itself may overflow, as it does in _window_pairs
         with np.errstate(over="ignore", invalid="ignore"):
             cells = _DarkCells.of(darks, window)
@@ -417,7 +422,9 @@ class TestDarkCells:
     def test_whole_runs_narrower_than_a_cell_match_the_oracle(self, threads):
         # the window is a fifth of a cell: only the marked cells' photons are sorted
         n, duration = CHUNK + 5, 1e4
-        det = DetectorModel(resolution_time=1e-3, coincidence_window=2e-3, efficiency=0.8, dark_rate=4.0)
+        det = DetectorModel(
+            resolution_time=1e-3, coincidence_window=2e-3, efficiency=0.8, dark_rate=4.0
+        )
         delays = np.random.default_rng(32).normal(0.0, 1e-3, n)
         got = records(delays, det, seed=33, duration=duration, threads=threads)
         want = detect_oracle(delays, det, seed=33, duration=duration)
@@ -540,8 +547,9 @@ class TestStreamHistogram:
         # each worker histograms and counts its own chunks; the caller only adds
         trace = gapped_trace()
         n = 2 * CHUNK + 17
+        dark_rate = 400.0 / (20.0 * n)
         det = DetectorModel(
-            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=400.0 / (20.0 * n)
+            resolution_time=0.3, coincidence_window=0.5, efficiency=0.8, dark_rate=dark_rate
         )
         runs = [
             stream_histogram(trace, n, det, 34, 0.01, (-1.5, 1.755), duration=20.0 * n, threads=t)
