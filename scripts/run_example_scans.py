@@ -4,8 +4,8 @@
 Each config exercises one pipeline: the comb correlation, the dithered
 delay scan with its half-round-trip dip revivals, the undithered scan on a
 window shorter than the envelope support, phase fringes at full and half
-round trips, single-peak excision, and the two Monte Carlo detector
-regimes.
+round trips, single-peak excision, and three Monte Carlo detectors: ideal,
+slow, and lossy with jitter and dark counts.
 
 For each file it writes, the script prints ``<sha256>  <path under the
 output root>``, so comparing the outputs of two checkouts is one ``diff`` of
@@ -31,6 +31,7 @@ JOBS = [
     ("engineer", "excise_peak.cfg"),
     ("mc", "mc_fast_detector.cfg"),
     ("mc", "mc_slow_detector.cfg"),
+    ("mc", "mc_dark_counts.cfg"),
 ]
 
 

@@ -165,17 +165,16 @@ def _pair_block(s, phase, m, k, d):
 
     The bits equal those of one pass per delay because np.correlate still runs
     per delay (a batched correlate differs in the last bit), the scalar decay
-    factor is math.exp per delay (NumPy's vector exp differs) and the carrier a
-    NumPy scalar per delay, and the carrier product is written out in real and
-    imaginary parts (an array complex product differs).
+    factor is math.exp per delay (NumPy's vector exp differs), and the carrier
+    product is written out in real and imaginary parts (an array complex
+    product differs).
     """
     col, hw, lorentzian = d[:, None], s.halfwidth, s.shape is Shape.LORENTZIAN
     p, q = phase * np.exp(-1j * m * col), phase * np.exp(1j * m * col)
     a = np.empty((d.size, k.size), complex)
-    scale, carrier = np.empty(d.size), np.empty(d.size, complex)
+    scale, carrier = np.empty(d.size), np.exp(-2j * s.center * d)
     for i, x in enumerate(d):
         a[i] = np.correlate(p[i], q[i], "full")
-        carrier[i] = np.exp(-2j * s.center * x)
         if lorentzian:
             scale[i] = 2.0 * abs(x) * math.exp(-2.0 * hw * abs(x))
         else:

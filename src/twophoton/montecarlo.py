@@ -28,8 +28,10 @@ from .errors import DegenerateDensity, GridError, NumericsError
 CHUNK = 1 << 16
 # the largest mc.n_events a config may ask for, and the most dark counts per
 # detector and accidental rows a run may expect; an mc run keeps no per-event
-# array (50 MB at 2e6 events; 62 MB and 2.7 s at the cap, 2 threads), so the
-# cap bounds its run time, the dark lists and the accidental rows
+# array (50 MB at 2e6 events; 58 MB and 2.6-2.8 s at the cap with 1.7e5 dark
+# counts per detector, 2 threads), and its photon-dark rows stay in their
+# chunk, so the cap bounds its run time, the dark lists and the dark-dark
+# rows, which are built whole (about 26 B per expected row)
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
@@ -166,36 +168,27 @@ class _Sampler:
         return max(_run_chunks(extreme, self.n, threads))
 
 
-def _window_pairs(left: np.ndarray, right: np.ndarray, w: float):
-    """Every (left[i], right[j]) with fl(left[i] - w) <= right[j] <= fl(left[i] + w).
+def _window_pairs(lo: np.ndarray, hi: np.ndarray, t: np.ndarray):
+    """The index pairs (i, j) of every window i that holds time j: lo[i] <= t[j] <= hi[i].
 
-    Both arrays are sorted, and so are the rounded bounds ``left - w`` and
-    ``left + w``.  The shorter array holds the search keys: each left time's
-    bounds go into ``right``, or each right time goes into the bounds.
-    Either way the pairs are the same set.
+    The windows are a dark list's rounded bounds, sorted as the list is; the
+    times come in any order, and each is searched in the bounds.
     """
-    if left.size <= right.size:
-        keys, found = left, right
-        low_key, low_side, high_key, high_side = left - w, right, left + w, right
-    else:
-        keys, found = right, left
-        low_key, low_side, high_key, high_side = right, left + w, right, left - w
-    lo = np.searchsorted(low_side, low_key, side="left")
-    # a key's range is empty unless it holds found[lo]; most are, so the
-    # upper bound is searched only where it is not
-    hi = lo.copy()
-    hit = lo < found.size
-    hit[hit] = high_side[lo[hit]] <= high_key[hit]
-    hi[hit] = np.searchsorted(high_side, high_key[hit], side="right")
-    count = hi - lo
-    # every found index in [lo, hi) of each key, in order
-    index = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    pairs = np.repeat(keys, count), found[index]
-    return pairs if keys is left else pairs[::-1]
+    first = np.searchsorted(hi, t, side="left")
+    # a time's range is empty unless window first holds it; most are, so the
+    # lower bounds are searched only where it does
+    end = first.copy()
+    hit = first < lo.size
+    hit[hit] = lo[first[hit]] <= t[hit]
+    end[hit] = np.searchsorted(lo, t[hit], side="right")
+    count = end - first
+    # every window in [first, end) of each time, in order
+    window = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return window, np.repeat(np.arange(t.size), count)
 
 
 def accidental_rows(det: DetectorModel, n: int, duration: float) -> float:
-    """The expected accidental rows a detection of n pairs builds before its one np.unique.
+    """The expected accidental rows that a detection of n pairs finds in its window searches.
 
     Each detector's dark counts meet the other's n * efficiency photons and
     dark counts within the window, the dark-dark pairs once from each side;
@@ -213,12 +206,12 @@ class _DarkCells:
 
     h = max(2w, span / cells) over the span of the dark windows, with 32
     cells per dark count of the longer list and at most 2^20.  A photon
-    matches dark count d when fl(d - w) <= t <= fl(d + w).  The cell index
-    is monotone in time, so such a photon's cell lies between the cells of
-    the two rounded bounds, which are marked; a photon in an unmarked cell
-    matches no dark count and is never sorted.  Where the span or 1/h is
-    not finite, every time falls in one cell, marked if there are dark
-    counts.
+    matches dark count d when fl(d - w) <= t <= fl(d + w), the window's
+    rounded bounds.  The cell index is monotone in time, so such a photon's
+    cell lies between the cells of the two bounds, which are marked; a
+    photon in an unmarked cell matches no dark count and is never searched.
+    Where the span or 1/h is not finite, every time falls in one cell,
+    marked if there are dark counts.
     """
 
     origin: float
@@ -226,20 +219,20 @@ class _DarkCells:
     marked: tuple  # one boolean table per detector's dark list
 
     @classmethod
-    def of(cls, darks: tuple, w: float) -> _DarkCells:
-        one_cell = cls(0.0, 1.0, tuple(np.array([d.size > 0]) for d in darks))
-        ends = [float(e) for d in darks if d.size for e in (d[0] - w, d[-1] + w)]
+    def of(cls, bounds: tuple, w: float) -> _DarkCells:
+        one_cell = cls(0.0, 1.0, tuple(np.array([lo.size > 0]) for lo, _ in bounds))
+        ends = [float(e) for lo, hi in bounds if lo.size for e in (lo[0], hi[-1])]
         if not ends:
             return one_cell
         span = max(ends) - min(ends)
         # about 32 cells per dark count, so that a few percent are marked
-        scale = 1.0 / max(2.0 * w, span / min(_CELLS, 32 * max(d.size for d in darks)))
+        scale = 1.0 / max(2.0 * w, span / min(_CELLS, 32 * max(lo.size for lo, _ in bounds)))
         if not (span < math.inf and 0.0 < scale < math.inf):
             return one_cell
         size = int(span * scale) + 1
-        cells = cls(min(ends), scale, tuple(np.zeros(size, dtype=bool) for _ in darks))
-        for table, d in zip(cells.marked, darks):
-            first, last = cells.index(d - w), cells.index(d + w)
+        cells = cls(min(ends), scale, tuple(np.zeros(size, dtype=bool) for _ in bounds))
+        for table, (lo, hi) in zip(cells.marked, bounds):
+            first, last = cells.index(lo), cells.index(hi)
             # a window covers one or two cells, and more only by rounding
             for step in range(int(np.max(last - first, initial=-1)) + 1):
                 table[np.minimum(first + step, last)] = True
@@ -257,13 +250,14 @@ class _DarkCells:
 
 @dataclass(frozen=True, eq=False)
 class _Detector:
-    """One run's detection: its duration, timestamp offset, dark lists and their cells."""
+    """One run's detection: duration, timestamp offset, dark lists, their bounds and cells."""
 
     det: DetectorModel
     seed: int
     duration: float
     offset: float
     darks: tuple
+    bounds: tuple
     cells: _DarkCells
 
     @classmethod
@@ -310,13 +304,20 @@ class _Detector:
                 rng = _chunk_rng(seed, _DARK_KEY + d)
                 count = rng.poisson(det.dark_rate * duration)
                 darks.append(np.sort(offset + rng.uniform(0.0, duration, count)))
-        darks = tuple(darks)
-        return cls(det, seed, duration, offset, darks, _DarkCells.of(darks, det.coincidence_window))
+        return cls.with_darks(det, seed, duration, offset, tuple(darks))
+
+    @classmethod
+    def with_darks(cls, det, seed, duration, offset, darks: tuple) -> _Detector:
+        """The detection with these sorted dark lists, their windows' bounds and the cells."""
+        w = det.coincidence_window
+        with np.errstate(over="ignore"):  # an infinite bound is still a window edge
+            bounds = tuple((d - w, d + w) for d in darks)
+        return cls(det, seed, duration, offset, darks, bounds, _DarkCells.of(bounds, w))
 
     def chunk(self, k: int, delays: np.ndarray):
-        """Chunk k's pair record delays and its accidental (t1, t2) rows."""
+        """Chunk k's pair record delays and its photon-dark accidental delays t2 - t1."""
         m = delays.size
-        tr, w = self.det.resolution_time, self.det.coincidence_window
+        tr = self.det.resolution_time
         rng = _chunk_rng(self.seed, _DETECT_KEY + k)
         s = self.offset + rng.uniform(0.0, self.duration, m)
         t1, t2 = s, s + delays
@@ -325,25 +326,30 @@ class _Detector:
             t2 += rng.uniform(-tr / 2.0, tr / 2.0, m)
         keep1 = rng.random(m) < self.det.efficiency
         keep2 = rng.random(m) < self.det.efficiency
-        found = []  # accidental (detector-1 times, detector-2 times)
+        accidentals = np.empty(0)
         if self.darks:
-            near1, near2 = self.cells.near(1, t1), self.cells.near(0, t2)
-            found.append(_window_pairs(self.darks[0], np.sort(t2[keep2 & near2]), w))
-            found.append(_window_pairs(self.darks[1], np.sort(t1[keep1 & near1]), w)[::-1])
-        both = keep1 & keep2
-        return (t2 - t1)[both], found
+            # detector 1's dark counts meet detector 2's photons, and the other way round
+            t = t2[keep2 & self.cells.near(0, t2)]
+            i, j = _window_pairs(*self.bounds[0], t)
+            from_1 = t[j] - self.darks[0][i]
+            t = t1[keep1 & self.cells.near(1, t1)]
+            i, j = _window_pairs(*self.bounds[1], t)
+            accidentals = np.concatenate([from_1, self.darks[1][i] - t[j]])
+        return (t2 - t1)[keep1 & keep2], accidentals
 
-    def accidentals(self, rows: list) -> np.ndarray:
-        """The accidental delays from every chunk's rows and the dark-dark pairs, each once."""
+    def dark_pairs(self) -> np.ndarray:
+        """The accidental delays t2 - t1 of the dark-dark pairs, each pair once.
+
+        A pair within an ulp of the window can lie inside one side's rounded
+        bounds only, so detector 2's bounds add the pairs that detector 1's miss.
+        """
         if not self.darks:
             return np.empty(0)
-        # a dark pair within an ulp of the window can lie inside one time's
-        # rounded bounds only, so both sides are searched; the one np.unique
-        # orders every (detector-1, detector-2) row and keeps each once
-        (dark1, dark2), w = self.darks, self.det.coincidence_window
-        rows = rows + [_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)[::-1]]
-        t1, t2 = np.unique(np.column_stack([np.concatenate(c) for c in zip(*rows)]), axis=0).T
-        return t2 - t1
+        (dark1, dark2), ((lo1, hi1), bounds2) = self.darks, self.bounds
+        i, j = _window_pairs(lo1, hi1, dark2)
+        j2, i1 = _window_pairs(*bounds2, dark1)
+        missed = (dark2[j2] < lo1[i1]) | (dark2[j2] > hi1[i1])
+        return np.concatenate([dark2[j] - dark1[i], dark2[j2[missed]] - dark1[i1[missed]]])
 
 
 @dataclass(frozen=True)
@@ -404,12 +410,12 @@ def stream_histogram(
 ) -> tuple[DelayHistogram, dict]:
     """Sample, detect, histogram and count n pairs in one chunked pass.
 
-    Chunk k's pair delays are drawn from sampling stream k, detected with
-    detection stream k, and histogrammed and counted by the same worker, so
-    the caller only adds counts and no full-length delay or record array is
-    built; only the accidental rows, which are few, are kept whole and join
-    at the end, each once.  Records are delays t2 - t1.  The largest |delay|, which sets the
-    timestamp offset and the default duration, comes first from a pass that
+    Records are delays t2 - t1.  Chunk k's pairs are drawn from sampling
+    stream k and detected with detection stream k; the same worker tallies
+    its pair delays and its photons' accidental delays with the dark counts,
+    so no record leaves its chunk and the caller only adds counts.  The
+    dark-dark pairs are tallied once, first.  The largest |delay|, which sets
+    the timestamp offset and the default duration, comes from a pass that
     draws only each chunk's uniforms.
     """
     edges = _edges(bin_width, delay_range)
@@ -417,26 +423,21 @@ def stream_histogram(
     run = _Detector.of(det, seed, n, lambda: sampler.max_abs(threads), duration)
     w = det.coincidence_window
 
-    def pair_chunk(k: int):
-        delay, found = run.chunk(k, sampler.chunk(k))
-        in_window = int(np.count_nonzero(np.abs(delay) <= w))
-        return np.histogram(delay, bins=edges)[0], delay.size, in_window, found
+    def tally(pairs: np.ndarray, accidentals: np.ndarray):
+        """Histogram pair and accidental delays; count each kind, in all and in the window."""
+        found = [(d.size, np.count_nonzero(np.abs(d) <= w)) for d in (pairs, accidentals)]
+        return np.histogram(np.concatenate([pairs, accidentals]), bins=edges)[0], np.array(found)
 
-    counts = np.zeros(edges.size - 1, dtype=np.intp)
-    n_pair = in_pair = 0
-    rows = []
-    for chunk_counts, chunk_pairs, chunk_in_window, found in _run_chunks(pair_chunk, n, threads):
+    counts, found = tally(np.empty(0), run.dark_pairs())
+    chunks = _run_chunks(lambda k: tally(*run.chunk(k, sampler.chunk(k))), n, threads)
+    for chunk_counts, chunk_found in chunks:
         counts += chunk_counts
-        n_pair += chunk_pairs
-        in_pair += chunk_in_window
-        rows += found
-    accidentals = run.accidentals(rows)
-    counts += np.histogram(accidentals, bins=edges)[0]
-    in_window = in_pair + int(np.count_nonzero(np.abs(accidentals) <= w))
+        found += chunk_found
+    (n_pair, in_pair), (n_accidental, in_accidental) = found.tolist()
     return DelayHistogram(counts=counts, edges=edges), {
-        "n_records": n_pair + accidentals.size,
+        "n_records": n_pair + n_accidental,
         "n_pair_records": n_pair,
-        "n_accidental_records": accidentals.size,
-        "n_coincidences_in_window": in_window,
+        "n_accidental_records": n_accidental,
+        "n_coincidences_in_window": in_pair + in_accidental,
         "n_pair_coincidences_in_window": in_pair,
     }

@@ -181,6 +181,31 @@ BUNDLED_ECHO = {
             "# mc.duration = 0.02",
         ],
     ),
+    "mc_dark_counts.cfg": (
+        "mc",
+        [
+            "# run.command = mc",
+            "# seed = 1",
+            "# units.frequency = angular",
+            "# comb.n_side_modes = 10",
+            "# comb.mode_spacing = 6283185307179.586",
+            "# comb.pump_frequency = 3540000000000000.0",
+            "# comb.linewidth = 62832000000.0",
+            "# comb.shape = lorentzian",
+            "# detector.resolution_time = 1e-13",
+            "# detector.coincidence_window = 1e-11",
+            "# detector.efficiency = 0.8",
+            "# detector.dark_rate = 500000000.0",
+            "# scan.points = 131073",
+            "# scan.tau_min = -2e-12",
+            "# scan.tau_max = 2e-12",
+            "# mc.n_events = 200000",
+            "# mc.bin_width = 1e-14",
+            "# mc.range_min = -2.1e-12",
+            "# mc.range_max = 2.1e-12",
+            "# mc.duration = 0.0002",
+        ],
+    ),
     "mc_slow_detector.cfg": (
         "mc",
         [
@@ -770,6 +795,26 @@ class TestMcBounds:
         assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_infinite_window_bounds_print_no_warning(self, tmp_path):
+        # fl(d + w) overflows to inf for every dark count; an infinite bound is
+        # still a window edge, so the run succeeds and prints nothing on stderr
+        text = (CONFIGS / "mc_fast_detector.cfg").read_text(encoding="utf-8")
+        for old, new in (
+            ("detector.coincidence_window = 1.0e-8", "detector.coincidence_window = 1.7e308"),
+            ("mc.duration = 2.0e-2", "mc.duration = 1"),
+            ("mc.n_events = 200000", "mc.n_events = 10"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text + "detector.dark_rate = 2\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = ["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        result = subprocess.run(
+            [sys.executable, "-m", "twophoton.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+
     def test_histogram_edges_at_the_cap(self):
         body = "mc.range_min = -2.0\nmc.range_max = 2.0\nmc.bin_width = {!r}\n"
         width = 4.0 / (MAX_QUAD_POINTS - 1)  # a power of two: the edges land exactly
@@ -912,7 +957,7 @@ class TestHeaderEcho:
         spec.loader.exec_module(script)
         bundled = sorted(path.name for path in CONFIGS.glob("*.cfg"))
         jobs = {config: command for command, config in script.JOBS}
-        assert len(bundled) == len(script.JOBS) == 8
+        assert len(bundled) == len(script.JOBS) == 9
         assert sorted(jobs) == bundled == sorted(BUNDLED_ECHO)
         assert jobs == {name: command for name, (command, _) in BUNDLED_ECHO.items()}
 

@@ -26,7 +26,6 @@ from twophoton.montecarlo import (
     CHUNK,
     MAX_EVENTS,
     DelayHistogram,
-    _DarkCells,
     _Detector,
     _edges,
     _run_chunks,
@@ -71,7 +70,7 @@ def sample(trace, n, seed, threads=1):
 
 
 def records(delays, det, seed, duration, threads=1):
-    """(pair delays, accidental delays) of ``delays`` from the ``_Detector`` chunks."""
+    """(pair delays, sorted accidental delays) of ``delays`` from the ``_Detector`` chunks."""
     delays = np.asarray(delays, dtype=float)
     span = float(np.max(np.abs(delays), initial=0.0))
     run = _Detector.of(det, seed, delays.size, lambda: span, duration)
@@ -81,7 +80,19 @@ def records(delays, det, seed, duration, threads=1):
 
     chunks = list(_run_chunks(chunk, delays.size, threads))
     pairs = np.concatenate([pair for pair, _ in chunks])
-    return pairs, run.accidentals([row for _, found in chunks for row in found])
+    return pairs, np.sort(np.concatenate([run.dark_pairs()] + [found for _, found in chunks]))
+
+
+def oracle_records(delays, det, seed, duration):
+    """``detect_oracle``'s records, its accidental delays sorted as ``records`` sorts them."""
+    pairs, accidentals = detect_oracle(delays, det, seed=seed, duration=duration)
+    return pairs, np.sort(accidentals)
+
+
+def hand_built(darks, w):
+    """A detection over these sorted dark lists, window w; no pair is drawn from it."""
+    det = DetectorModel(resolution_time=0.0, coincidence_window=w)
+    return _Detector.with_darks(det, 0, 1.0, 0.0, tuple(np.asarray(d, dtype=float) for d in darks))
 
 
 def stream_range(trace=None, n=1, bin_width=0.1, delay_range=(-1.0, 1.0), duration=None):
@@ -340,7 +351,7 @@ class TestDetector:
         )
         delays = np.random.default_rng(24).normal(0.0, 0.1, n)
         got = records(delays, det, seed=25, duration=duration, threads=threads)
-        want = detect_oracle(delays, det, seed=25, duration=duration)
+        want = oracle_records(delays, det, seed=25, duration=duration)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         if dark:
@@ -376,7 +387,8 @@ class TestDarkCells:
     def test_the_rows_are_the_unfiltered_rows(self, window):
         rng = np.random.default_rng(30)
         darks = tuple(np.sort(5.0 + rng.uniform(0.0, 10.0, 200)) for _ in range(2))
-        cells = _DarkCells.of(darks, window)
+        run = hand_built(darks, window)
+        cells = run.cells
         span = max(d[-1] for d in darks) - min(d[0] for d in darks) + 2.0 * window
         # 32 cells per dark count of the longer list
         assert 1.0 / cells.scale == pytest.approx(max(2.0 * window, span / (32 * 200)))
@@ -384,10 +396,11 @@ class TestDarkCells:
         assert min(cells.index(d - window).min() for d in darks) == 0
         assert max(cells.index(d + window).max() for d in darks) == cells.marked[0].size - 1
         photons = self.adversarial_photons(darks, window, cells)
-        for d, dark in enumerate(darks):
+        for d, bounds in enumerate(run.bounds):
             near = cells.near(d, photons)
-            got = set(zip(*_window_pairs(dark, np.sort(photons[near]), window)))
-            want = set(zip(*_window_pairs(dark, np.sort(photons), window)))
+            window_index, near_index = _window_pairs(*bounds, photons[near])
+            got = set(zip(window_index, np.flatnonzero(near)[near_index]))
+            want = set(zip(*_window_pairs(*bounds, photons)))
             assert got == want and len(want) > 400
             # the widest window marks every cell; the others drop some photons
             assert cells.marked[d].all() == (window == 20.0) == near.all()
@@ -404,16 +417,16 @@ class TestDarkCells:
         ids=["inf_bound", "inf_cell", "inf_scale", "inf_darks", "no_darks"],
     )
     def test_a_table_without_a_finite_span_is_one_cell(self, darks, window):
-        # fl(d + w) itself may overflow, as it does in _window_pairs
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = _DarkCells.of(darks, window)
+        # fl(d + w) itself may overflow: an infinite bound, set up without a warning
+        with np.errstate(all="raise"):
+            cells = hand_built(darks, window).cells
         assert [table.tolist() for table in cells.marked] == [[d.size > 0] for d in darks]
         photons = np.array([0.0, 1.0, np.finfo(float).max, math.inf])
         for d in (0, 1):
             np.testing.assert_array_equal(cells.near(d, photons), darks[d].size > 0)
 
     def test_an_empty_dark_list_marks_nothing(self):
-        cells = _DarkCells.of((np.array([1.0, 4.0]), np.empty(0)), 0.5)
+        cells = hand_built(([1.0, 4.0], []), 0.5).cells
         # cells of width 2w = 1 from 0.5: the windows [0.5, 1.5] and [3.5, 4.5] reach their edges
         assert cells.marked[0].tolist() == [True, True, False, True, True]
         assert not cells.marked[1].any()
@@ -427,7 +440,7 @@ class TestDarkCells:
         )
         delays = np.random.default_rng(32).normal(0.0, 1e-3, n)
         got = records(delays, det, seed=33, duration=duration, threads=threads)
-        want = detect_oracle(delays, det, seed=33, duration=duration)
+        want = oracle_records(delays, det, seed=33, duration=duration)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         assert got[1].size > 1000
@@ -441,12 +454,11 @@ class TestAccidentalRowCap:
 
     @staticmethod
     def built_rows(det, n, duration, seed):
-        """The accidental rows of n <= CHUNK zero delays, before the np.unique."""
+        """The accidental rows of n <= CHUNK zero delays, both dark-dark searches included."""
         run = _Detector.of(det, seed, n, lambda: 0.0, duration)
-        (dark1, dark2), w = run.darks, det.coincidence_window
-        rows = run.chunk(0, np.zeros(n))[1]
-        rows += [_window_pairs(dark1, dark2, w), _window_pairs(dark2, dark1, w)]
-        return sum(t1.size for t1, _ in rows)
+        (dark1, dark2), (bounds1, bounds2) = run.darks, run.bounds
+        dark_rows = [_window_pairs(*bounds1, dark2), _window_pairs(*bounds2, dark1)]
+        return run.chunk(0, np.zeros(n))[1].size + sum(i.size for i, _ in dark_rows)
 
     @pytest.mark.parametrize(
         "window", [3e-3, 0.3, 2.0], ids=["narrow", "comparable", "wider_than_the_run"]
@@ -584,6 +596,21 @@ class TestStreamHistogram:
         # how many wait at the peak depends on the scheduling
         assert peak(1 << 20, 2) <= 2 * small + (2 << 20)
 
+    def test_memory_does_not_grow_with_the_accidental_rows(self):
+        # about 2.1e6 accidental rows expected, 1.6e6 records: each chunk's
+        # rows are tallied in the chunk, none is kept to the end
+        n = 2 * CHUNK
+        det = DetectorModel(resolution_time=0.0, coincidence_window=2e-3, dark_rate=2000.0)
+        assert accidental_rows(det, n, 1.0) > 2e6
+        tracemalloc.start()
+        try:
+            _, summary = stream_histogram(flat_trace(), n, det, 1, 0.01, (-1.0, 1.0), duration=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary["n_accidental_records"] > 1.5e6
+        assert peak < 64 << 20
+
 
 
 class TestWindowPairs:
@@ -592,6 +619,11 @@ class TestWindowPairs:
     def brute_force(self, left, right):
         w = self.W
         return sorted((a, b) for a in left for b in right if a - w <= b <= a + w)
+
+    def pairs(self, left, right):
+        """The (left, right) values of the pairs ``_window_pairs`` finds in left's windows."""
+        i, j = _window_pairs(left - self.W, left + self.W, right)
+        return sorted(zip(left[i], right[j]))
 
     def edge_case(self):
         w = self.W
@@ -611,23 +643,32 @@ class TestWindowPairs:
         if shorter == "right":
             left = np.concatenate([left, 100.0 + np.arange(30.0)])  # dark counts far from all
         assert (left.size <= right.size) == (shorter == "left")
-        got = sorted(zip(*_window_pairs(left, right, self.W)))
+        got = self.pairs(left, right)
         want = self.brute_force(left, right)
         assert got == want
         assert len(want) > 4
 
+    def test_the_times_may_come_in_any_order(self):
+        left, right = self.edge_case()
+        shuffled = np.random.default_rng(35).permutation(right)
+        assert not np.array_equal(shuffled, right)
+        i, j = _window_pairs(left - self.W, left + self.W, shuffled)
+        # each time's windows come out together, in the times' order
+        assert np.all(np.diff(j) >= 0)
+        assert self.pairs(left, shuffled) == self.brute_force(left, right)
+
     def test_a_dark_count_matches_photons_from_two_chunks(self):
         left, right = self.edge_case()
         chunks = right[0::2], right[1::2]
-        got = sorted(pair for chunk in chunks for pair in zip(*_window_pairs(left, chunk, self.W)))
+        got = sorted(pair for chunk in chunks for pair in self.pairs(left, chunk))
         assert got == self.brute_force(left, right)
         for chunk in chunks:
-            assert left[0] in _window_pairs(left, chunk, self.W)[0]
+            assert left[0] in [a for a, _ in self.pairs(left, chunk)]
 
     def test_empty_sides(self):
         empty = np.empty(0)
         for a, b in ((empty, np.array([1.0])), (np.array([1.0]), empty), (empty, empty)):
-            got = _window_pairs(a, b, self.W)
+            got = _window_pairs(a - self.W, a + self.W, b)
             assert got[0].size == 0 and got[1].size == 0
 
 
@@ -640,9 +681,7 @@ class TestDarkPairs:
     D1, D2 = 0.03124999719478273, 0.03125000019478273
 
     def accidentals(self, dark1, dark2):
-        det = DetectorModel(resolution_time=0.0, coincidence_window=self.W)
-        darks = np.array(dark1), np.array(dark2)
-        return _Detector(det, 0, 1.0, 0.0, darks, _DarkCells.of(darks, self.W)).accidentals([])
+        return np.sort(hand_built((dark1, dark2), self.W).dark_pairs())
 
     def test_the_rounded_bounds_differ_by_side(self):
         assert self.D1 - self.W <= self.D2 <= self.D1 + self.W
@@ -659,7 +698,14 @@ class TestDarkPairs:
         dark1 = [self.D1, 1.0]
         dark2 = [self.D2, 1.0 + 1e-9, 2.0]
         t1, t2 = np.array([[self.D1, self.D2], [1.0, 1.0 + 1e-9]]).T
-        np.testing.assert_array_equal(self.accidentals(dark1, dark2), t2 - t1)
+        np.testing.assert_array_equal(self.accidentals(dark1, dark2), np.sort(t2 - t1))
+
+    def test_repeated_times_are_distinct_events(self):
+        # two dark counts at 1.0 on detector 1 and two at 1.2 on detector 2,
+        # each pair inside both sides' bounds: each count meets both of the
+        # other's, 4 records of one delay; 3.0 and 5.0 meet nothing
+        got = hand_built(([1.0, 1.0, 3.0], [1.2, 1.2, 5.0]), 0.5).dark_pairs()
+        np.testing.assert_array_equal(got, [1.2 - 1.0] * 4)
 
 
 class TestHistogramAndContrast:
@@ -673,8 +719,9 @@ class TestHistogramAndContrast:
         # pairs exactly at the window edges count as in the window; 2.0 lies
         # outside the window and the histogram range, -0.9 alone in its bin
         pairs, accidentals = np.array([-0.5, 0.5, 0.1, 0.15, 2.0]), np.array([0.05, 0.3, -0.9])
-        monkeypatch.setattr(_Detector, "chunk", lambda self, k, delays: (pairs, []))
-        monkeypatch.setattr(_Detector, "accidentals", lambda self, rows: accidentals)
+        # two accidentals come from the chunk, one from the dark-dark pairs
+        monkeypatch.setattr(_Detector, "chunk", lambda self, k, delays: (pairs, accidentals[:2]))
+        monkeypatch.setattr(_Detector, "dark_pairs", lambda self: accidentals[2:])
         det = DetectorModel(resolution_time=0.0, coincidence_window=0.5)
         hist, summary = stream_histogram(flat_trace(), 5, det, 0, 0.25, (-1.0, 1.0), duration=1.0)
         assert summary == {
