@@ -31,7 +31,7 @@ CHUNK = 1 << 16
 # array (50 MB at 2e6 events; 58 MB and 2.6-2.8 s at the cap with 1.7e5 dark
 # counts per detector, 2 threads), and its photon-dark rows stay in their
 # chunk, so the cap bounds its run time, the dark lists and the dark-dark
-# rows, which are built whole (about 26 B per expected row)
+# rows, which are built whole (25-27 B per expected row)
 MAX_EVENTS = 1 << 25
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
@@ -168,25 +168,6 @@ class _Sampler:
         return max(_run_chunks(extreme, self.n, threads))
 
 
-def _window_pairs(lo: np.ndarray, hi: np.ndarray, t: np.ndarray):
-    """The index pairs (i, j) of every window i that holds time j: lo[i] <= t[j] <= hi[i].
-
-    The windows are a dark list's rounded bounds, sorted as the list is; the
-    times come in any order, and each is searched in the bounds.
-    """
-    first = np.searchsorted(hi, t, side="left")
-    # a time's range is empty unless window first holds it; most are, so the
-    # lower bounds are searched only where it does
-    end = first.copy()
-    hit = first < lo.size
-    hit[hit] = lo[first[hit]] <= t[hit]
-    end[hit] = np.searchsorted(lo, t[hit], side="right")
-    count = end - first
-    # every window in [first, end) of each time, in order
-    window = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-    return window, np.repeat(np.arange(t.size), count)
-
-
 def accidental_rows(det: DetectorModel, n: int, duration: float) -> float:
     """The expected accidental rows that a detection of n pairs finds in its window searches.
 
@@ -201,64 +182,79 @@ def accidental_rows(det: DetectorModel, n: int, duration: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _DarkCells:
-    """Time cells of width h >= 2w, marked where a dark count's window reaches.
+class _Darks:
+    """One detector's sorted dark counts, their windows' rounded bounds and time cells.
 
-    h = max(2w, span / cells) over the span of the dark windows, with 32
-    cells per dark count of the longer list and at most 2^20.  A photon
-    matches dark count d when fl(d - w) <= t <= fl(d + w), the window's
-    rounded bounds.  The cell index is monotone in time, so such a photon's
-    cell lies between the cells of the two bounds, which are marked; a
-    photon in an unmarked cell matches no dark count and is never searched.
-    Where the span or 1/h is not finite, every time falls in one cell,
-    marked if there are dark counts.
+    A time t meets dark count d when fl(d - w) <= t <= fl(d + w).  The cells
+    have width h = max(2w, span / cells) over the span of this list's
+    windows, with 32 cells per dark count and at most 2^20, and each window
+    marks the cells from that of its lower bound to that of its upper one.
+    The cell index is monotone in time, so a time in an unmarked cell meets
+    no dark count and is never searched.  Where the span or 1/h is not
+    finite, every time falls in one cell, marked if there are dark counts.
     """
 
+    times: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     origin: float
     scale: float
-    marked: tuple  # one boolean table per detector's dark list
+    marked: np.ndarray
 
     @classmethod
-    def of(cls, bounds: tuple, w: float) -> _DarkCells:
-        one_cell = cls(0.0, 1.0, tuple(np.array([lo.size > 0]) for lo, _ in bounds))
-        ends = [float(e) for lo, hi in bounds if lo.size for e in (lo[0], hi[-1])]
-        if not ends:
+    def of(cls, times: np.ndarray, w: float) -> _Darks:
+        with np.errstate(over="ignore"):  # an infinite bound is still a window edge
+            lo, hi = times - w, times + w
+        one_cell = cls(times, lo, hi, 0.0, 1.0, np.array([times.size > 0]))
+        if not times.size:
             return one_cell
-        span = max(ends) - min(ends)
+        span = float(hi[-1]) - float(lo[0])
         # about 32 cells per dark count, so that a few percent are marked
-        scale = 1.0 / max(2.0 * w, span / min(_CELLS, 32 * max(lo.size for lo, _ in bounds)))
+        scale = 1.0 / max(2.0 * w, span / min(_CELLS, 32 * times.size))
         if not (span < math.inf and 0.0 < scale < math.inf):
             return one_cell
-        size = int(span * scale) + 1
-        cells = cls(min(ends), scale, tuple(np.zeros(size, dtype=bool) for _ in bounds))
-        for table, (lo, hi) in zip(cells.marked, bounds):
-            first, last = cells.index(lo), cells.index(hi)
-            # a window covers one or two cells, and more only by rounding
-            for step in range(int(np.max(last - first, initial=-1)) + 1):
-                table[np.minimum(first + step, last)] = True
-        return cells
+        darks = cls(times, lo, hi, float(lo[0]), scale, np.zeros(int(span * scale) + 1, dtype=bool))
+        first, last = darks._cell(lo), darks._cell(hi)
+        # a window covers one or two cells, and more only by rounding
+        for step in range(int(np.max(last - first)) + 1):
+            darks.marked[np.minimum(first + step, last)] = True
+        return darks
 
-    def index(self, t: np.ndarray) -> np.ndarray:
-        """The cells of times ``t``, clipped to the table."""
-        top = self.marked[0].size - 1
-        return np.clip((t - self.origin) * self.scale, 0.0, top).astype(np.intp)
+    def _cell(self, t: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # past the floats is past the table's end
+            return np.clip((t - self.origin) * self.scale, 0, self.marked.size - 1).astype(np.intp)
 
-    def near(self, d: int, t: np.ndarray) -> np.ndarray:
-        """Which times ``t`` lie in a cell that dark list d marks."""
-        return self.marked[d][self.index(t)]
+    def pairs(self, t: np.ndarray, keep=True):
+        """The index pairs (i, j) of every kept time j in dark count i's window.
+
+        The times come in any order; only the kept ones in marked cells are
+        searched in the bounds.  The pairs come out in time order, each
+        time's dark counts in order.
+        """
+        near = np.flatnonzero(keep & self.marked[self._cell(t)])
+        t = t[near]
+        first = np.searchsorted(self.hi, t, side="left")
+        # a time's range is empty unless window first holds it; most are, so the
+        # lower bounds are searched only where it does
+        end = first.copy()
+        hit = first < self.lo.size
+        hit[hit] = self.lo[first[hit]] <= t[hit]
+        end[hit] = np.searchsorted(self.lo, t[hit], side="right")
+        count = end - first
+        # every window in [first, end) of each time, in order
+        dark = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return dark, np.repeat(near, count)
 
 
 @dataclass(frozen=True, eq=False)
 class _Detector:
-    """One run's detection: duration, timestamp offset, dark lists, their bounds and cells."""
+    """One run's detection: duration, timestamp offset and each detector's ``_Darks``."""
 
     det: DetectorModel
     seed: int
     duration: float
     offset: float
-    darks: tuple
-    bounds: tuple
-    cells: _DarkCells
+    darks: tuple  # empty without dark counts
 
     @classmethod
     def of(cls, det: DetectorModel, seed: int, n: int, max_abs, duration) -> _Detector:
@@ -303,16 +299,9 @@ class _Detector:
             for d in (0, 1):
                 rng = _chunk_rng(seed, _DARK_KEY + d)
                 count = rng.poisson(det.dark_rate * duration)
-                darks.append(np.sort(offset + rng.uniform(0.0, duration, count)))
-        return cls.with_darks(det, seed, duration, offset, tuple(darks))
-
-    @classmethod
-    def with_darks(cls, det, seed, duration, offset, darks: tuple) -> _Detector:
-        """The detection with these sorted dark lists, their windows' bounds and the cells."""
-        w = det.coincidence_window
-        with np.errstate(over="ignore"):  # an infinite bound is still a window edge
-            bounds = tuple((d - w, d + w) for d in darks)
-        return cls(det, seed, duration, offset, darks, bounds, _DarkCells.of(bounds, w))
+                times = np.sort(offset + rng.uniform(0.0, duration, count))
+                darks.append(_Darks.of(times, det.coincidence_window))
+        return cls(det, seed, duration, offset, tuple(darks))
 
     def chunk(self, k: int, delays: np.ndarray):
         """Chunk k's pair record delays and its photon-dark accidental delays t2 - t1."""
@@ -329,12 +318,11 @@ class _Detector:
         accidentals = np.empty(0)
         if self.darks:
             # detector 1's dark counts meet detector 2's photons, and the other way round
-            t = t2[keep2 & self.cells.near(0, t2)]
-            i, j = _window_pairs(*self.bounds[0], t)
-            from_1 = t[j] - self.darks[0][i]
-            t = t1[keep1 & self.cells.near(1, t1)]
-            i, j = _window_pairs(*self.bounds[1], t)
-            accidentals = np.concatenate([from_1, self.darks[1][i] - t[j]])
+            dark1, dark2 = self.darks
+            i, j = dark1.pairs(t2, keep2)
+            from_1 = t2[j] - dark1.times[i]
+            i, j = dark2.pairs(t1, keep1)
+            accidentals = np.concatenate([from_1, dark2.times[i] - t1[j]])
         return (t2 - t1)[keep1 & keep2], accidentals
 
     def dark_pairs(self) -> np.ndarray:
@@ -345,11 +333,12 @@ class _Detector:
         """
         if not self.darks:
             return np.empty(0)
-        (dark1, dark2), ((lo1, hi1), bounds2) = self.darks, self.bounds
-        i, j = _window_pairs(lo1, hi1, dark2)
-        j2, i1 = _window_pairs(*bounds2, dark1)
-        missed = (dark2[j2] < lo1[i1]) | (dark2[j2] > hi1[i1])
-        return np.concatenate([dark2[j] - dark1[i], dark2[j2[missed]] - dark1[i1[missed]]])
+        dark1, dark2 = self.darks
+        t1, t2 = dark1.times, dark2.times
+        i, j = dark1.pairs(t2)
+        j2, i1 = dark2.pairs(t1)
+        missed = (t2[j2] < dark1.lo[i1]) | (t2[j2] > dark1.hi[i1])
+        return np.concatenate([t2[j] - t1[i], t2[j2[missed]] - t1[i1[missed]]])
 
 
 @dataclass(frozen=True)

@@ -262,8 +262,10 @@ def detect_oracle(pair_delays, det, seed, duration):
 
     Draws the same chunked streams as the package's detection but keeps every
     photon column whole: the kept photons and dark counts of each detector
-    are sorted into one stream, each dark count is matched against the
-    whole opposite stream, and the rows found twice are dropped.
+    are sorted into one stream, and each dark count is matched against the
+    whole opposite stream.  Every match is an event; only a dark-dark pair
+    that both detectors' dark counts find is dropped the second time, by
+    index, so repeated times stay distinct events.
     """
     delays = np.asarray(pair_delays, dtype=float)
     n = delays.size
@@ -282,7 +284,7 @@ def detect_oracle(pair_delays, det, seed, duration):
         parts.append((s + j1, s + delays[k * CHUNK : k * CHUNK + m] + j2, keep1, keep2))
     t1, t2, keep1, keep2 = (np.concatenate(column) for column in zip(*parts))
     both = keep1 & keep2
-    accidental = np.empty((0, 2))
+    found = []
     if det.dark_rate > 0:
         dark_times = []
         for d in (0, 1):
@@ -290,16 +292,26 @@ def detect_oracle(pair_delays, det, seed, duration):
             count = rng.poisson(det.dark_rate * duration)
             dark_times.append(np.sort(offset + rng.uniform(0.0, duration, count)))
         dark1, dark2 = dark_times
-        stream1 = np.sort(np.concatenate([t1[keep1], dark1]))
-        stream2 = np.sort(np.concatenate([t2[keep2], dark2]))
-        found = []
-        for left, right, order in ((dark1, stream2, 1), (dark2, stream1, -1)):
-            lo = np.searchsorted(right, left - det.coincidence_window, side="left")
-            hi = np.searchsorted(right, left + det.coincidence_window, side="right")
+        w, seen = det.coincidence_window, set()
+        sides = ((dark1, t2[keep2], dark2, 1), (dark2, t1[keep1], dark1, -1))
+        for left, photons, darks, order in sides:
+            # the opposite stream, each time tagged with its dark index, -1 for a photon
+            right = np.concatenate([photons, darks])
+            tag = np.concatenate([np.full(photons.size, -1), np.arange(darks.size)])
+            rank = np.argsort(right, kind="stable")
+            right, tag = right[rank], tag[rank]
+            with np.errstate(over="ignore"):  # fl(d + w) may be infinite
+                lo = np.searchsorted(right, left - w, side="left")
+                hi = np.searchsorted(right, left + w, side="right")
             for i in range(left.size):
                 for j in range(lo[i], hi[i]):
+                    if tag[j] >= 0:  # a dark-dark pair: (dark 1, dark 2) by index
+                        pair = (i, int(tag[j]))[::order]
+                        if pair in seen:
+                            continue
+                        seen.add(pair)
                     found.append((left[i], right[j])[::order])
-        accidental = np.unique(np.array(found).reshape(-1, 2), axis=0)
+    accidental = np.array(found).reshape(-1, 2)
     return t2[both] - t1[both], accidental[:, 1] - accidental[:, 0]
 
 

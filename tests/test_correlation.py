@@ -125,6 +125,23 @@ class TestGeneralizedF:
             generalized_F(tau, comb), expected, rtol=0, atol=1e-9 * len(phases)
         )
 
+    @pytest.mark.parametrize(
+        "q, a", [(q, a) for q in (3, 7, 21) for a in range(1, q) if math.gcd(a, q) == 1]
+    )
+    def test_fractional_talbot_comb_heights(self, q, a):
+        # phi_m = 2 pi a m^2 / q with q dividing 2N + 1 = 21: the comb splits
+        # into q peaks per round trip, each of height 21^2 / q (a Gauss sum)
+        comb = make_comb(10, 0.01, phases=tuple(TWO_PI * a * m * m / q for m in range(-10, 11)))
+        tau = np.arange(q) * comb.round_trip_time / q
+        np.testing.assert_allclose(np.abs(generalized_F(tau, comb)) ** 2, 441.0 / q, rtol=1e-9)
+
+    def test_quarter_quadratic_phases_double_the_comb_rate(self):
+        # phi_m = pi m^2 / 2: the 11 even and 10 odd modes add in phase at 0
+        # and at t_r / 2 alike, |F|^2 = 11^2 + 10^2
+        comb = make_comb(10, 0.01, phases=tuple(math.pi * m * m / 2 for m in range(-10, 11)))
+        tau = np.array([0.0, comb.round_trip_time / 2])
+        np.testing.assert_allclose(np.abs(generalized_F(tau, comb)) ** 2, 221.0, rtol=1e-9)
+
     def test_random_phases_add_incoherently_at_revival(self):
         # coherent sum would give (2N+1)^2 = 121; phase-scrambled pairs add as power
         rng = np.random.default_rng(321)

@@ -26,11 +26,11 @@ from twophoton.montecarlo import (
     CHUNK,
     MAX_EVENTS,
     DelayHistogram,
+    _Darks,
     _Detector,
     _edges,
     _run_chunks,
     _Sampler,
-    _window_pairs,
     accidental_rows,
     histogram_edge_count,
 )
@@ -44,6 +44,7 @@ from conftest import (
 )
 
 T_R = 1.0
+FMAX = np.finfo(float).max
 
 
 def comb_trace(n_side=10, linewidth_frac=0.01, span=20.0, points=2**18 + 1):
@@ -92,7 +93,8 @@ def oracle_records(delays, det, seed, duration):
 def hand_built(darks, w):
     """A detection over these sorted dark lists, window w; no pair is drawn from it."""
     det = DetectorModel(resolution_time=0.0, coincidence_window=w)
-    return _Detector.with_darks(det, 0, 1.0, 0.0, tuple(np.asarray(d, dtype=float) for d in darks))
+    darks = tuple(_Darks.of(np.asarray(d, dtype=float), w) for d in darks)
+    return _Detector(det, 0, 1.0, 0.0, darks)
 
 
 def stream_range(trace=None, n=1, bin_width=0.1, delay_range=(-1.0, 1.0), duration=None):
@@ -358,23 +360,29 @@ class TestDetector:
             assert got[1].size > 0
 
 
+def near(darks, t):
+    """Which times ``t`` lie in a cell that ``darks`` marks."""
+    return darks.marked[darks._cell(t)]
+
+
 class TestDarkCells:
-    """The prefilter keeps every photon that a dark count's window reaches."""
+    """The prefilter keeps every time that a dark count's window reaches."""
 
     @staticmethod
-    def adversarial_photons(darks, w, cells):
+    def adversarial_photons(times, w, darks):
+        """Times on and beside the edges of the cells of ``darks`` and on the windows' bounds."""
         rng = np.random.default_rng(31)
-        h = 1.0 / cells.scale
-        size = cells.marked[0].size
+        h = 1.0 / darks.scale
+        size = darks.marked.size
         # cell edges around every dark count's cells, the first and the last
-        around = np.concatenate([cells.index(d) for d in darks])
+        around = np.concatenate([darks._cell(d) for d in times])
         k = np.concatenate([around - 1, around, around + 1, around + 2, [0, 1, size - 1, size]])
-        edges = cells.origin + np.clip(k, 0, size) * h
+        edges = darks.origin + np.clip(k, 0, size) * h
         photons = [edges, np.nextafter(edges, -np.inf)]
-        for d in darks:
+        for d in times:
             for bound in (d - w, d + w):
                 photons += [bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]
-        lo, hi = cells.origin, cells.origin + size * h
+        lo, hi = darks.origin, darks.origin + size * h
         photons.append(rng.uniform(lo - 3.0 * w, hi + 3.0 * w, 4000))
         photons.append([0.0, lo - 1e3, hi + 1e3, math.inf])
         return np.concatenate(photons)
@@ -386,54 +394,61 @@ class TestDarkCells:
     )
     def test_the_rows_are_the_unfiltered_rows(self, window):
         rng = np.random.default_rng(30)
-        darks = tuple(np.sort(5.0 + rng.uniform(0.0, 10.0, 200)) for _ in range(2))
-        run = hand_built(darks, window)
-        cells = run.cells
-        span = max(d[-1] for d in darks) - min(d[0] for d in darks) + 2.0 * window
-        # 32 cells per dark count of the longer list
-        assert 1.0 / cells.scale == pytest.approx(max(2.0 * window, span / (32 * 200)))
-        # the outermost dark counts reach the first and the last cell
-        assert min(cells.index(d - window).min() for d in darks) == 0
-        assert max(cells.index(d + window).max() for d in darks) == cells.marked[0].size - 1
-        photons = self.adversarial_photons(darks, window, cells)
-        for d, bounds in enumerate(run.bounds):
-            near = cells.near(d, photons)
-            window_index, near_index = _window_pairs(*bounds, photons[near])
-            got = set(zip(window_index, np.flatnonzero(near)[near_index]))
-            want = set(zip(*_window_pairs(*bounds, photons)))
+        times = tuple(np.sort(5.0 + rng.uniform(0.0, 10.0, 200)) for _ in range(2))
+        for darks in hand_built(times, window).darks:
+            # 32 cells per dark count over this list's own span
+            span = darks.times[-1] - darks.times[0] + 2.0 * window
+            assert 1.0 / darks.scale == pytest.approx(max(2.0 * window, span / (32 * 200)))
+            # the outermost dark counts reach the first and the last cell
+            assert darks._cell(darks.lo).min() == 0
+            assert darks._cell(darks.hi).max() == darks.marked.size - 1
+            photons = self.adversarial_photons(times, window, darks)
+            got = set(zip(*darks.pairs(photons)))
+            # the unfiltered rows, by brute force over every (dark count, photon)
+            inside = (darks.lo[:, None] <= photons) & (photons <= darks.hi[:, None])
+            want = set(zip(*np.nonzero(inside)))
             assert got == want and len(want) > 400
             # the widest window marks every cell; the others drop some photons
-            assert cells.marked[d].all() == (window == 20.0) == near.all()
+            assert darks.marked.all() == (window == 20.0) == near(darks, photons).all()
 
     @pytest.mark.parametrize(
-        "darks, window",
+        "darks, window, tables",
         [
-            ((np.array([1.0, np.finfo(float).max]), np.array([2.0])), 1e300),  # infinite bound
-            ((np.array([1.0, 2.0]), np.array([3.0])), 1e308),  # infinite h
-            ((np.array([1.0, 1.0]), np.array([1.0])), 5e-324),  # infinite 1/h
-            ((np.array([math.inf]), np.array([math.inf])), 1.0),  # no finite span
-            ((np.empty(0), np.empty(0)), 1.0),  # no dark counts
+            # an infinite bound in list 0; list 1's span is finite, 2w: two cells
+            ((np.array([1.0, FMAX]), np.array([2.0])), 1e300, [[True], [True, True]]),
+            ((np.array([1.0, 2.0]), np.array([3.0])), 1e308, [[True], [True]]),  # infinite h
+            ((np.array([1.0, 1.0]), np.array([1.0])), 5e-324, [[True], [True]]),  # infinite 1/h
+            ((np.array([math.inf]), np.array([math.inf])), 1.0, [[True], [True]]),  # no finite span
+            ((np.empty(0), np.empty(0)), 1.0, [[False], [False]]),  # no dark counts
         ],
         ids=["inf_bound", "inf_cell", "inf_scale", "inf_darks", "no_darks"],
     )
-    def test_a_table_without_a_finite_span_is_one_cell(self, darks, window):
+    def test_a_table_without_a_finite_span_is_one_cell(self, darks, window, tables):
         # fl(d + w) itself may overflow: an infinite bound, set up without a warning
         with np.errstate(all="raise"):
-            cells = hand_built(darks, window).cells
-        assert [table.tolist() for table in cells.marked] == [[d.size > 0] for d in darks]
-        photons = np.array([0.0, 1.0, np.finfo(float).max, math.inf])
-        for d in (0, 1):
-            np.testing.assert_array_equal(cells.near(d, photons), darks[d].size > 0)
+            run = hand_built(darks, window)
+        assert [d.marked.tolist() for d in run.darks] == tables
+        photons = np.array([0.0, 1.0, FMAX, math.inf])
+        for d in run.darks:
+            np.testing.assert_array_equal(near(d, photons), d.times.size > 0)
+
+    def test_a_cell_index_past_the_floats_is_the_last_cell(self):
+        # one dark count, window 1e-300: cells of 2e-300, so a photon 1e10 away
+        # is 5e309 cells from the origin, which overflows without a warning
+        darks = _Darks.of(np.array([0.0]), 1e-300)
+        assert 1.0 / darks.scale == 2e-300
+        i, j = darks.pairs(np.array([-1e10, -1.0, 0.0, 1.0, 1e10]))
+        assert i.tolist() == [0] and j.tolist() == [2]
 
     def test_an_empty_dark_list_marks_nothing(self):
-        cells = hand_built(([1.0, 4.0], []), 0.5).cells
+        dark1, dark2 = hand_built(([1.0, 4.0], []), 0.5).darks
         # cells of width 2w = 1 from 0.5: the windows [0.5, 1.5] and [3.5, 4.5] reach their edges
-        assert cells.marked[0].tolist() == [True, True, False, True, True]
-        assert not cells.marked[1].any()
+        assert dark1.marked.tolist() == [True, True, False, True, True]
+        assert not dark2.marked.any()
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_whole_runs_narrower_than_a_cell_match_the_oracle(self, threads):
-        # the window is a fifth of a cell: only the marked cells' photons are sorted
+        # the window is a fifth of a cell: only the marked cells' photons are searched
         n, duration = CHUNK + 5, 1e4
         det = DetectorModel(
             resolution_time=1e-3, coincidence_window=2e-3, efficiency=0.8, dark_rate=4.0
@@ -444,9 +459,28 @@ class TestDarkCells:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         assert got[1].size > 1000
-        cells = _Detector.of(det, 33, n, lambda: float(np.max(np.abs(delays))), duration).cells
-        assert 1.0 / cells.scale > 4.0 * det.coincidence_window
-        assert all(table.mean() < 0.1 for table in cells.marked)
+        run = _Detector.of(det, 33, n, lambda: float(np.max(np.abs(delays))), duration)
+        for darks in run.darks:
+            assert 1.0 / darks.scale > 4.0 * det.coincidence_window
+            assert darks.marked.mean() < 0.1
+
+    def test_an_infinite_bound_leaves_the_other_list_its_cells(self):
+        # times up to 1.79e308: one of detector 1's windows overflows, detector
+        # 2's 3 windows end below the largest float and mark 4 of 6 cells
+        n, seed, duration = 300, 13, 1.69e308
+        det = DetectorModel(resolution_time=0.0, coincidence_window=1e307, dark_rate=6.0 / duration)
+        delays = np.random.default_rng(36).normal(0.0, 1.0, n)
+        run = _Detector.of(det, seed, n, lambda: float(np.max(np.abs(delays))), duration)
+        dark1, dark2 = run.darks
+        assert np.isinf(dark1.hi[-1]) and dark1.marked.size == 1
+        assert np.isfinite(dark2.hi).all() and 0.0 < dark2.marked.mean() < 1.0
+        photons = run.offset + np.random.default_rng(37).uniform(0.0, duration, 1000)
+        assert 0.0 < near(dark2, photons).mean() < 1.0
+        got = records(delays, det, seed=seed, duration=duration)
+        want = oracle_records(delays, det, seed=seed, duration=duration)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert got[1].size > 0
 
 
 class TestAccidentalRowCap:
@@ -456,8 +490,8 @@ class TestAccidentalRowCap:
     def built_rows(det, n, duration, seed):
         """The accidental rows of n <= CHUNK zero delays, both dark-dark searches included."""
         run = _Detector.of(det, seed, n, lambda: 0.0, duration)
-        (dark1, dark2), (bounds1, bounds2) = run.darks, run.bounds
-        dark_rows = [_window_pairs(*bounds1, dark2), _window_pairs(*bounds2, dark1)]
+        dark1, dark2 = run.darks
+        dark_rows = [dark1.pairs(dark2.times), dark2.pairs(dark1.times)]
         return run.chunk(0, np.zeros(n))[1].size + sum(i.size for i, _ in dark_rows)
 
     @pytest.mark.parametrize(
@@ -544,6 +578,19 @@ class TestStreamHistogram:
         if dark:
             assert summary["n_accidental_records"] > 0
 
+    def test_times_that_round_to_one_value_are_distinct_events(self):
+        # every timestamp rounds to the offset, about 1.7e308: each (dark,
+        # photon) and (dark, dark) pair in the window is one record
+        trace = gapped_trace()
+        det = DetectorModel(resolution_time=0.0, coincidence_window=1.7e308, dark_rate=2.0)
+        hist, summary = stream_histogram(trace, 10, det, 1, 0.01, (-1.5, 1.755), duration=1.0)
+        delays = sample_oracle(trace, 10, seed=1)
+        pairs, accidentals = detect_oracle(delays, det, seed=1, duration=1.0)
+        want = np.histogram(np.concatenate([pairs, accidentals]), bins=hist.edges)[0]
+        np.testing.assert_array_equal(hist.counts, want)
+        assert summary == summary_oracle(pairs, accidentals, det.coincidence_window)
+        assert summary["n_accidental_records"] == 92
+
     @pytest.mark.parametrize(
         "trace",
         [gapped_trace(), flat_trace(-0.5, 3.0), flat_trace(-3.0, 0.5)],
@@ -621,8 +668,8 @@ class TestWindowPairs:
         return sorted((a, b) for a in left for b in right if a - w <= b <= a + w)
 
     def pairs(self, left, right):
-        """The (left, right) values of the pairs ``_window_pairs`` finds in left's windows."""
-        i, j = _window_pairs(left - self.W, left + self.W, right)
+        """The (left, right) values of the pairs found in the windows of dark counts ``left``."""
+        i, j = _Darks.of(left, self.W).pairs(right)
         return sorted(zip(left[i], right[j]))
 
     def edge_case(self):
@@ -652,7 +699,7 @@ class TestWindowPairs:
         left, right = self.edge_case()
         shuffled = np.random.default_rng(35).permutation(right)
         assert not np.array_equal(shuffled, right)
-        i, j = _window_pairs(left - self.W, left + self.W, shuffled)
+        i, j = _Darks.of(left, self.W).pairs(shuffled)
         # each time's windows come out together, in the times' order
         assert np.all(np.diff(j) >= 0)
         assert self.pairs(left, shuffled) == self.brute_force(left, right)
@@ -668,7 +715,7 @@ class TestWindowPairs:
     def test_empty_sides(self):
         empty = np.empty(0)
         for a, b in ((empty, np.array([1.0])), (np.array([1.0]), empty), (empty, empty)):
-            got = _window_pairs(a - self.W, a + self.W, b)
+            got = _Darks.of(a, self.W).pairs(b)
             assert got[0].size == 0 and got[1].size == 0
 
 
