@@ -228,18 +228,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="twophoton",
         description="Mode-locked two-photon correlation and interferometry scans.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} pipeline")
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--out", default=".", help="output directory (default: cwd)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for Monte Carlo chunks (default: 1; results do not depend on it)",
-        )
+    parser.add_argument("command", choices=COMMANDS, help="the pipeline to run")
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
+    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for Monte Carlo chunks (default: 1; results do not depend on it)",
+    )
     return parser
 
 

@@ -63,7 +63,7 @@ def brute_force_comb_sum(comb, omega):
 
 
 def pair_overlap_oracle(comb, delays):
-    """``pair_overlap`` one delay at a time: the mode-pair sum as scalar code per delay."""
+    """``pair_overlap`` one delay at a time, its mode-pair correlation summed directly."""
     s = comb.single_mode
     phase = np.exp(1j * np.array(comb.mode_phases))
     m = np.arange(-comb.n_side_modes, comb.n_side_modes + 1) * comb.mode_spacing

@@ -155,15 +155,17 @@ class TestGeneralizedF:
 
 
 class TestPairOverlap:
+    # |FFT sum - direct sum| <= BOUND |P(0)|, the largest |P(d)|; at most 2.6e-16 measured
+    BOUND = 1e-14
+
     class SumReached(Exception):
         pass
 
     def test_mode_cap_is_refused_before_the_sum(self, monkeypatch):
-        # np.correlate is direct: 0.14 s at 16385 modes, seconds per call at the cap
         def fake(*args, **kwargs):
             raise self.SumReached
 
-        monkeypatch.setattr(np, "correlate", fake)
+        monkeypatch.setattr(np.fft, "fft", fake)
         with pytest.raises(GridError, match="65537 modes"):
             pair_overlap(make_comb(32768, 0.01), [0.0])
         with pytest.raises(self.SumReached):
@@ -173,11 +175,11 @@ class TestPairOverlap:
         with pytest.raises(ValueError, match="rectangular"):
             pair_overlap(make_comb(4, 0.01, shape=Shape.RECTANGULAR), [0.0])
 
-    @staticmethod
-    def assert_same_bits(comb, delays):
-        got, want = pair_overlap(comb, delays), pair_overlap_oracle(comb, delays)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    @classmethod
+    def assert_near_the_direct_sum(cls, comb, delays):
+        got, want = pair_overlap(comb, delays), pair_overlap_oracle(comb, [0.0, *delays])
+        assert got.shape == want[1:].shape
+        np.testing.assert_allclose(got, want[1:], rtol=0.0, atol=cls.BOUND * abs(want[0]))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -192,36 +194,47 @@ class TestPairOverlap:
             max_size=40,
         ),
     )
-    def test_batched_sum_keeps_every_bit_of_the_per_delay_sum(
+    def test_fft_sum_is_within_the_bound_of_the_direct_sum(
         self, shape, n_side, phase_seed, center, delays
     ):
         phases = ()
         if phase_seed is not None:
             phases = tuple(np.random.default_rng(phase_seed).uniform(0.0, TWO_PI, 2 * n_side + 1))
-        self.assert_same_bits(make_comb(n_side, 0.01, shape, phases=phases, center=center), delays)
+        comb = make_comb(n_side, 0.01, shape, phases=phases, center=center)
+        self.assert_near_the_direct_sum(comb, delays)
 
     @pytest.mark.parametrize("center", [0.0, 1.5])
     @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
-    def test_a_covered_hom_scan_keeps_its_bits(self, shape, center):
+    def test_a_covered_hom_scan_is_within_the_bound(self, shape, center):
         # the delays one covered scan asks for: 0, the 261 scan delays and their halves
         d = np.linspace(0.0, 1.3, 261)
-        self.assert_same_bits(make_comb(10, 0.01, shape, center=center), [0.0, *d, *d / 2, *-d / 2])
+        comb = make_comb(10, 0.01, shape, center=center)
+        self.assert_near_the_direct_sum(comb, [0.0, *d, *d / 2, *-d / 2])
 
     @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
-    def test_delays_past_one_block_keep_their_bits(self, shape):
-        # 4N + 1 = 4001 lags: 16 delays a block, so 40 delays take three blocks
+    def test_delays_past_one_block_are_within_the_bound(self, shape):
+        # 4N + 1 = 4001 lags in 4096 bins: 16 delays a block, so 40 delays take three blocks
         comb = make_comb(1000, 0.01, shape, phases=tuple(np.linspace(0.0, 5.0, 2001)), center=1.5)
-        assert PAIR_BLOCK_ELEMENTS // (4 * 1000 + 1) == 16
-        self.assert_same_bits(comb, np.linspace(-1.3, 1.3, 40))
+        assert PAIR_BLOCK_ELEMENTS // 4096 == 16
+        self.assert_near_the_direct_sum(comb, np.linspace(-1.3, 1.3, 40))
 
-    def test_a_wide_comb_keeps_its_bits(self):
-        self.assert_same_bits(make_comb(3000, 0.01), [0.0, 5e-324, 0.25, -0.5, 1.0])
+    def test_a_wide_comb_is_within_the_bound(self):
+        self.assert_near_the_direct_sum(make_comb(3000, 0.01), [0.0, 5e-324, 0.25, -0.5, 1.0])
+
+    @pytest.mark.parametrize("phase_seed", [None, 11])
+    @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
+    def test_a_comb_of_16385_modes_is_within_the_bound(self, shape, phase_seed):
+        phases = ()
+        if phase_seed is not None:
+            phases = tuple(np.random.default_rng(phase_seed).uniform(0.0, TWO_PI, 16385))
+        comb = make_comb(8192, 0.01, shape, phases=phases, center=1.5)
+        self.assert_near_the_direct_sum(comb, [0.0, 0.5, -1.0])
 
     def test_no_delays_give_an_empty_array(self):
         assert pair_overlap(make_comb(4, 0.01), []).shape == (0,)
 
     def test_the_blocks_bound_the_memory(self):
-        # 64 delays at N = 3000: 13 blocks of at most 65536 entries, about 4 MB at the peak
+        # 64 delays at N = 3000: 16 blocks of 4 x 16384 bins, about 3.2 MB at the peak
         comb = make_comb(3000, 0.01)
         tracemalloc.start()
         try:
