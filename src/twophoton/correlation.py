@@ -198,7 +198,8 @@ def _line_transform(s, tau, power):
     elif s.shape is Shape.GAUSSIAN:
         sigma = hw / math.sqrt(power)
         scale = math.sqrt(2.0 * math.pi) * sigma
-        core = scale * np.exp(-(sigma**2) * np.abs(tau) ** 2 / 2.0)
+        with np.errstate(over="ignore"):  # sigma |tau| past 1.3e154 squares to inf: g = 0
+            core = scale * np.exp(-((sigma * np.abs(tau)) ** 2) / 2.0)
     else:
         core, scale = 2.0 * hw * np.sinc(hw * np.abs(tau) / math.pi), 2.0 * hw
     carrier = -1j if power == 1 else 1j

@@ -14,7 +14,6 @@ draws.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -149,23 +148,9 @@ class _Sampler:
         frac = np.divide(u - low, width, out=np.full(u.size, 0.5), where=width > 0)
         return self.t0 + (idx + frac) * self.dt
 
-    def _uniforms(self, k: int) -> np.ndarray:
-        return _chunk_rng(self.seed, k).random(min(CHUNK, self.n - k * CHUNK))
-
     def chunk(self, k: int) -> np.ndarray:
         """The delays of chunk k, in draw order."""
-        return self._delays(self._uniforms(k))
-
-    def max_abs(self, threads: int) -> float:
-        """max |delay| over all n draws, bit for bit, from each chunk's extreme uniforms."""
-
-        def extreme(k: int) -> float:
-            u = self._uniforms(k)
-            if not u.size:
-                return 0.0
-            return float(np.max(np.abs(self._delays(np.array([u.min(), u.max()])))))
-
-        return max(_run_chunks(extreme, self.n, threads))
+        return self._delays(_chunk_rng(self.seed, k).random(min(CHUNK, self.n - k * CHUNK)))
 
 
 def accidental_rows(det: DetectorModel, n: int, duration: float) -> float:
@@ -248,33 +233,27 @@ class _Darks:
 
 @dataclass(frozen=True, eq=False)
 class _Detector:
-    """One run's detection: duration, timestamp offset and each detector's ``_Darks``."""
+    """One run's detection: its duration and each detector's ``_Darks``, timed from 0."""
 
     det: DetectorModel
     seed: int
     duration: float
-    offset: float
     darks: tuple  # empty without dark counts
 
     @classmethod
-    def of(cls, det: DetectorModel, seed: int, n: int, max_abs, duration) -> _Detector:
-        """Set up the detection of n pairs whose largest |delay| is ``max_abs()``.
-
-        ``max_abs`` draws, so a given duration is checked before it is called:
-        a refused run draws nothing.
-        """
-        max_abs = functools.cache(max_abs)
+    def of(cls, det: DetectorModel, seed: int, n: int, bound: float, duration) -> _Detector:
+        """Set up detecting n pairs with |delay| <= ``bound``; a refused run draws nothing."""
         if duration is None:
-            # sparse enough that accidentals stay rare amid the true pairs
-            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time
+            # sparse enough that accidentals stay rare amid the true pairs; the
+            # config alone sets it, so no draw is needed
+            pitch = 100.0 * det.coincidence_window + 10.0 * det.resolution_time + 4.0 * bound
             duration = max(n, 1) * pitch
-            if duration < math.inf:  # an overflow is refused before max_abs draws
-                duration = max(n, 1) * (pitch + 4.0 * max_abs())
             if duration == math.inf:
                 raise NumericsError(
-                    f"detector.coincidence_window {det.coincidence_window:.3e} s and "
-                    f"detector.resolution_time {det.resolution_time:.3e} s over {n} pairs "
-                    "make the derived mc.duration overflow; set mc.duration"
+                    f"detector.coincidence_window {det.coincidence_window:.3e} s, "
+                    f"detector.resolution_time {det.resolution_time:.3e} s and delays up to "
+                    f"{bound:.3e} s over {n} pairs make the derived mc.duration overflow; "
+                    "set mc.duration"
                 )
         if not 0 < duration < math.inf:
             raise ValueError(f"duration must be > 0 and finite, got {duration}")
@@ -290,25 +269,23 @@ class _Detector:
                 f"{det.coincidence_window:.3e} s over mc.duration {duration:.3e} s expects "
                 f"{rows:.3e} accidental rows; cap is {MAX_EVENTS}"
             )
-        # keep all timestamps positive regardless of jitter and delay signs; they
-        # stay inside the detection, but their magnitude sets the rounding of
-        # every delay
-        offset = det.resolution_time + det.coincidence_window + max_abs()
         darks = []
         if det.dark_rate > 0:
             for d in (0, 1):
                 rng = _chunk_rng(seed, _DARK_KEY + d)
                 count = rng.poisson(det.dark_rate * duration)
-                times = np.sort(offset + rng.uniform(0.0, duration, count))
+                times = np.sort(rng.uniform(0.0, duration, count))
                 darks.append(_Darks.of(times, det.coincidence_window))
-        return cls(det, seed, duration, offset, tuple(darks))
+        return cls(det, seed, duration, tuple(darks))
 
     def chunk(self, k: int, delays: np.ndarray):
         """Chunk k's pair record delays and its photon-dark accidental delays t2 - t1."""
         m = delays.size
         tr = self.det.resolution_time
         rng = _chunk_rng(self.seed, _DETECT_KEY + k)
-        s = self.offset + rng.uniform(0.0, self.duration, m)
+        # pair starts and dark counts are uniform on [0, duration); a photon
+        # time adds delay and jitter, so it may be negative
+        s = rng.uniform(0.0, self.duration, m)
         t1, t2 = s, s + delays
         if tr > 0:
             t1 = s + rng.uniform(-tr / 2.0, tr / 2.0, m)
@@ -403,13 +380,14 @@ def stream_histogram(
     stream k and detected with detection stream k; the same worker tallies
     its pair delays and its photons' accidental delays with the dark counts,
     so no record leaves its chunk and the caller only adds counts.  The
-    dark-dark pairs are tallied once, first.  The largest |delay|, which sets
-    the timestamp offset and the default duration, comes from a pass that
-    draws only each chunk's uniforms.
+    dark-dark pairs are tallied once, first.  Every uniform is drawn once:
+    the trace grid bounds the delays, so the default duration needs no pass
+    over the draws.
     """
     edges = _edges(bin_width, delay_range)
     sampler = _Sampler.of(trace, n, seed)
-    run = _Detector.of(det, seed, n, lambda: sampler.max_abs(threads), duration)
+    bound = max(abs(trace.grid.t_min), abs(trace.grid.t_max))
+    run = _Detector.of(det, seed, n, bound, duration)
     w = det.coincidence_window
 
     def tally(pairs: np.ndarray, accidentals: np.ndarray):

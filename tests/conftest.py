@@ -265,18 +265,17 @@ def detect_oracle(pair_delays, det, seed, duration):
     are sorted into one stream, and each dark count is matched against the
     whole opposite stream.  Every match is an event; only a dark-dark pair
     that both detectors' dark counts find is dropped the second time, by
-    index, so repeated times stay distinct events.
+    index, so repeated times stay distinct events.  Pair start times and dark
+    counts are uniform on [0, duration).
     """
     delays = np.asarray(pair_delays, dtype=float)
     n = delays.size
-    offset = det.resolution_time + det.coincidence_window
-    offset += float(np.max(np.abs(delays), initial=0.0))
     tr = det.resolution_time
     parts = []
     for k in range(max(1, math.ceil(n / CHUNK))):
         m = min(CHUNK, n - k * CHUNK)
         rng = _chunk_rng(seed, _DETECT_KEY + k)
-        s = offset + rng.uniform(0.0, duration, m)
+        s = rng.uniform(0.0, duration, m)
         j1 = rng.uniform(-tr / 2.0, tr / 2.0, m) if tr > 0 else np.zeros(m)
         j2 = rng.uniform(-tr / 2.0, tr / 2.0, m) if tr > 0 else np.zeros(m)
         keep1 = rng.random(m) < det.efficiency
@@ -290,7 +289,7 @@ def detect_oracle(pair_delays, det, seed, duration):
         for d in (0, 1):
             rng = _chunk_rng(seed, _DARK_KEY + d)
             count = rng.poisson(det.dark_rate * duration)
-            dark_times.append(np.sort(offset + rng.uniform(0.0, duration, count)))
+            dark_times.append(np.sort(rng.uniform(0.0, duration, count)))
         dark1, dark2 = dark_times
         w, seen = det.coincidence_window, set()
         sides = ((dark1, t2[keep2], dark2, 1), (dark2, t1[keep1], dark1, -1))

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -824,6 +825,29 @@ class TestMcBounds:
         assert edges.size == MAX_QUAD_POINTS
         with pytest.raises(ConfigError, match="mc.bin_width"):
             resolve_config(parse_config_text(body.format(math.nextafter(width, 0.0))), "mc")
+
+
+class TestGaussianWidthPastTheSquareRoot:
+    """A Gaussian width whose square overflows runs, or is refused, without a traceback."""
+
+    @pytest.mark.parametrize("command", ["correlation", "fringe", "engineer"])
+    def test_exits_0_or_3_without_a_traceback_or_a_warning(self, tmp_path, capsys, command):
+        if command == "engineer":
+            # the width scan reaches 4e154 rad/s
+            body = (CONFIGS / "excise_peak.cfg").read_text(encoding="utf-8")
+            body = body.replace("wideband_shape = rectangular", "wideband_shape = gaussian")
+            body += "engineering.wideband_halfwidth = 1e154\n"
+        else:
+            # a line halfwidth of 1e299 rad/s: g(tau) underflows to 0 past tau = 0
+            body = "comb.n_side_modes = 1\ncomb.mode_spacing = 1e300\ncomb.linewidth = 1e299\n"
+            body += "comb.shape = gaussian\n"
+        cfg = write_cfg(tmp_path, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code in (0, 3)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
 
 
 class TestThreads:

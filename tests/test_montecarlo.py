@@ -23,6 +23,8 @@ from twophoton import (
 
 from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.montecarlo import (
+    _DARK_KEY,
+    _DETECT_KEY,
     CHUNK,
     MAX_EVENTS,
     DelayHistogram,
@@ -73,8 +75,8 @@ def sample(trace, n, seed, threads=1):
 def records(delays, det, seed, duration, threads=1):
     """(pair delays, sorted accidental delays) of ``delays`` from the ``_Detector`` chunks."""
     delays = np.asarray(delays, dtype=float)
-    span = float(np.max(np.abs(delays), initial=0.0))
-    run = _Detector.of(det, seed, delays.size, lambda: span, duration)
+    bound = float(np.max(np.abs(delays), initial=0.0))
+    run = _Detector.of(det, seed, delays.size, bound, duration)
 
     def chunk(k):
         return run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK])
@@ -94,7 +96,7 @@ def hand_built(darks, w):
     """A detection over these sorted dark lists, window w; no pair is drawn from it."""
     det = DetectorModel(resolution_time=0.0, coincidence_window=w)
     darks = tuple(_Darks.of(np.asarray(d, dtype=float), w) for d in darks)
-    return _Detector(det, 0, 1.0, 0.0, darks)
+    return _Detector(det, 0, 1.0, darks)
 
 
 def stream_range(trace=None, n=1, bin_width=0.1, delay_range=(-1.0, 1.0), duration=None):
@@ -301,6 +303,14 @@ class TestDetector:
         assert summary["n_accidental_records"] > 0
         assert summary["n_pair_records"] == summary["n_pair_coincidences_in_window"] == 2000
 
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    @pytest.mark.parametrize("resolution_time, window", [(0.0, 1e-8), (1e-9, 2e-8), (0.3, 0.5)])
+    def test_the_derived_duration_comes_from_the_config(self, n, resolution_time, window):
+        # max(n, 1) (100 w + 10 T_R + 4 B), B the bound on |delay|; nothing is drawn
+        det = DetectorModel(resolution_time=resolution_time, coincidence_window=window)
+        run = _Detector.of(det, 1, n, 2.5, duration=None)
+        assert run.duration == max(n, 1) * (100.0 * window + 10.0 * resolution_time + 4.0 * 2.5)
+
     def test_dark_counts_past_the_event_cap_are_refused(self):
         det = DetectorModel(resolution_time=0.0, coincidence_window=1e-3, dark_rate=1e15)
         with pytest.raises(NumericsError, match="detector.dark_rate"):
@@ -459,22 +469,22 @@ class TestDarkCells:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         assert got[1].size > 1000
-        run = _Detector.of(det, 33, n, lambda: float(np.max(np.abs(delays))), duration)
+        run = _Detector.of(det, 33, n, float(np.max(np.abs(delays))), duration)
         for darks in run.darks:
             assert 1.0 / darks.scale > 4.0 * det.coincidence_window
             assert darks.marked.mean() < 0.1
 
     def test_an_infinite_bound_leaves_the_other_list_its_cells(self):
-        # times up to 1.79e308: one of detector 1's windows overflows, detector
+        # times up to 1.75e308: two of detector 1's 9 windows overflow, detector
         # 2's 3 windows end below the largest float and mark 4 of 6 cells
-        n, seed, duration = 300, 13, 1.69e308
+        n, seed, duration = 300, 13, 1.75e308
         det = DetectorModel(resolution_time=0.0, coincidence_window=1e307, dark_rate=6.0 / duration)
         delays = np.random.default_rng(36).normal(0.0, 1.0, n)
-        run = _Detector.of(det, seed, n, lambda: float(np.max(np.abs(delays))), duration)
+        run = _Detector.of(det, seed, n, float(np.max(np.abs(delays))), duration)
         dark1, dark2 = run.darks
         assert np.isinf(dark1.hi[-1]) and dark1.marked.size == 1
         assert np.isfinite(dark2.hi).all() and 0.0 < dark2.marked.mean() < 1.0
-        photons = run.offset + np.random.default_rng(37).uniform(0.0, duration, 1000)
+        photons = np.random.default_rng(37).uniform(0.0, duration, 1000)
         assert 0.0 < near(dark2, photons).mean() < 1.0
         got = records(delays, det, seed=seed, duration=duration)
         want = oracle_records(delays, det, seed=seed, duration=duration)
@@ -489,7 +499,7 @@ class TestAccidentalRowCap:
     @staticmethod
     def built_rows(det, n, duration, seed):
         """The accidental rows of n <= CHUNK zero delays, both dark-dark searches included."""
-        run = _Detector.of(det, seed, n, lambda: 0.0, duration)
+        run = _Detector.of(det, seed, n, 0.0, duration)
         dark1, dark2 = run.darks
         dark_rows = [dark1.pairs(dark2.times), dark2.pairs(dark1.times)]
         return run.chunk(0, np.zeros(n))[1].size + sum(i.size for i, _ in dark_rows)
@@ -558,9 +568,9 @@ class TestStreamHistogram:
         )
         delays = sample_oracle(trace, n, seed=25)
         if derived_duration:
+            # the trace grid bounds the delays at 2
             duration = None
-            span = float(np.max(np.abs(delays), initial=0.0))
-            run_duration = max(n, 1) * (100.0 * 0.5 + 10.0 * resolution_time + 4.0 * span)
+            run_duration = max(n, 1) * (100.0 * 0.5 + 10.0 * resolution_time + 4.0 * 2.0)
         else:
             run_duration = duration
         # the range cuts off part of the comb, and its top edge is not a bin edge
@@ -579,28 +589,46 @@ class TestStreamHistogram:
             assert summary["n_accidental_records"] > 0
 
     def test_times_that_round_to_one_value_are_distinct_events(self):
-        # every timestamp rounds to the offset, about 1.7e308: each (dark,
-        # photon) and (dark, dark) pair in the window is one record
-        trace = gapped_trace()
+        # every delay is 2^60, drawn from one CDF bin a quarter of an ulp wide,
+        # and a pair start in [0, 1) is below half an ulp of it: all of
+        # detector 2's photon times round to 2^60.  The window covers the run,
+        # so each (dark, photon) and (dark, dark) pair is one record
+        big = 2.0**60
+        samples = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+        trace = CorrelationTrace(TimeGrid(big, big + 256.0, 5), samples, TraceKind.INTENSITY)
         det = DetectorModel(resolution_time=0.0, coincidence_window=1.7e308, dark_rate=2.0)
         hist, summary = stream_histogram(trace, 10, det, 1, 0.01, (-1.5, 1.755), duration=1.0)
         delays = sample_oracle(trace, 10, seed=1)
+        assert (delays == big).all() and 1.0 < math.ulp(big) / 2.0
         pairs, accidentals = detect_oracle(delays, det, seed=1, duration=1.0)
         want = np.histogram(np.concatenate([pairs, accidentals]), bins=hist.edges)[0]
         np.testing.assert_array_equal(hist.counts, want)
         assert summary == summary_oracle(pairs, accidentals, det.coincidence_window)
-        assert summary["n_accidental_records"] == 92
+        darks1, darks2 = (d.times.size for d in _Detector.of(det, 1, 10, big, 1.0).darks)
+        assert darks1 > 0 and darks2 > 0
+        rows = 10 * (darks1 + darks2) + darks1 * darks2
+        assert summary["n_accidental_records"] == rows
+        assert (accidentals == big).sum() == 10 * darks1
 
-    @pytest.mark.parametrize(
-        "trace",
-        [gapped_trace(), flat_trace(-0.5, 3.0), flat_trace(-3.0, 0.5)],
-        ids=["gapped", "positive", "negative"],
-    )
-    @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_the_pre_pass_finds_the_largest_delay(self, trace, n, threads):
-        want = float(np.max(np.abs(sample_oracle(trace, n, seed=29)), initial=0.0))
-        assert _Sampler.of(trace, n, 29).max_abs(threads) == want
+    def test_every_stream_is_created_once(self, monkeypatch, threads):
+        # three sampling and three detection chunks, and the two dark streams
+        keys, make = [], montecarlo._chunk_rng
+
+        def counted(seed, key):
+            keys.append(key)
+            return make(seed, key)
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", counted)
+        n = 2 * CHUNK + 3
+        det = DetectorModel(resolution_time=0.3, coincidence_window=0.5, dark_rate=1e-3)
+        _, summary = stream_histogram(
+            gapped_trace(), n, det, 2, 0.01, (-1.5, 1.5), duration=20.0 * n, threads=threads
+        )
+        assert summary["n_accidental_records"] > 0
+        chunks = [0, 1, 2]
+        want = chunks + [_DETECT_KEY + k for k in chunks] + [_DARK_KEY, _DARK_KEY + 1]
+        assert sorted(keys) == sorted(want)
 
     def test_counts_and_summary_do_not_depend_on_the_thread_count(self):
         # each worker histograms and counts its own chunks; the caller only adds
