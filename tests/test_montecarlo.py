@@ -610,6 +610,31 @@ class TestStreamHistogram:
         assert summary["n_accidental_records"] == rows
         assert (accidentals == big).sum() == 10 * darks1
 
+    @pytest.mark.parametrize(
+        "trace",
+        [gapped_trace(), flat_trace(-0.5, 3.0), flat_trace(-3.0, 0.5)],
+        ids=["gapped", "positive", "negative"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_derived_duration_takes_the_grid_bound(self, trace, n, threads):
+        # the grid bounds every drawn delay, and a run without mc.duration is
+        # the run at max(n, 1) (100 w + 10 T_R + 4 B), dark counts included
+        bound = max(abs(trace.grid.t_min), abs(trace.grid.t_max))
+        delays = sample(trace, n, seed=29, threads=threads)
+        np.testing.assert_array_equal(delays, sample_oracle(trace, n, seed=29))
+        assert ((trace.grid.t_min <= delays) & (delays <= trace.grid.t_max)).all()
+        assert n < CHUNK or np.max(np.abs(delays)) > 0.9 * bound
+        duration = max(n, 1) * (100.0 * 0.5 + 10.0 * 0.3 + 4.0 * bound)
+        det = DetectorModel(resolution_time=0.3, coincidence_window=0.5, dark_rate=50.0 / duration)
+        assert all(d.times.size > 0 for d in _Detector.of(det, 29, n, bound, None).darks)
+        args = (trace, n, det, 29, 0.01, (-3.5, 3.5))
+        derived = stream_histogram(*args, threads=threads)
+        given = stream_histogram(*args, duration=duration, threads=threads)
+        np.testing.assert_array_equal(derived[0].counts, given[0].counts)
+        assert derived[1] == given[1]
+        assert derived[1]["n_accidental_records"] > 0
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_every_stream_is_created_once(self, monkeypatch, threads):
         # three sampling and three detection chunks, and the two dark streams
