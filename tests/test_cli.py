@@ -827,6 +827,61 @@ class TestMcBounds:
             resolve_config(parse_config_text(body.format(math.nextafter(width, 0.0))), "mc")
 
 
+class TestFarOutLineCenter:
+    """A line center near the largest float: the mode-pair carrier stays finite."""
+
+    CENTERS = ["1e308", "1.7e308", "-1.7e308"]
+
+    @staticmethod
+    def run_cli(tmp_path, command, config, center):
+        body = (CONFIGS / config).read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path, body + f"comb.center = {center}\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "twophoton.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_homscan_rates_are_finite(self, tmp_path, center):
+        result = self.run_cli(tmp_path, "homscan", "hom_delay_scan.cfg", center)
+        assert result.returncode == 0 and result.stderr == ""
+        cols = read_rows(tmp_path / "out" / "homscan.csv")
+        assert cols["coincidence"].size == 261
+        assert all(np.isfinite(col).all() for col in cols.values())
+
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_fringe_refuses_the_cross_term_of_a_finite_rate(self, tmp_path, center):
+        # a detuned line is not exchange symmetric; R0 is finite, so the message is the cross term's
+        result = self.run_cli(tmp_path, "fringe", "fringe_full_trip.cfg", center)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr and "nan" not in result.stderr
+        assert "cross term" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+
+class TestPhasedCombTermCap:
+    def test_a_phased_correlation_past_the_cap_exits_3_before_the_sum(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 4194305 delays x 131071 modes would be about 17 minutes of Horner
+        def fake(*args, **kwargs):
+            raise AssertionError("the comb factor was summed")
+
+        monkeypatch.setattr(np, "polyval", fake)
+        body = (CONFIGS / "comb_correlation.cfg").read_text(encoding="utf-8")
+        body = body.replace("comb.n_side_modes = 10", "comb.n_side_modes = 65535")
+        body = body.replace("comb.linewidth = 6.2832e10", "comb.linewidth = 6.2832e8")
+        body = body.replace("scan.points = 4096", f"scan.points = {MAX_QUAD_POINTS}")
+        cfg = write_cfg(tmp_path, body + "comb.phase_seed = 3\n")
+        out = tmp_path / "out"
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"over {MAX_QUAD_POINTS} delays and 131071 modes" in err and "cap is" in err
+        assert not out.exists()
+
+
 class TestGaussianWidthPastTheSquareRoot:
     """A Gaussian width whose square overflows runs, or is refused, without a traceback."""
 

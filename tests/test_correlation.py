@@ -26,7 +26,7 @@ from twophoton import (
     generalized_F,
     pair_envelope,
 )
-from twophoton.correlation import PAIR_BLOCK_ELEMENTS, pair_overlap
+from twophoton.correlation import MAX_COMB_TERMS, PAIR_BLOCK_ELEMENTS, comb_amplitude, pair_overlap
 
 from conftest import (
     TWO_PI,
@@ -141,6 +141,21 @@ class TestGeneralizedF:
         comb = make_comb(10, 0.01, phases=tuple(math.pi * m * m / 2 for m in range(-10, 11)))
         tau = np.array([0.0, comb.round_trip_time / 2])
         np.testing.assert_allclose(np.abs(generalized_F(tau, comb)) ** 2, 221.0, rtol=1e-9)
+
+    def test_the_term_cap_is_refused_before_the_sum(self, monkeypatch):
+        class SumReached(Exception):
+            pass
+
+        def fake(*args, **kwargs):
+            raise SumReached
+
+        monkeypatch.setattr(np, "polyval", fake)
+        comb = make_comb(65535, 0.01, phases=(0.5,) * 131071)
+        points = MAX_COMB_TERMS // comb.n_modes
+        with pytest.raises(SumReached):
+            generalized_F(np.zeros(points), comb)
+        with pytest.raises(GridError, match=f"{points + 1} delays and 131071 modes"):
+            generalized_F(np.zeros(points + 1), comb)
 
     def test_random_phases_add_incoherently_at_revival(self):
         # coherent sum would give (2N+1)^2 = 121; phase-scrambled pairs add as power
@@ -360,6 +375,21 @@ class TestGamma2ModeLocked:
         np.testing.assert_array_equal(
             trace.samples, np.abs(pair_envelope(comb.single_mode, grid.values)) ** 2
         )
+
+    @pytest.mark.parametrize("shape", list(Shape))
+    @pytest.mark.parametrize("n_side", [0, 10, 60])
+    def test_a_locked_trace_is_the_squared_amplitude(self, shape, n_side):
+        # the carrier of g has unit modulus: at center 0 it is 1 and the real
+        # product is |g F| bit for bit; off zero only the rounding differs
+        comb = make_comb(n_side, 0.01, shape=shape)
+        grid = self.grid(comb)
+        want = np.abs(comb_amplitude(grid.values, comb)) ** 2
+        np.testing.assert_array_equal(gamma2_mode_locked(comb, grid).samples, want)
+        for center in (1.5, 3.1e12):
+            comb = make_comb(n_side, 0.01, shape=shape, center=center)
+            want = np.abs(comb_amplitude(grid.values, comb)) ** 2
+            got = gamma2_mode_locked(comb, grid).samples
+            np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
 
     def test_grid_must_resolve_peaks(self, comb10):
         t_r = comb10.round_trip_time

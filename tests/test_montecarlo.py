@@ -195,6 +195,14 @@ def spiky_trace():
     return CorrelationTrace(grid, y, TraceKind.INTENSITY)
 
 
+def zero_stretch_trace():
+    """Zero mass at both ends and between two bumps: long runs of equal CDF points."""
+    y = np.zeros(1025)
+    y[300:400] = 1.0
+    y[700:710] = 5.0
+    return CorrelationTrace(TimeGrid(-1.0, 1.0, 1025), y, TraceKind.INTENSITY)
+
+
 def oracle_cdf(trace):
     y, dt = trace.samples, trace.grid.spacing
     mass = 0.5 * (y[1:] + y[:-1]) * dt
@@ -246,6 +254,14 @@ class TestGuideTable:
         u = self.adversarial_uniforms(cdf, sampler.guide.size)
         lo = sampler.guide[(u * sampler.guide.size).astype(np.intp)]
         assert np.count_nonzero(sampler.cdf[lo + 2] <= u) > 1000
+
+    @pytest.mark.parametrize("name", sorted(TRACES) + ["zero_stretch"])
+    def test_the_counted_guide_is_the_searched_guide(self, name):
+        trace = {**self.TRACES, "zero_stretch": zero_stretch_trace}[name]()
+        sampler = _Sampler.of(trace, 1, 0)
+        buckets = sampler.guide.size
+        want = np.searchsorted(sampler.cdf, np.arange(buckets) / buckets, side="right") - 1
+        np.testing.assert_array_equal(sampler.guide, want)
 
     @pytest.mark.parametrize("points", [2, 3, 4, 5, 4097, 131073])
     def test_the_guide_is_no_larger_than_the_cdf(self, points):
