@@ -97,11 +97,10 @@ def dirichlet_F(tau, n_side_modes: int, mode_spacing: float):
 def generalized_F(tau, comb: ModeComb):
     """Phase-resolved comb factor: sum over m = -N..N of e^{i phi_m} e^{-i m dOm tau}.
 
-    Summed by Horner as e^{2iNu} P(e^{-2iu}) on the reduced angle u; locked: dirichlet_F.
+    Summed by Horner as e^{2iNu} P(e^{-2iu}) on the reduced angle u; locked: the real dirichlet_F.
     """
     if comb.is_locked:
-        f = dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
-        return np.asarray(f, dtype=complex) if np.ndim(tau) else complex(f)
+        return dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
     if np.size(tau) * comb.n_modes > MAX_COMB_TERMS:
         raise GridError(
             f"phased comb factor over {np.size(tau)} delays and {comb.n_modes} modes; "
@@ -275,24 +274,17 @@ def gamma2_mode_locked(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     """Two-photon correlation |g(tau) F(tau)|^2.
 
     Peak-normalized: a locked comb gives (2N+1)^2 at tau = 0 and full revivals
-    at every round trip, with the envelope decay on top.  A locked comb's F is
-    real and the carrier of g has unit modulus, so its trace is the square of
-    the real product of the line profile and F.
+    at every round trip, with the envelope decay on top.  The carrier of g has
+    unit modulus, so for every comb the trace is the square of the real product
+    of the line profile and |F|.
     """
     _check_peak_resolution(comb, grid)
     tau = grid.values
-    if comb.is_locked:
-        samples = dirichlet_F(tau, comb.n_side_modes, comb.mode_spacing)
-        samples *= _line_profile(comb.single_mode, tau, 1)[0]
-        samples *= samples
-    else:
-        samples = np.abs(comb_amplitude(tau, comb)) ** 2
-    return CorrelationTrace(
-        grid,
-        samples,
-        TraceKind.INTENSITY,
-        round_trip_time=comb.round_trip_time,
-    )
+    samples = np.abs(generalized_F(tau, comb))
+    samples *= _line_profile(comb.single_mode, tau, 1)[0]
+    samples *= samples
+    return CorrelationTrace(grid, samples, TraceKind.INTENSITY,
+                            round_trip_time=comb.round_trip_time)
 
 
 def gamma2_detector_averaged(trace: CorrelationTrace, resolution_time: float) -> CorrelationTrace:
@@ -307,6 +299,8 @@ def gamma2_detector_averaged(trace: CorrelationTrace, resolution_time: float) ->
     t_r = trace.round_trip_time
     if t_r is None:
         raise ValueError("trace carries no round_trip_time; cannot check the averaging regime")
+    if not math.isfinite(resolution_time):
+        raise ValueError(f"resolution_time must be finite, got {resolution_time}")
     if resolution_time < 3.0 * t_r:
         raise WindowError(
             f"resolution_time {resolution_time:.3e} s < 3 round trips "

@@ -109,12 +109,6 @@ def bs_two_photon_state(transmission: float = 0.5) -> np.ndarray:
     return np.array([state[index[(2, 0)]], state[index[(0, 2)]], state[index[(1, 1)]]])
 
 
-def _route_amplitudes(phase):
-    a = 0.5 - 0.5 * np.exp(1j * phase)  # short-short minus long-long
-    b = 0.5 * np.exp(1j * phase / 2.0)  # HOM route
-    return a, b
-
-
 def gamma12(tau, cfg: InterferometerConfig):
     """Two-detector correlation at delay tau between the detections.
 
@@ -122,7 +116,8 @@ def gamma12(tau, cfg: InterferometerConfig):
     term that vanishes once integrated over the resolving window.  mode_match
     scales every product of amplitudes taken at different delays.
     """
-    a, b = _route_amplitudes(cfg.pump_phase)
+    a = 0.5 - 0.5 * np.exp(1j * cfg.pump_phase)  # short-short minus long-long
+    b = 0.5 * np.exp(1j * cfg.pump_phase / 2.0)  # HOM route
     m = cfg.mode_match
     tau = np.asarray(tau, dtype=float)
     x0 = comb_amplitude(tau, cfg.comb)
@@ -163,12 +158,12 @@ def _rate(cfg: InterferometerConfig, delays, phases=None):
     clamped at 0, with R0, S, the overlap visibility V and the cross term C.
 
     One delay takes many phases, or many delays one phase.  At pump phase phi,
-    |a|^2 = (1 - cos phi)/2 and C = 2 m Re[a* b C'], m the mode match; ``phases``
-    None is the dithered mean, |a|^2 = 1/2 and C None.  One route serves every
-    delay: a window covering the largest delay plus the envelope support is the
-    whole line, where S = 1 and, with P = ``pair_overlap``, R0 = P(0), V = m Re P(D)/R0
-    and C' = P(D/2) - P(-D/2); other windows take ``_window_sums``.  A cross term
-    of 1e-6 R0 or more, or a rate below -1e-9 R0, is a NumericsError.
+    |a|^2 = (1 - cos phi)/2 and C = 2 m Re[a* b C'] = -m sin(phi/2) Im C', m the mode
+    match, as a* b = (i/2) sin(phi/2); ``phases`` None is the dithered mean, |a|^2 = 1/2,
+    C None.  A window covering the largest delay plus the envelope support is the whole
+    line: S = 1 and, with P = ``pair_overlap``, R0 = P(0), V = m Re P(D)/R0 and C' =
+    P(D/2) - P(-D/2) = 2i Im P(D/2), as P(-d) = conj P(d); else ``_window_sums``.  A
+    cross term of 1e-6 R0 or more, or a rate below -1e-9 R0, is a NumericsError.
     """
     delays, cross = np.asarray(delays, dtype=float), phases is not None
     if not (np.isfinite(delays).all() and np.isfinite(phases if cross else 0.0).all()):
@@ -184,19 +179,17 @@ def _rate(cfg: InterferometerConfig, delays, phases=None):
     covered = cfg.resolution_time / 2.0 >= d + envelope_support(cfg.comb.single_mode)
     if covered and cfg.comb.single_mode.shape is not Shape.RECTANGULAR:
         # one mode-pair pass over every delay, one FFT correlation per block of delays
-        n, halves = delays.size, (delays / 2.0, -delays / 2.0) if cross else ()
-        p = pair_overlap(cfg.comb, np.concatenate(([0.0], delays, *halves)))
+        n, halves = delays.size, delays / 2.0 if cross else []
+        p = pair_overlap(cfg.comb, np.concatenate(([0.0], delays, halves)))
         r0, s = np.full(n, p[0].real), np.ones(n)
-        v, c = cfg.mode_match * p[1 : n + 1].real / r0, p[n + 1 : 2 * n + 1] - p[2 * n + 1 :]
+        v, c = cfg.mode_match * p[1 : n + 1].real / r0, 2j * p[n + 1 :].imag
     else:
         r0, s, v, c = _window_sums(cfg, delays)
     a_abs_sq, cross_int = 0.5, None
     if cross:
         phases = np.asarray(phases, dtype=float)
-        a, b = _route_amplitudes(phases)
-        a_abs_sq, ab = 0.5 - 0.5 * np.cos(phases), np.conj(a) * b
-        # Re(ab C) written out keeps the bits of the scalar product; an array product does not
-        cross_int = 2.0 * cfg.mode_match * (ab.real * c.real - ab.imag * c.imag)
+        a_abs_sq = 0.5 - 0.5 * np.cos(phases)
+        cross_int = -cfg.mode_match * np.sin(phases / 2.0) * c.imag
         cross_int, r0_at = np.broadcast_arrays(cross_int, r0)
         bad = np.flatnonzero(~(np.abs(cross_int) < 1e-6 * r0_at))
         if bad.size:

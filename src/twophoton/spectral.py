@@ -40,8 +40,10 @@ class SpectralAmplitude:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", Shape(self.shape))
-        if not self.halfwidth > 0:
-            raise ValueError(f"halfwidth must be > 0, got {self.halfwidth}")
+        if not 0 < self.halfwidth < math.inf:
+            raise ValueError(f"halfwidth must be > 0 and finite, got {self.halfwidth}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
 
 
 def eval_spectrum(s: SpectralAmplitude, omega):

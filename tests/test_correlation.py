@@ -248,6 +248,25 @@ class TestPairOverlap:
     def test_no_delays_give_an_empty_array(self):
         assert pair_overlap(make_comb(4, 0.01), []).shape == (0,)
 
+    @pytest.mark.parametrize("center", [0.0, 0.3, 1.5e3])
+    @pytest.mark.parametrize("phases", ["locked", "mirrored", "seeded"])
+    @pytest.mark.parametrize("n_side", [0, 1, 10, 2000])
+    @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
+    def test_a_negative_delay_gives_the_conjugate(self, shape, n_side, phases, center):
+        # P(-d) = conj P(d) for any amplitude, so the cross integral P(D/2) - P(-D/2) of
+        # an undithered rate is 2i Im P(D/2); at most 1.7e-16 |P(0)| measured
+        rng = np.random.default_rng(17)
+        half = rng.uniform(0.0, TWO_PI, n_side + 1)
+        phases = {
+            "locked": (),
+            "mirrored": tuple(np.concatenate([half[:0:-1], half])),
+            "seeded": tuple(rng.uniform(0.0, TWO_PI, 2 * n_side + 1)),
+        }[phases]
+        comb = make_comb(n_side, 0.01, shape, phases=phases, center=center)
+        d = np.linspace(0.0, 2.0, 41) * comb.round_trip_time
+        p = pair_overlap(comb, np.concatenate(([0.0], d, -d)))
+        assert np.max(np.abs(p[42:] - np.conj(p[1:42]))) <= 1e-15 * abs(p[0])
+
     def test_the_blocks_bound_the_memory(self):
         # 64 delays at N = 3000: 16 blocks of 4 x 16384 bins, about 3.2 MB at the peak
         comb = make_comb(3000, 0.01)
@@ -379,14 +398,16 @@ class TestGamma2ModeLocked:
     @pytest.mark.parametrize("shape", list(Shape))
     @pytest.mark.parametrize("n_side", [0, 10, 60])
     def test_a_locked_trace_is_the_squared_amplitude(self, shape, n_side):
-        # the carrier of g has unit modulus: at center 0 it is 1 and the real
-        # product is |g F| bit for bit; off zero only the rounding differs
+        # the carrier of g has unit modulus: at center 0 it is 1 and a locked comb's
+        # real product is |g F| bit for bit; off zero, or with phases, only the
+        # rounding differs (at most 1.1e-15 relative measured with seeded phases)
         comb = make_comb(n_side, 0.01, shape=shape)
         grid = self.grid(comb)
         want = np.abs(comb_amplitude(grid.values, comb)) ** 2
         np.testing.assert_array_equal(gamma2_mode_locked(comb, grid).samples, want)
-        for center in (1.5, 3.1e12):
-            comb = make_comb(n_side, 0.01, shape=shape, center=center)
+        seeded = tuple(np.random.default_rng(5).uniform(0.0, TWO_PI, 2 * n_side + 1))
+        for phases, center in [((), 1.5), ((), 3.1e12), (seeded, 0.0), (seeded, 1.5)]:
+            comb = make_comb(n_side, 0.01, shape=shape, phases=phases, center=center)
             want = np.abs(comb_amplitude(grid.values, comb)) ** 2
             got = gamma2_mode_locked(comb, grid).samples
             np.testing.assert_allclose(got, want, rtol=2e-15, atol=0)
@@ -577,11 +598,23 @@ def trace_5(samples, kind=TraceKind.INTENSITY):
             WindowError,
             "exceeds the trace length",
         ),
+        # inf once overflowed sizing the window, and NaN passed the round-trip check
+        (
+            lambda: gamma2_detector_averaged(trace_5(np.ones(5)), math.inf),
+            ValueError,
+            "resolution_time must be finite",
+        ),
+        (
+            lambda: gamma2_detector_averaged(trace_5(np.ones(5)), math.nan),
+            ValueError,
+            "resolution_time must be finite",
+        ),
     ],
     ids=[
         "trace_length", "trace_imaginary", "trace_negative", "dirichlet_negative_n",
         "dirichlet_zero_spacing", "dirichlet_negative_spacing", "averaging_amplitude",
-        "averaging_window_as_long_as_the_trace",
+        "averaging_window_as_long_as_the_trace", "averaging_infinite_resolution",
+        "averaging_nan_resolution",
     ],
 )
 def test_refused_input(call, error, fragment):

@@ -425,7 +425,7 @@ class TestRateSelfChecks:
 
     def distort_pair_sums(self, monkeypatch, distort):
         # a covered window takes P(0), P(D) and, for the undithered rate only,
-        # P(D/2) and P(-D/2) from one call
+        # P(D/2) from one call
         real = interferometer.pair_overlap
 
         def fake(comb, delays):
@@ -434,9 +434,9 @@ class TestRateSelfChecks:
         monkeypatch.setattr(interferometer, "pair_overlap", fake)
 
     def test_cross_term_that_does_not_integrate_away(self, monkeypatch):
-        # P(D/2) -> i R0, P(-D/2) -> 0, as X(tau+D) -> i X(tau), X(tau-D) -> 0: for a
-        # balanced splitter the integrated cross term becomes -sin(phi/2) R0
-        self.distort_pair_sums(monkeypatch, lambda p0, pd, ph, mh: (p0, pd, 1j * p0, 0.0 * mh))
+        # P(D/2) -> i R0 gives C' = 2i Im P(D/2) = 2i R0: for a balanced splitter the
+        # integrated cross term becomes -2 sin(phi/2) R0
+        self.distort_pair_sums(monkeypatch, lambda p0, pd, ph: (p0, pd, 1j * p0))
         with pytest.raises(NumericsError, match="cross term"):
             coincidence_rate(make_cfg(delay=0.0, pump_phase=1.0))
 
@@ -646,7 +646,7 @@ class TestRateRoute:
         phase_fringe_scan(cfg, np.linspace(0.0, TWO_PI, 5))
         coincidence_rate(cfg)
         covered = window > 1e3 and shape is not Shape.RECTANGULAR
-        assert asked == ([2, 2, 4, 4] if covered else [])
+        assert asked == ([2, 2, 3, 3] if covered else [])
 
     @pytest.mark.parametrize("dithered", [True, False], ids=["dithered", "undithered"])
     def test_a_covered_scan_asks_for_its_pair_sums_in_one_call(self, monkeypatch, dithered):
@@ -657,8 +657,8 @@ class TestRateRoute:
         asked = self.record_pair_sums(monkeypatch)
         self.refuse_simpson(monkeypatch)
         scan = delay_scan(cfg, delays, dithered=dithered)
-        # P(0) and P(D) at every delay, and P(+-D/2) when the cross term counts
-        assert asked == [1 + (1 if dithered else 3) * delays.size]
+        # P(0) and P(D) at every delay, and P(D/2) when the cross term counts
+        assert asked == [1 + (1 if dithered else 2) * delays.size]
         # one pass per delay: the scan keeps the bits of the single-delay rates
         assert scan.metadata["visibility"].tolist() == [res.visibility for res in alone]
         rates = np.array([res.rate for res in alone])

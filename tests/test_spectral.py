@@ -42,6 +42,16 @@ class TestSpectralAmplitude:
         with pytest.raises(ValueError, match="halfwidth"):
             SpectralAmplitude(Shape.LORENTZIAN, halfwidth=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("halfwidth", math.inf), ("halfwidth", math.nan), ("center", math.nan),
+         ("center", math.inf), ("center", -math.inf)],
+    )
+    def test_rejects_a_line_parameter_that_is_not_finite(self, field, value):
+        # a NaN center once gave solve_excision a NaN residual and zeta, with no error
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SpectralAmplitude(Shape.LORENTZIAN, **{"halfwidth": 10.0, field: value})
+
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.sampled_from(SHAPES),
