@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import shutil
 import sys
@@ -47,6 +48,212 @@ def _write_atomic(path: Path, lines) -> None:
         fh.write("\n")
 
 
+# Shortest round-trip digits by Schubfach (R. Giulietti, "The Schubfach way to
+# render doubles", 2020), vectorized over uint64 arrays.  A double v = c 2^q
+# reads back from every decimal in its rounding interval (c -+ 1/2) 2^q, whose
+# lower half is 1/4 at c = 2^52 and whose ends belong to it when c is even.
+# With 10^k the largest power of ten no wider than the interval, 4 v 10^-k and
+# the ends scaled alike come from one 64 x 128-bit product each with
+# g(k) ~ 10^-k 2^(125 - floor(-k log2 10)), rounded to odd: exact enough to
+# pick the one multiple of 10^(k+1) inside the interval, if any, else the
+# multiple of 10^k inside it nearest v, the even one on a tie.
+_U = np.uint64
+_M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
+_K_MIN = -324  # k of the smallest normal; the largest is 292
+# g1, and the 32-bit halves of g1 and g0, of each k: a cache of a function of k
+# alone, each entry computed when its k first occurs
+_G = np.zeros((5, 617), _U)
+_G_SET = np.zeros(617, bool)
+#: bytes of a cell: '-2.2250738585072014e-308' is the longest repr of a double
+_CELL = 24
+# bytes [0, i) of a cell as three little-endian words, then a '.' at byte i
+_MASK_DOT = np.array(
+    [[(2 ** (8 * i) - 1) >> 64 * w & (2**64 - 1) for i in range(_CELL)] for w in range(3)]
+    + [[(0x2E << 8 * i) >> 64 * w & (2**64 - 1) for i in range(_CELL)] for w in range(3)],
+    _U,
+)
+# cells per ``_cell_words`` call: a larger chunk spends less per NumPy call but
+# holds more temporaries
+_FLOAT_CHUNK = 2048
+
+
+def _fill_g(ks) -> None:
+    """g(k) = g1 2^63 + g0 = floor(10^-k 2^r) + 1 in [2^125, 2^126], r = 125 - floor(-k log2 10)."""
+    for k in ks:
+        r = 125 - ((-k * 913_124_641_741) >> 38)
+        g = 1 + ((10**-k << r if r >= 0 else 10**-k >> -r) if k <= 0 else (1 << r) // 10**k)
+        g1, g0 = g >> 63, g & (2**63 - 1)
+        _G[:, k - _K_MIN] = g1, g1 & (2**32 - 1), g1 >> 32, g0 & (2**32 - 1), g0 >> 32
+        _G_SET[k - _K_MIN] = True
+
+
+def _mulhi(a_lo, a_hi, b_lo, b_hi):
+    """Top 64 bits of the 128-bit product of a_hi 2^32 + a_lo and b_hi 2^32 + b_lo."""
+    mid = a_lo * b_hi + ((a_lo * b_lo) >> _U(32))
+    low = (mid & _M32) + a_hi * b_lo
+    return a_hi * b_hi + (mid >> _U(32)) + (low >> _U(32))
+
+
+def _rop(g, cp):
+    """g cp 2^-127 rounded to odd (g given as its ``_G`` rows), computed as in the
+    paper's reference implementation."""
+    g1, g1_lo, g1_hi, g0_lo, g0_hi = g
+    cp_lo, cp_hi = cp & _M32, cp >> _U(32)
+    z = ((g1 * cp) >> _U(1)) + _mulhi(g0_lo, g0_hi, cp_lo, cp_hi)
+    return (_mulhi(g1_lo, g1_hi, cp_lo, cp_hi) + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+
+
+def _shortest_digits(bits):
+    """Digits d and exponent k of the shortest decimal d 10^k nearest each finite
+    normal double (given by its bits, sign ignored) among those reading back to it.
+
+    d may end in zeros and has 16 or 17 digits: c <= d 10^k / 2^q < 10 c.
+    """
+    bq = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    t = bits & _U(2**52 - 1)
+    c = t | _U(2**52)
+    q = bq - 1075
+    irregular = (t == 0) & (bq != 1)
+    # floor(log10(2^q)), or floor(log10(3/4 2^q)) when the lower half-interval is 1/4
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(_U)
+    col = k - _K_MIN
+    missing = ~_G_SET[col]
+    if missing.any():
+        _fill_g(set(k[missing].tolist()))
+    # v and the interval's ends, times 4 and scaled by 10^-k, all three in one pass
+    cb = c << _U(2)
+    cp = np.empty((3, bits.size), _U)
+    cp[0], cp[1], cp[2] = cb, cb - _U(2) + irregular, cb + _U(2)
+    cp <<= h
+    vb, vbl, vbr = _rop(np.take(_G, col, axis=1), cp)
+    odd = c & _U(1)  # an odd c does not read back from the interval's ends
+    vbl += odd
+    vbr -= odd
+    # the one multiple of 10^(k+1) inside the interval, if any, is the shortest;
+    # else s or s + 1 (times 10^k): the one inside it or, if both are, the one
+    # nearer v, the even one on a tie
+    s = vb >> _U(2)
+    s10 = s // _U(10) * _U(10)
+    s4, s40 = s << _U(2), s10 << _U(2)
+    upin, wpin = vbl <= s40, s40 + _U(40) <= vbr
+    uin, win = vbl <= s4, s4 + _U(4) <= vbr
+    up = win & (~uin | (vb + (s & _U(1)) > s4 + _U(2)))
+    d = np.where(upin != wpin, s10 + _U(10) * wpin, s + up)
+    return d, k
+
+
+def _ascii8(v):
+    """Each v < 10^8 as eight ASCII digits in one word, the first in the low byte,
+    and the number of bytes up to its last non-zero digit."""
+    hi = (v * _U(109_951_163)) >> _U(40)  # v // 10^4
+    v = hi | ((v - hi * _U(10_000)) << _U(32))  # two 4-digit lanes
+    hi = ((v * _U(10_486)) >> _U(20)) & _U(0x7F_0000_007F)  # // 100 in each lane
+    v = hi | ((v - hi * _U(100)) << _U(16))  # four 2-digit lanes
+    hi = ((v * _U(103)) >> _U(10)) & _U(0x000F_000F_000F_000F)  # // 10 in each lane
+    v = hi | ((v - hi * _U(10)) << _U(8))  # eight digits
+    nonzero = (v + _U(0x7F7F_7F7F_7F7F_7F7F)) & _U(0x8080_8080_8080_8080)
+    return v | _U(0x3030_3030_3030_3030), np.frexp(nonzero.astype(float))[1] >> 3
+
+
+def _cell_words(bits):
+    """``repr`` of each finite non-zero normal double, given by its bits, as
+    ``_CELL`` NUL-padded bytes in three little-endian words (a (3, n) array)."""
+    n = bits.size
+    d, k = _shortest_digits(bits)
+    short = d < _U(10**16)
+    decpt = k + 17 - short  # v = 0.(digits) 10^decpt
+    d *= _U(1) + _U(9) * short  # seventeen digits, the first non-zero
+    pair = np.empty((2, n), _U)
+    pair[0], pair[1] = d // _U(10**8), d
+    lead = pair[0] // _U(10**8)
+    pair %= _U(10**8)
+    (lo, hi), nbytes = _ascii8(pair)
+    nsig = np.where(nbytes[1] > 0, 9 + nbytes[1], 1 + nbytes[0])
+    # Fixed notation is '0000' and the digits from byte ``start`` (inside the
+    # zeros when decpt <= 0, else at the first digit), with a point after
+    # ``ip`` of them.  Scientific notation is laid out as fixed with decpt = 1,
+    # without the point after a lone digit, and then gets the exponent.
+    sci = (decpt < -3) | (decpt > 16)
+    point = np.where(sci, 1, decpt)
+    start = 3 + np.minimum(point, 1)
+    ip = np.maximum(point, 1)
+    size = np.maximum(nsig, point + 1) + 5 - start - 2 * (sci & (nsig == 1))
+    text = np.empty((3, n), _U)
+    text[0] = _U(0x3030_3030) | ((lead | _U(0x30)) << _U(32)) | (lo << _U(40))
+    text[1] = (lo >> _U(24)) | (hi << _U(40))
+    text[2] = hi >> _U(24)
+    shift = (8 * start).astype(_U)
+    carry = text[1:] << (_U(64) - shift)
+    text >>= shift
+    text[:2] |= carry
+    mask, dot = np.take(_MASK_DOT, ip, axis=1).reshape(2, 3, -1)
+    cell = np.zeros((4, n), _U)  # the fourth word only takes the tail's empty overflow
+    cell[:3] = (text & mask) | dot
+    text &= ~mask
+    cell[0] |= text[0] << _U(8)
+    cell[1:3] |= (text[1:] << _U(8)) | (text[:2] >> _U(56))
+    cell[:3] &= np.take(_MASK_DOT[:3], size, axis=1)
+    if sci.any():  # 'e', the sign and the exponent digits, at byte ``size``
+        tail = np.take(_exponent_words(), decpt - _DECPT_MIN) * sci
+        at = (8 * (size & 7)).astype(_U)
+        flat = cell.reshape(-1)
+        word = (size >> 3) * n + np.arange(n)
+        flat[word] |= tail << at
+        flat[word + n] |= tail >> (_U(64) - at)
+    neg = bits >> _U(63)
+    if neg.any():  # a leading '-'
+        at = neg * _U(8)
+        cell[2] = (cell[2] << at) | (cell[1] >> (_U(64) - at))
+        cell[1] = (cell[1] << at) | (cell[0] >> (_U(64) - at))
+        cell[0] = (cell[0] << at) | (neg * _U(0x2D))
+    return cell[:3]
+
+
+_DECPT_MIN = -307  # 0.(digits) 10^decpt of a normal double has -307 <= decpt <= 309
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """'e', the sign and two or three digits of decpt - 1, for each decpt from _DECPT_MIN."""
+    e = np.arange(_DECPT_MIN - 1, 309)
+    size = np.abs(e).astype(_U)
+    tens = size // _U(10)
+    digits = (size // _U(100)) | ((tens % _U(10)) << _U(8)) | ((size % _U(10)) << _U(16))
+    digits = (digits | _U(0x30_3030)) >> (_U(8) * (size < _U(100)))
+    words = (_U(0x2B65) + _U(0x200) * (e < 0)) | (digits << _U(16))
+    words.flags.writeable = False
+    return words
+
+
+def _float_cells(x) -> np.ndarray:
+    """``repr(float(v))`` of each value of ``x`` as a NUL-padded row of ``_CELL`` bytes.
+
+    The digits are Schubfach's (see ``_shortest_digits``) and the layout is
+    ``repr``'s: fixed notation for 1e-4 <= |v| < 1e16, else d.ddde+XX with at
+    least two exponent digits.  Zeros are written whole; NaN, infinities and
+    subnormals take ``repr``.  Rows go through ``_cell_words`` ``_FLOAT_CHUNK``
+    at a time, which bounds the temporaries.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    bits = x.view(_U)
+    exponent = (bits >> _U(52)) & _U(0x7FF)
+    zero = (bits << _U(1)) == _U(0)
+    odd = (exponent == _U(0x7FF)) | ((exponent == _U(0)) & ~zero)
+    normal = np.where(odd | zero, _U(0x3FF0_0000_0000_0000), bits)  # 1.0 in their place
+    words = np.empty((x.size, 3), "<u8")
+    for lo in range(0, x.size, _FLOAT_CHUNK):
+        words[lo : lo + _FLOAT_CHUNK] = _cell_words(normal[lo : lo + _FLOAT_CHUNK]).T
+    words[zero] = [int.from_bytes(b"0.0", "little"), 0, 0]
+    words[zero & (bits >= _U(2**63))] = [int.from_bytes(b"-0.0", "little"), 0, 0]
+    cells = words.view(np.uint8)
+    for i in np.flatnonzero(odd).tolist():
+        text = repr(float(x[i])).encode()
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
 _BLOCK_ROWS = 4096
 
 
@@ -54,19 +261,28 @@ def _csv(columns, *tables) -> list:
     """Lines of one CSV file per table, each headed by ``columns``.
 
     A table is a list of equal-length columns.  Rows are formatted
-    ``_BLOCK_ROWS`` at a time, column by column: ``float64.tolist()`` gives
-    the doubles ``float(x)`` gives, so each cell is ``repr(float(x))`` as in
-    every ``name = value`` line.  A shared column is formatted once per block.
+    ``_BLOCK_ROWS`` at a time: one ``_float_cells`` call formats the block of
+    every distinct column, so a shared column is formatted once per block and
+    each cell is ``repr(float(x))``, as in every ``name = value`` line.  Each
+    table's cells are joined with ``,`` and ``\\n`` as bytes, and the block's
+    text is split back into lines.
     """
     files = [[",".join(columns)] for _ in tables]
     for lo in range(0, len(tables[0][0]), _BLOCK_ROWS):
-        cells = {}
-        for table, lines in zip(tables, files):
+        index, blocks = {}, []
+        for table in tables:
             for col in table:
-                if id(col) not in cells:
-                    block = np.asarray(col[lo : lo + _BLOCK_ROWS], dtype=float).tolist()
-                    cells[id(col)] = list(map(repr, block))
-            lines.extend(map(",".join, zip(*(cells[id(col)] for col in table))))
+                if id(col) not in index:
+                    index[id(col)] = len(blocks)
+                    blocks.append(col[lo : lo + _BLOCK_ROWS])
+        cells = _float_cells(np.concatenate(blocks)).reshape(len(blocks), -1, _CELL)
+        for table, lines in zip(tables, files):
+            text = np.empty((cells.shape[1], len(table), _CELL + 1), np.uint8)
+            for j, col in enumerate(table):
+                text[:, j, :_CELL] = cells[index[id(col)]]
+            text[:, :, _CELL] = ord(",")
+            text[:, -1, _CELL] = ord("\n")
+            lines.extend(text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1])
     return files
 
 

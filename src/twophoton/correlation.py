@@ -276,11 +276,14 @@ def gamma2_mode_locked(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     Peak-normalized: a locked comb gives (2N+1)^2 at tau = 0 and full revivals
     at every round trip, with the envelope decay on top.  The carrier of g has
     unit modulus, so for every comb the trace is the square of the real product
-    of the line profile and |F|.
+    of the line profile and |F|; a locked comb's real F is squared with its sign,
+    which the square drops.
     """
     _check_peak_resolution(comb, grid)
     tau = grid.values
-    samples = np.abs(generalized_F(tau, comb))
+    samples = generalized_F(tau, comb)  # a fresh array: dirichlet_F's or the phased sum's
+    if np.iscomplexobj(samples):
+        samples = np.abs(samples)
     samples *= _line_profile(comb.single_mode, tau, 1)[0]
     samples *= samples
     return CorrelationTrace(grid, samples, TraceKind.INTENSITY,

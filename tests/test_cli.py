@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1023,6 +1024,61 @@ class TestCsv:
         assert Sliced.slices == 3
         oracles = [csv_oracle(["tau_s", "gamma2"], [tau, col]) for col in (before, after)]
         assert tables == oracles
+
+    @staticmethod
+    def kernel_oracle_values():
+        """Over a million seeded doubles, each class the cell kernel must get right."""
+        rng = np.random.default_rng(20201031)
+        bits = rng.integers(0, 2**64, 300_000, dtype=np.uint64, endpoint=False)
+        # every exponent, both signs, NaN, infinities and subnormals among them
+        random = bits.view(np.float64)
+        # c = 2^52, where the interval below is half the one above, and its neighbours
+        powers = np.ldexp(1.0, np.arange(-1022, 1024))
+        powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        # integers near 2^53, where every double is an integer, and small integers
+        edge = np.ldexp(1.0, 53) + np.arange(-2000, 2000) * 2.0
+        integers = np.concatenate([edge, np.nextafter(edge, 0.0), np.arange(-20_000.0, 20_000.0)])
+        # 10^k, and its neighbours up to 3 ulps away, switching 1e-4 and 1e16 to d.ddde+XX
+        tens = 10.0 ** np.arange(-307, 309)
+        near, below, above = [tens], tens, tens
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near += [below, above]
+        # three-digit exponents, drawn evenly in log scale
+        wide = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-307, 308, 100_000)
+        # few mantissa bits: decimal ties between two shortest candidates can occur
+        few = rng.integers(1, 2**12, 200_000) * np.ldexp(1.0, rng.integers(-1074, 1012, 200_000))
+        tiny = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)  # subnormal
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        values = np.concatenate(
+            [random, powers, integers, *near, wide, few, tiny, special, 1e-4 * np.arange(1, 20)]
+        )
+        signs = rng.choice([-1.0, 1.0], values.size)
+        return np.concatenate([values, values[random.size :] * signs[random.size :]])
+
+    def test_the_cell_kernel_writes_repr(self):
+        values = self.kernel_oracle_values()
+        assert values.size >= 1_000_000
+        want = np.array(list(map(repr, values.tolist())), dtype=f"S{cli._CELL}")
+        got = cli._float_cells(values)
+        wrong = np.flatnonzero((got != want.view(np.uint8).reshape(-1, cli._CELL)).any(axis=1))
+        assert [repr(float(values[i])) for i in wrong[:10]] == []
+
+    def test_two_tables_sharing_a_column_hold_at_most_2_mb(self):
+        # the engineer files: the temporaries of formatting and joining a
+        # block stay bounded, whatever the table length
+        n = 16384
+        tau = np.linspace(-2.5e-12, 2.5e-12, n)
+        before, after = np.cos(np.arange(n) * 0.37) ** 2 * 441.0, np.sin(np.arange(n)) ** 2 * 1e-7
+        cli._csv(["tau_s", "gamma2"], [tau[:8], before[:8]], [tau[:8], after[:8]])
+        tracemalloc.start()
+        try:
+            tables = cli._csv(["tau_s", "gamma2"], [tau, before], [tau, after])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(lines) for lines in tables] == [n + 1, n + 1]
+        assert peak - held <= 2 * 2**20
 
 
 class TestHeaderEcho:
