@@ -146,21 +146,22 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
 
     A sum over mode pairs, e^{-2i center d} sum_j A_j J(j dOm, d): A correlates
     p_m = e^{i phi_m - i m dOm d} with q_m = e^{i phi_m + i m dOm d}, and J is the
-    transform of the carrier-free envelope product g(tau + d) g(tau - d).
+    transform of the carrier-free envelope product g(tau + d) g(tau - d).  J is
+    even in the lag, so the sum runs over j >= 0 with A_j + A_{-j}.
     Lorentzian and Gaussian lines; more than 65536 modes is a GridError.
     Delays go in blocks of at most PAIR_BLOCK_ELEMENTS (delay, FFT bin) entries.
     """
-    s, n_modes = comb.single_mode, comb.n_modes
+    s, n_side = comb.single_mode, comb.n_side_modes
     if s.shape is Shape.RECTANGULAR:
         raise ValueError("the pair overlap has no closed form for a rectangular line")
-    # at the cap one delay is a 131072-bin block: 2 MiB per array, 35-45 ms
-    if n_modes > 65_536:
-        raise GridError(f"mode-pair sum over {n_modes} modes; cap is 65536 modes")
+    # at the cap one delay is a 131072-bin block: 2 MiB per array, 15-17 ms
+    if comb.n_modes > 65_536:
+        raise GridError(f"mode-pair sum over {comb.n_modes} modes; cap is 65536 modes")
     phase = np.exp(1j * np.array(comb.mode_phases))
-    m = np.arange(-comb.n_side_modes, comb.n_side_modes + 1) * comb.mode_spacing
-    k = np.arange(-2 * comb.n_side_modes, 2 * comb.n_side_modes + 1) * comb.mode_spacing
+    m = np.arange(n_side + 1) * comb.mode_spacing
+    k = np.arange(2 * n_side + 1) * comb.mode_spacing
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
-    bins = 1 << (k.size - 1).bit_length()  # the least power of two >= 4N + 1 lags
+    bins = _fft_length(4 * n_side + 1)
     rows = max(1, PAIR_BLOCK_ELEMENTS // bins)
     out = np.empty(delays.size, dtype=complex)
     for lo in range(0, delays.size, rows):
@@ -168,26 +169,65 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
     return out
 
 
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length the FFT takes in radix-2, 3 and 5 passes."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 def _pair_block(s, phase, m, k, bins, d):
     """``pair_overlap`` at a block of delays d, each factor one (delays x bins) array.
 
-    A is one zero-padded FFT correlation, ifft(fft(p) conj(fft(q))), its negative
-    lags unwrapped from the end of each row.
+    ``m`` and ``k`` are the mode offsets 0..N and lags 0..2N times dOm.  One
+    exponential gives the ramp e^{-i m dOm d} of m >= 0; its conjugates give
+    the negative modes and q.  A is one zero-padded FFT correlation,
+    ifft(fft(p) conj(fft(q))), its lag -j read from bin ``bins - j``.
     """
-    col, hw = d[:, None], s.halfwidth
-    a = np.fft.fft(phase * np.exp(-1j * m * col), bins)
-    a *= np.fft.fft(phase * np.exp(1j * m * col), bins).conj()
+    col = d[:, None]
+    ramp = np.exp(-1j * m * col)
+    full = np.concatenate((ramp[:, :0:-1].conj(), ramp), axis=1)
+    a = np.fft.fft(phase * full, bins)
+    a *= np.fft.fft(phase * full.conj(), bins).conj()
     a = np.fft.ifft(a, out=a)
-    a = np.concatenate((a[:, bins - m.size + 1 :], a[:, : m.size]), axis=1)
-    if s.shape is Shape.LORENTZIAN:
-        # the envelope product is e^{-2 hw |d|} inside |tau| <= |d|, e^{-2 hw |tau|} outside
-        z, ad = 2.0 * hw + 1j * k, np.abs(col)
-        j = 2.0 * ad * np.exp(-2.0 * hw * ad) * np.sinc(k * ad / math.pi)
-        j = j + 2.0 * np.real(np.exp(-z * ad) / z)
-    else:
-        j = math.sqrt(math.pi) / hw * np.exp(-((hw * col) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
+    a[:, 1 : k.size] += a[:, bins - 1 : bins - k.size : -1]
+    j = _lag_transform(s, k, col, ramp)
     # center * d first: -2j * center overflows once |center| passes 8.99e307
-    return np.exp(-2j * (s.center * d)) * np.sum(a * j, axis=1)
+    return np.exp(-2j * (s.center * d)) * np.sum(a[:, : k.size] * j, axis=1)
+
+
+def _lag_transform(s, k, col, ramp):
+    """J(k, d), the transform of g(tau + d) g(tau - d), at lags k = 0..2N dOm.
+
+    ``ramp`` holds e^{-i m dOm d} for m = 0..N; e^{-i k d} past N dOm is the
+    product of its last entry and one other.  For the Lorentzian line the
+    envelope product is e^{-2h|d|} inside |tau| <= |d| and e^{-2h|tau|} outside, so
+    J = e^{-2h|d|} [beta cos(k|d|) + alpha sin(k|d|)] + 2|d| e^{-2h|d|} [k = 0],
+    beta = 4h/(4h^2 + k^2), alpha = 8h^2/(k (4h^2 + k^2)), alpha_0 = 0.
+    """
+    hw = s.halfwidth
+    if s.shape is Shape.GAUSSIAN:
+        return math.sqrt(math.pi) / hw * np.exp(-((hw * col) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
+    r = np.hypot(2.0 * hw, k)  # 4h^2 + k^2 = r^2 without overflow
+    beta = 4.0 * hw / r / r
+    alpha = np.zeros_like(k)
+    alpha[1:] = 2.0 * hw / k[1:] * beta[1:]
+    e = np.concatenate((ramp, ramp[:, -1:] * ramp[:, 1:]), axis=1)  # e^{-i k d}
+    decay = np.exp(-2.0 * hw * np.abs(col))
+    j = e.real * beta
+    j *= decay
+    # sin(k|d|) = -sign(d) Im e^{-i k d}
+    sine = e.imag * alpha
+    sine *= np.sign(col) * decay
+    j -= sine
+    j[:, 0] += 2.0 * np.abs(col[:, 0]) * decay[:, 0]
+    return j
 
 
 def _line_profile(s, tau, power):

@@ -37,7 +37,7 @@ class ResolutionError(NumericsError):
 
 
 class DegenerateDensity(NumericsError):
-    """Sampling density integrates to zero."""
+    """Sampling density integrates to zero, or its mass is not finite."""
 
 
 class UnreachablePeak(NumericsError):

@@ -113,11 +113,16 @@ class _Sampler:
             raise ValueError("n must be >= 0")
         y = trace.samples
         dt = trace.grid.spacing
-        mass = 0.5 * (y[1:] + y[:-1]) * dt
-        total = float(mass.sum())
+        with np.errstate(over="ignore"):  # an overflow is refused below, with its cause
+            mass = 0.5 * (y[1:] + y[:-1]) * dt
+            total = float(mass.sum())
+            cdf = np.concatenate([[0.0], np.cumsum(mass), [math.inf]])
+        # the pairwise sum and the running sum round apart: both must be finite
+        if not (math.isfinite(total) and math.isfinite(cdf[-2])):
+            cause = "a sample is not finite" if not np.isfinite(y).all() else "its sum overflows"
+            raise DegenerateDensity(f"trace mass is not finite: {cause}; nothing to sample")
         if not total > 0:
             raise DegenerateDensity("trace integrates to zero; nothing to sample")
-        cdf = np.concatenate([[0.0], np.cumsum(mass), [math.inf]])
         cdf[:-1] /= total
         cdf[-2] = 1.0
         buckets = 1 << mass.size.bit_length()
@@ -149,8 +154,8 @@ class _Sampler:
         """
         idx = self._index(u)
         low = self.cdf[idx]
-        width = self.cdf[1:][idx] - low
-        frac = np.divide(u - low, width, out=np.full(u.size, 0.5), where=width > 0)
+        # cdf[idx] <= u < cdf[idx + 1], both finite and distinct: the width is never 0
+        frac = (u - low) / (self.cdf[1:][idx] - low)
         return self.t0 + (idx + frac) * self.dt
 
     def chunk(self, k: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import sici
 
 from twophoton import ModeComb, Shape, SpectralAmplitude, pair_envelope
@@ -79,6 +80,26 @@ def pair_overlap_oracle(comb, delays):
             j = math.sqrt(math.pi) / hw * math.exp(-((hw * d) ** 2)) * np.exp(-(k / hw) ** 2 / 4.0)
         out.append(np.exp(-2j * s.center * d) * np.sum(a * j))
     return np.array(out)
+
+
+def lorentzian_lag_oracle(hw, k, d):
+    """int e^{-hw (|tau + d| + |tau - d|)} cos(k tau) dtau over the real line, by ``quad``.
+
+    The integrand is even in tau and has a kink at |d|: [0, |d|] and [|d|, |d| + 40/hw]
+    are integrated apart, with the cosine as quad's oscillatory weight where k != 0.
+    Past |d| + 40/hw the integrand is below e^{-80} and is left out.  The absolute
+    tolerance is 1e-15 of the largest value, J(0, 0) = 1/hw.
+    """
+    a = abs(d)
+    opts = dict(epsabs=1e-15 / hw, epsrel=1e-13, limit=2000)
+    if k != 0:
+        opts.update(weight="cos", wvar=k)
+
+    def product(tau):
+        return math.exp(-hw * (abs(tau + d) + abs(tau - d)))
+
+    inner = quad(product, 0.0, a, **opts)[0] if a else 0.0
+    return 2.0 * (inner + quad(product, a, a + 40.0 / hw, **opts)[0])
 
 
 def pair_profile(s, u):

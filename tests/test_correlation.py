@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -26,12 +27,20 @@ from twophoton import (
     generalized_F,
     pair_envelope,
 )
-from twophoton.correlation import MAX_COMB_TERMS, PAIR_BLOCK_ELEMENTS, comb_amplitude, pair_overlap
+from twophoton.correlation import (
+    MAX_COMB_TERMS,
+    PAIR_BLOCK_ELEMENTS,
+    _fft_length,
+    _lag_transform,
+    comb_amplitude,
+    pair_overlap,
+)
 
 from conftest import (
     TWO_PI,
     dirichlet_oracle,
     intensity_profile,
+    lorentzian_lag_oracle,
     make_comb,
     moving_average_oracle,
     pair_overlap_oracle,
@@ -170,7 +179,7 @@ class TestGeneralizedF:
 
 
 class TestPairOverlap:
-    # |FFT sum - direct sum| <= BOUND |P(0)|, the largest |P(d)|; at most 2.6e-16 measured
+    # |FFT sum - direct sum| <= BOUND |P(0)|, the largest |P(d)|; at most 8.8e-16 measured
     BOUND = 1e-14
 
     class SumReached(Exception):
@@ -228,9 +237,9 @@ class TestPairOverlap:
 
     @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
     def test_delays_past_one_block_are_within_the_bound(self, shape):
-        # 4N + 1 = 4001 lags in 4096 bins: 16 delays a block, so 40 delays take three blocks
+        # 4N + 1 = 4001 lags in 4050 bins: 16 delays a block, so 40 delays take three blocks
         comb = make_comb(1000, 0.01, shape, phases=tuple(np.linspace(0.0, 5.0, 2001)), center=1.5)
-        assert PAIR_BLOCK_ELEMENTS // 4096 == 16
+        assert PAIR_BLOCK_ELEMENTS // 4050 == 16
         self.assert_near_the_direct_sum(comb, np.linspace(-1.3, 1.3, 40))
 
     def test_a_wide_comb_is_within_the_bound(self):
@@ -245,6 +254,33 @@ class TestPairOverlap:
         comb = make_comb(8192, 0.01, shape, phases=phases, center=1.5)
         self.assert_near_the_direct_sum(comb, [0.0, 0.5, -1.0])
 
+    @pytest.mark.parametrize("linewidth_frac", [1e-4, 0.01, 0.1, 0.45])
+    def test_the_lorentzian_lag_transform_matches_quadrature(self, linewidth_frac):
+        # J(k, d), taken at lag k = j dOm from the ramps, serves the lags +-k: both against
+        # quad of its definition, with k|d| up to 6e5; at most 8.4e-16 / h = 8.4e-16 J(0, 0)
+        comb = make_comb(10, linewidth_frac)
+        s, n_side, spacing = comb.single_mode, comb.n_side_modes, comb.mode_spacing
+        hw = s.halfwidth
+        m, k = np.arange(n_side + 1) * spacing, np.arange(2 * n_side + 1) * spacing
+        d = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-3, -0.37, 1.0 / hw, -1.0 / hw, 3.0 / hw,
+                      -1e3 / k[-1]])
+        col = d[:, None]
+        j = _lag_transform(s, k, col, np.exp(-1j * m * col))
+        for sign in (1.0, -1.0):
+            want = [[lorentzian_lag_oracle(hw, sign * kk, x) for kk in k] for x in d]
+            np.testing.assert_allclose(j, want, rtol=0.0, atol=1e-14 / hw)
+
+    def test_the_fft_length_is_the_least_5_smooth_length(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        lengths = [_fft_length(n) for n in range(1, 3001)]
+        assert lengths == [next(x for x in itertools.count(n) if smooth(x)) for n in range(1, 3001)]
+        assert [_fft_length(4 * n + 1) for n in (10, 8192, 32767)] == [45, 32805, 131072]
+
     def test_no_delays_give_an_empty_array(self):
         assert pair_overlap(make_comb(4, 0.01), []).shape == (0,)
 
@@ -254,7 +290,7 @@ class TestPairOverlap:
     @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.GAUSSIAN])
     def test_a_negative_delay_gives_the_conjugate(self, shape, n_side, phases, center):
         # P(-d) = conj P(d) for any amplitude, so the cross integral P(D/2) - P(-D/2) of
-        # an undithered rate is 2i Im P(D/2); at most 1.7e-16 |P(0)| measured
+        # an undithered rate is 2i Im P(D/2); at most 1.9e-16 |P(0)| measured
         rng = np.random.default_rng(17)
         half = rng.uniform(0.0, TWO_PI, n_side + 1)
         phases = {
@@ -268,7 +304,7 @@ class TestPairOverlap:
         assert np.max(np.abs(p[42:] - np.conj(p[1:42]))) <= 1e-15 * abs(p[0])
 
     def test_the_blocks_bound_the_memory(self):
-        # 64 delays at N = 3000: 16 blocks of 4 x 16384 bins, about 3.2 MB at the peak
+        # 64 delays at N = 3000: 13 blocks of 5 x 12150 bins, about 3.8 MB at the peak
         comb = make_comb(3000, 0.01)
         tracemalloc.start()
         try:

@@ -153,6 +153,23 @@ class TestSampler:
         with pytest.raises(DegenerateDensity):
             stream_range(flat_trace(value=0.0), n=10)
 
+    @pytest.mark.parametrize(
+        "bad, cause",
+        [("inf", "a sample is not finite"), ("nan", "a sample is not finite"),
+         ("1e308", "its sum overflows")],
+    )
+    def test_a_mass_that_is_not_finite_is_degenerate(self, bad, cause):
+        # one inf or NaN sample, or finite samples whose trapezoids overflow; warnings
+        # are errors here, so none may escape before the refusal
+        y = np.full(11, 1e308) if bad == "1e308" else np.ones(11)
+        y[5] = float(bad)
+        trace = CorrelationTrace(TimeGrid(-1.0, 1.0, 11), y, TraceKind.INTENSITY)
+        match = f"trace mass is not finite: {cause}"
+        with pytest.raises(DegenerateDensity, match=match):
+            _Sampler.of(trace, 10, seed=1)
+        with pytest.raises(DegenerateDensity, match=match):
+            stream_range(trace, n=10)
+
     def test_zero_draws(self):
         assert sample(flat_trace(), 0, seed=0).size == 0
 
