@@ -3,15 +3,15 @@
     twophoton <correlation|homscan|fringe|engineer|mc>
               --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
 
-Each ``cmd_<name>(cfg, threads)`` computes its result and returns it as
-``{file name: body lines}`` in write order, touching no file; ``main`` alone
-writes them.  Every output file starts with ``# twophoton <command>`` and
-the resolved configuration as ``# key = value`` lines, so a run can be
-reproduced from its own output (strip the leading ``# `` or use
-``config_from_output_header``).  All files of a run are written to a
-staging directory inside ``--out`` and renamed into place only once every
-one is written.  Exit codes: 0 success, 2 bad configuration or an
-unusable ``--out``, 3 numerical precondition failure.
+Each ``cmd_<name>(cfg, threads)`` returns its files as ``{file name: body}``
+in write order, a body being a list of ``bytes`` chunks, touching no file;
+``main`` alone writes them.  Every output file starts with ``# twophoton
+<command>`` and the resolved configuration as ``# key = value`` lines, so a
+run can be reproduced from its own output (strip the leading ``# `` or use
+``config_from_output_header``).  All files of a run are written to a staging
+directory inside ``--out`` and renamed into place once every one is written.
+Exit codes: 0 success, 2 bad configuration or an unusable ``--out``, 3
+numerical precondition failure.
 """
 
 from __future__ import annotations
@@ -41,11 +41,15 @@ from .montecarlo import DetectorModel, comb_contrast, stream_histogram
 from .spectral import SpectralAmplitude, TimeGrid
 
 
-def _write_atomic(path: Path, lines) -> None:
-    """Create ``path`` as ``open`` does (0o666 less the umask) and write ``lines``."""
-    with open(path, "x", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+def _write_atomic(path: Path, chunks) -> None:
+    """Create ``path`` as ``open`` does (0o666 less the umask); write ``chunks`` as they are."""
+    with open(path, "xb") as fh:
+        fh.writelines(chunks)
+
+
+def _text(lines) -> bytes:
+    """``lines`` encoded as one chunk, each line ended by ``\\n``."""
+    return "".join(line + "\n" for line in lines).encode()
 
 
 # Shortest round-trip digits by Schubfach (R. Giulietti, "The Schubfach way to
@@ -258,16 +262,15 @@ _BLOCK_ROWS = 4096
 
 
 def _csv(columns, *tables) -> list:
-    """Lines of one CSV file per table, each headed by ``columns``.
+    """One CSV body per table: the ``columns`` line, then one chunk per block of rows.
 
-    A table is a list of equal-length columns.  Rows are formatted
-    ``_BLOCK_ROWS`` at a time: one ``_float_cells`` call formats the block of
-    every distinct column, so a shared column is formatted once per block and
-    each cell is ``repr(float(x))``, as in every ``name = value`` line.  Each
-    table's cells are joined with ``,`` and ``\\n`` as bytes, and the block's
-    text is split back into lines.
+    A table is a list of equal-length columns.  Rows go ``_BLOCK_ROWS`` at a
+    time: one ``_float_cells`` call formats the block of every distinct column,
+    so a shared column is formatted once per block, each cell ``repr(float(x))``.
+    A table's block is joined with ``,`` and ``\\n`` and its NUL padding dropped
+    in one pass over its bytes, the chunk that goes to the file as it is.
     """
-    files = [[",".join(columns)] for _ in tables]
+    files = [[_text([",".join(columns)])] for _ in tables]
     for lo in range(0, len(tables[0][0]), _BLOCK_ROWS):
         index, blocks = {}, []
         for table in tables:
@@ -276,13 +279,13 @@ def _csv(columns, *tables) -> list:
                     index[id(col)] = len(blocks)
                     blocks.append(col[lo : lo + _BLOCK_ROWS])
         cells = _float_cells(np.concatenate(blocks)).reshape(len(blocks), -1, _CELL)
-        for table, lines in zip(tables, files):
+        for table, chunks in zip(tables, files):
             text = np.empty((cells.shape[1], len(table), _CELL + 1), np.uint8)
             for j, col in enumerate(table):
                 text[:, j, :_CELL] = cells[index[id(col)]]
             text[:, :, _CELL] = ord(",")
             text[:, -1, _CELL] = ord("\n")
-            lines.extend(text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1])
+            chunks.append(text.tobytes().translate(None, b"\0"))
     return files
 
 
@@ -333,7 +336,7 @@ def cmd_fringe(cfg: RunConfig, threads: int) -> dict:
     }
     columns = ["phase_rad", "coincidence", "singles_1", "singles_2"]
     series = [scan.abscissa, scan.coincidence, scan.singles_1, scan.singles_2]
-    return {"fringe.csv": value_lines(results, "# result.") + _csv(columns, series)[0]}
+    return {"fringe.csv": [_text(value_lines(results, "# result.")), *_csv(columns, series)[0]]}
 
 
 def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
@@ -370,13 +373,13 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
         "wideband_halfwidth": solution.wideband.halfwidth,
         **{f"neighbor_retention_{k}": v for k, v in sorted(solution.neighbor_retention.items())},
     }
-    before_lines, after_lines = _csv(
+    before_csv, after_csv = _csv(
         ["tau_s", "gamma2"], [grid.values, before.samples], [grid.values, after.samples]
     )
     return {
-        "engineer_before.csv": before_lines,
-        "engineer_after.csv": after_lines,
-        "engineer_solution.txt": [""] + value_lines(results),
+        "engineer_before.csv": before_csv,
+        "engineer_after.csv": after_csv,
+        "engineer_solution.txt": [_text([""] + value_lines(results))],
     }
 
 
@@ -407,7 +410,7 @@ def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     counts.update(n_histogrammed=hist.n_counted, comb_contrast=contrast)
     return {
         "mc_histogram.csv": _csv(["bin_center_s", "count"], [hist.centers, hist.counts])[0],
-        "mc_summary.txt": [""] + value_lines(counts),
+        "mc_summary.txt": [_text([""] + value_lines(counts))],
     }
 
 
@@ -420,7 +423,7 @@ _DISPATCH = {
 }
 
 
-def _write_run(out: Path, header: list, files: dict) -> None:
+def _write_run(out: Path, header: bytes, files: dict) -> None:
     """Write every file of a run, ``header`` then body, under ``out``, or none.
 
     Files are staged in a directory inside ``out`` and renamed into place
@@ -432,7 +435,7 @@ def _write_run(out: Path, header: list, files: dict) -> None:
         for name, body in files.items():
             if (out / name).is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
-            _write_atomic(stage / name, header + body)
+            _write_atomic(stage / name, [header, *body])
         for name in files:
             os.replace(stage / name, out / name)
     finally:
@@ -448,12 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for Monte Carlo chunks (default: 1; results do not depend on it)",
-    )
+    threads = "worker threads for Monte Carlo chunks (default: 1; results do not depend on it)"
+    parser.add_argument("--threads", type=int, default=1, help=threads)
     return parser
 
 
@@ -476,7 +475,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"twophoton: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    header = [f"# twophoton {cfg.command}"] + cfg.echo_lines()
+    header = _text([f"# twophoton {cfg.command}"] + cfg.echo_lines())
     out = Path(args.out)
     try:
         _write_run(out, header, files)

@@ -161,11 +161,17 @@ def pair_overlap(comb: ModeComb, delays) -> np.ndarray:
     m = np.arange(n_side + 1) * comb.mode_spacing
     k = np.arange(2 * n_side + 1) * comb.mode_spacing
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    # past |d| = 373/h (Lorentzian) or 28/h (Gaussian) the envelope product has
+    # underflowed to 0 (e^-745.2 = 0 in double), and so has P(d); the mode ramps
+    # m dOm d of such delays could overflow, so they are summed at d = 0 and zeroed
+    live = np.abs(delays) < (373.0 if s.shape is Shape.LORENTZIAN else 28.0) / float(s.halfwidth)
+    delays = np.where(live, delays, 0.0)
     bins = _fft_length(4 * n_side + 1)
     rows = max(1, PAIR_BLOCK_ELEMENTS // bins)
     out = np.empty(delays.size, dtype=complex)
     for lo in range(0, delays.size, rows):
         out[lo : lo + rows] = _pair_block(s, phase, m, k, bins, delays[lo : lo + rows])
+    out[~live] = 0.0
     return out
 
 

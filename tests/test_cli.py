@@ -19,6 +19,7 @@ from twophoton.config import (
     parse_config_file,
     parse_config_text,
     resolve_config,
+    value_lines,
 )
 from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.engineering import matched_wideband
@@ -906,6 +907,31 @@ class TestGaussianWidthPastTheSquareRoot:
         assert "Traceback" not in err and "Warning" not in err
 
 
+class TestDelaysPastTheEnvelope:
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    def test_huge_delays_write_finite_rates_without_a_warning(self, tmp_path, capsys, shape):
+        # delays up to 1e295 s on a covered window: the mode ramps m dOm d of
+        # the three largest overflow, where the envelope has long vanished
+        body = (CONFIGS / "hom_delay_scan.cfg").read_text(encoding="utf-8")
+        body = body.replace("scan.delay_max_tr = 1.3", "scan.delay_max_tr = 1e307")
+        body = body.replace("resolution_time = 1.0e-8", "resolution_time = 1.7e308")
+        body = body.replace("scan.points = 261", "scan.points = 5")
+        cfg = write_cfg(tmp_path, body + f"comb.shape = {shape}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["homscan", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 3:
+            assert not out.exists() or list(out.iterdir()) == []
+        else:
+            text = (out / "homscan.csv").read_text(encoding="utf-8")
+            assert "nan" not in text
+            rows = [line.split(",") for line in text.splitlines() if line[0].isdigit()]
+            assert [float(row[0]) for row in rows] == [0.0, 2.5e294, 5e294, 7.5e294, 1e295]
+
+
 class TestThreads:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_thread_count_below_one_exits_2(self, tmp_path, capsys, value):
@@ -928,14 +954,18 @@ class TestOutputFiles:
         files = getattr(cli, f"cmd_{command}")(cfg, 1)
         assert list(files) == FILES[command]
         assert list(tmp_path.iterdir()) == []
-        assert not any(line.startswith("# twophoton") for body in files.values() for line in body)
+        bodies = {name: b"".join(body) for name, body in files.items()}
+        assert all(isinstance(chunk, bytes) for body in files.values() for chunk in body)
+        lines = [line for body in bodies.values() for line in body.splitlines()]
+        assert not any(line.startswith(b"# twophoton") for line in lines)
         out = tmp_path / "out"
         assert main([command, "--config", str(CONFIGS / name), "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines() == [str(out / f) for f in FILES[command]]
-        header = [f"# twophoton {command}"] + cfg.echo_lines()
-        for filename, body in files.items():
-            lines = (out / filename).read_text(encoding="utf-8").splitlines()
-            assert lines == header + body
+        header = "".join(line + "\n" for line in [f"# twophoton {command}"] + cfg.echo_lines())
+        for filename, body in bodies.items():
+            text = (out / filename).read_bytes()
+            assert text == header.encode() + body
+            lines = text.decode("utf-8").splitlines()
             assert [i for i, line in enumerate(lines) if line.startswith("# twophoton")] == [0]
 
     @pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
@@ -980,6 +1010,11 @@ class TestOutputFiles:
         assert list((out / "mc_summary.txt").iterdir()) == []
 
 
+def csv_bytes(columns, series):
+    """The oracle's lines as the file body the old text-mode writer wrote."""
+    return ("\n".join(csv_oracle(columns, series)) + "\n").encode()
+
+
 class TestCsv:
     """``cli._csv`` formats by column in row blocks; the oracle formats cell by cell."""
 
@@ -991,9 +1026,11 @@ class TestCsv:
 
     def test_special_values_and_counts(self):
         floats = [self.SPECIAL, self.SPECIAL[::-1]]
-        assert cli._csv(["a", "b"], floats) == [csv_oracle(["a", "b"], floats)]
+        (chunks,) = cli._csv(["a", "b"], floats)
+        assert b"".join(chunks) == csv_bytes(["a", "b"], floats)
         counts = [self.COUNTS, self.COUNTS.astype(float)]
-        assert cli._csv(["n", "x"], counts) == [csv_oracle(["n", "x"], counts)]
+        (chunks,) = cli._csv(["n", "x"], counts)
+        assert b"".join(chunks) == csv_bytes(["n", "x"], counts)
 
     @pytest.mark.parametrize("extra", [-cli._BLOCK_ROWS, 1 - cli._BLOCK_ROWS, -1, 0, 1])
     def test_lengths_around_the_block(self, extra):
@@ -1004,9 +1041,9 @@ class TestCsv:
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             rng.integers(-(2**62), 2**62, n),
         ]
-        (lines,) = cli._csv(["tau_s", "value", "count"], series)
-        assert len(lines) == n + 1
-        assert lines == csv_oracle(["tau_s", "value", "count"], series)
+        (chunks,) = cli._csv(["tau_s", "value", "count"], series)
+        assert b"".join(chunks).count(b"\n") == n + 1
+        assert b"".join(chunks) == csv_bytes(["tau_s", "value", "count"], series)
 
     def test_a_shared_column_is_formatted_once_per_block(self):
         class Sliced(np.ndarray):
@@ -1022,8 +1059,8 @@ class TestCsv:
         before, after = np.cos(np.arange(n)), np.sin(np.arange(n))
         tables = cli._csv(["tau_s", "gamma2"], [tau, before], [tau, after])
         assert Sliced.slices == 3
-        oracles = [csv_oracle(["tau_s", "gamma2"], [tau, col]) for col in (before, after)]
-        assert tables == oracles
+        oracles = [csv_bytes(["tau_s", "gamma2"], [tau, col]) for col in (before, after)]
+        assert [b"".join(chunks) for chunks in tables] == oracles
 
     @staticmethod
     def kernel_oracle_values():
@@ -1077,8 +1114,48 @@ class TestCsv:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [len(lines) for lines in tables] == [n + 1, n + 1]
+        assert [b"".join(chunks).count(b"\n") for chunks in tables] == [n + 1, n + 1]
+        # no object per row: the column line and one chunk per block
+        assert all(len(chunks) <= 1 + math.ceil(n / cli._BLOCK_ROWS) for chunks in tables)
         assert peak - held <= 2 * 2**20
+
+
+class TestWriteAtomic:
+    """``_write_atomic`` writes a body's chunks as the old text-mode writer wrote its lines."""
+
+    @staticmethod
+    def text_writer(path, lines):
+        with open(path, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+
+    def test_fringe_and_txt_bodies_match_the_text_writer(self, tmp_path):
+        header = ["# twophoton fringe", "# seed = 1", "# comb.linewidth = 62832000000.0"]
+        values = {"singles_visibility": 0.1, "fit_visibility_coincidence": 1e-17}
+        results = value_lines(values, "# result.")
+        n = cli._BLOCK_ROWS + 5
+        series = [np.linspace(0.0, 2.0 * math.pi, n), np.cos(np.arange(n)) ** 2, np.full(n, 0.5)]
+        columns = ["phase_rad", "coincidence", "singles_1"]
+        counts = {"n_events": 2_000_000, "comb_contrast": float("nan"), "shape": "lorentzian"}
+        bodies = {
+            "fringe.csv": (
+                results + csv_oracle(columns, series),
+                [cli._text(results), *cli._csv(columns, series)[0]],
+            ),
+            "mc_summary.txt": ([""] + value_lines(counts), [cli._text([""] + value_lines(counts))]),
+        }
+        for name, (lines, chunks) in bodies.items():
+            self.text_writer(tmp_path / f"old_{name}", header + lines)
+            cli._write_atomic(tmp_path / name, [cli._text(header), *chunks])
+            want = ("\n".join(header + lines) + "\n").encode("utf-8")
+            assert (tmp_path / f"old_{name}").read_bytes() == want
+            assert (tmp_path / name).read_bytes() == want
+
+    def test_an_existing_file_is_not_overwritten(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(b"kept\n")
+        with pytest.raises(FileExistsError):
+            cli._write_atomic(tmp_path / "a.csv", [b"new\n"])
+        assert (tmp_path / "a.csv").read_bytes() == b"kept\n"
 
 
 class TestHeaderEcho:
