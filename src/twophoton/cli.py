@@ -70,13 +70,40 @@ _G = np.zeros((5, 617), _U)
 _G_SET = np.zeros(617, bool)
 #: bytes of a cell: '-2.2250738585072014e-308' is the longest repr of a double
 _CELL = 24
-# bytes [0, i) of a cell as three little-endian words, then a '.' at byte i
-_MASK_DOT = np.array(
-    [[(2 ** (8 * i) - 1) >> 64 * w & (2**64 - 1) for i in range(_CELL)] for w in range(3)]
-    + [[(0x2E << 8 * i) >> 64 * w & (2**64 - 1) for i in range(_CELL)] for w in range(3)],
-    _U,
-)
-# cells per ``_cell_words`` call: a larger chunk spends less per NumPy call but
+# what each byte of a value's 32-byte source row holds: its seventeen digits a
+# (the first) to q, the constant bytes '0', '.', '-' and a NUL (' ', which pads
+# a cell), and its exponent tail 'e', sign and two or three digits (vwxyz,
+# NUL-padded); no layout takes the bytes marked '_'
+_ROW = "bcdefghijklmnopqa0.- ___vwxyz___"
+
+
+def _layouts() -> np.ndarray:
+    """Each of ``repr``'s layouts as the source-row bytes it takes, one column each."""
+    # column (21 neg + notation) 17 + nsig - 1 for nsig significant digits, where
+    # notation is decpt + 3 in fixed notation, v = 0.(digits) 10^decpt with
+    # -3 <= decpt <= 16, and 20 in scientific notation
+    cells = []
+    for sign in ("", "-"):
+        for decpt in [*range(-3, 17), None]:
+            for nsig in range(1, 18):
+                d = "abcdefghijklmnopq"[:nsig]
+                if decpt is None:  # d.ddde+XX, with no point after a lone digit
+                    text = d[0] + ("." + d[1:] if nsig > 1 else "") + "vwxyz"
+                elif decpt <= 0:  # 0.000ddd
+                    text = "0." + "0" * -decpt + d
+                elif decpt < nsig:  # ddd.ddd
+                    text = d[:decpt] + "." + d[decpt:]
+                else:  # ddd00.0
+                    text = d + "0" * (decpt - nsig) + ".0"
+                cells.append((sign + text).ljust(_CELL))
+    # each symbol to its byte's position, all cells in one pass
+    where = str.maketrans({c: chr(i) for i, c in enumerate(_ROW)})
+    at = np.frombuffer("".join(cells).translate(where).encode("latin-1"), np.uint8)
+    return at.reshape(-1, _CELL).T.astype(np.intp)
+
+
+_LAYOUT = _layouts()
+# cells per ``_cell_bytes`` call: a larger chunk spends less per NumPy call but
 # holds more temporaries
 _FLOAT_CHUNK = 2048
 
@@ -160,58 +187,21 @@ def _ascii8(v):
     return v | _U(0x3030_3030_3030_3030), np.frexp(nonzero.astype(float))[1] >> 3
 
 
-def _cell_words(bits):
-    """``repr`` of each finite non-zero normal double, given by its bits, as
-    ``_CELL`` NUL-padded bytes in three little-endian words (a (3, n) array)."""
-    n = bits.size
+def _cell_bytes(bits):
+    """``repr`` of each finite non-zero normal double, given by its bits, as NUL-padded
+    ``_CELL``-byte rows: one gather from each value's source row through its layout."""
     d, k = _shortest_digits(bits)
     short = d < _U(10**16)
     decpt = k + 17 - short  # v = 0.(digits) 10^decpt
     d *= _U(1) + _U(9) * short  # seventeen digits, the first non-zero
-    pair = np.empty((2, n), _U)
-    pair[0], pair[1] = d // _U(10**8), d
-    lead = pair[0] // _U(10**8)
-    pair %= _U(10**8)
-    (lo, hi), nbytes = _ascii8(pair)
+    (lo, hi), nbytes = _ascii8(np.stack((d // _U(10**8), d)) % _U(10**8))  # digits 2-17
     nsig = np.where(nbytes[1] > 0, 9 + nbytes[1], 1 + nbytes[0])
-    # Fixed notation is '0000' and the digits from byte ``start`` (inside the
-    # zeros when decpt <= 0, else at the first digit), with a point after
-    # ``ip`` of them.  Scientific notation is laid out as fixed with decpt = 1,
-    # without the point after a lone digit, and then gets the exponent.
-    sci = (decpt < -3) | (decpt > 16)
-    point = np.where(sci, 1, decpt)
-    start = 3 + np.minimum(point, 1)
-    ip = np.maximum(point, 1)
-    size = np.maximum(nsig, point + 1) + 5 - start - 2 * (sci & (nsig == 1))
-    text = np.empty((3, n), _U)
-    text[0] = _U(0x3030_3030) | ((lead | _U(0x30)) << _U(32)) | (lo << _U(40))
-    text[1] = (lo >> _U(24)) | (hi << _U(40))
-    text[2] = hi >> _U(24)
-    shift = (8 * start).astype(_U)
-    carry = text[1:] << (_U(64) - shift)
-    text >>= shift
-    text[:2] |= carry
-    mask, dot = np.take(_MASK_DOT, ip, axis=1).reshape(2, 3, -1)
-    cell = np.zeros((4, n), _U)  # the fourth word only takes the tail's empty overflow
-    cell[:3] = (text & mask) | dot
-    text &= ~mask
-    cell[0] |= text[0] << _U(8)
-    cell[1:3] |= (text[1:] << _U(8)) | (text[:2] >> _U(56))
-    cell[:3] &= np.take(_MASK_DOT[:3], size, axis=1)
-    if sci.any():  # 'e', the sign and the exponent digits, at byte ``size``
-        tail = np.take(_exponent_words(), decpt - _DECPT_MIN) * sci
-        at = (8 * (size & 7)).astype(_U)
-        flat = cell.reshape(-1)
-        word = (size >> 3) * n + np.arange(n)
-        flat[word] |= tail << at
-        flat[word + n] |= tail >> (_U(64) - at)
-    neg = bits >> _U(63)
-    if neg.any():  # a leading '-'
-        at = neg * _U(8)
-        cell[2] = (cell[2] << at) | (cell[1] >> (_U(64) - at))
-        cell[1] = (cell[1] << at) | (cell[0] >> (_U(64) - at))
-        cell[0] = (cell[0] << at) | (neg * _U(0x2D))
-    return cell[:3]
+    tail = np.take(_exponent_words(), decpt - _DECPT_MIN)
+    row = np.stack((lo, hi, d // _U(10**16) | _U(0x2D_2E_30_30), tail), axis=1)  # see _ROW
+    notation = np.where((decpt < -3) | (decpt > 16), 20, decpt + 3)
+    at = _LAYOUT[:, ((bits >> _U(63)).astype(np.intp) * 21 + notation) * 17 + nsig - 1]
+    at += 32 * np.arange(bits.size)  # in place: a second index array doubles the cost
+    return row.view(np.uint8).reshape(-1)[at].T
 
 
 _DECPT_MIN = -307  # 0.(digits) 10^decpt of a normal double has -307 <= decpt <= 309
@@ -236,7 +226,7 @@ def _float_cells(x) -> np.ndarray:
     The digits are Schubfach's (see ``_shortest_digits``) and the layout is
     ``repr``'s: fixed notation for 1e-4 <= |v| < 1e16, else d.ddde+XX with at
     least two exponent digits.  Zeros are written whole; NaN, infinities and
-    subnormals take ``repr``.  Rows go through ``_cell_words`` ``_FLOAT_CHUNK``
+    subnormals take ``repr``.  Rows go through ``_cell_bytes`` ``_FLOAT_CHUNK``
     at a time, which bounds the temporaries.
     """
     x = np.asarray(x, dtype=float).ravel()
@@ -246,11 +236,11 @@ def _float_cells(x) -> np.ndarray:
     odd = (exponent == _U(0x7FF)) | ((exponent == _U(0)) & ~zero)
     normal = np.where(odd | zero, _U(0x3FF0_0000_0000_0000), bits)  # 1.0 in their place
     words = np.empty((x.size, 3), "<u8")
+    cells = words.view(np.uint8)
     for lo in range(0, x.size, _FLOAT_CHUNK):
-        words[lo : lo + _FLOAT_CHUNK] = _cell_words(normal[lo : lo + _FLOAT_CHUNK]).T
+        cells[lo : lo + _FLOAT_CHUNK] = _cell_bytes(normal[lo : lo + _FLOAT_CHUNK])
     words[zero] = [int.from_bytes(b"0.0", "little"), 0, 0]
     words[zero & (bits >= _U(2**63))] = [int.from_bytes(b"-0.0", "little"), 0, 0]
-    cells = words.view(np.uint8)
     for i in np.flatnonzero(odd).tolist():
         text = repr(float(x[i])).encode()
         cells[i] = 0

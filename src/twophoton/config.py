@@ -277,6 +277,13 @@ class RunConfig:
         return value_lines({"run.command": self.command, **echoed}, "# ")
 
 
+def _finite(value: float, what: str) -> float:
+    """``value``, which the run derives as ``what``; an overflow is a ConfigError naming it."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} overflows to {value!r}")
+    return value
+
+
 def _one_of(raw: dict, key: str, alternative: str) -> None:
     if key in raw and alternative in raw:
         raise ConfigError(f"give {key} or {alternative}, not both")
@@ -345,7 +352,7 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
     for name in [name for name in table if name + "_tr" in table]:
         _one_of(raw, name, name + "_tr")
         if values[name] is None:
-            values[name] = values[name + "_tr"] * t_r
+            values[name] = _finite(values[name + "_tr"] * t_r, f"{name}_tr x comb.round_trip_time")
     if command == "mc":
         if values["mc.bin_width"] is None:
             values["mc.bin_width"] = t_r / 100.0
@@ -361,6 +368,13 @@ def resolve_config(raw: dict, command: str, seed_override: int | None = None) ->
         high = low.removesuffix("_min") + "_max"
         if not values[high] > values[low]:
             raise ConfigError(f"{high} must exceed {low}, got {values[low]} .. {values[high]}")
+        _finite(values[high] - values[low], f"{high} - {low}")
+    if command == "homscan":
+        _finite(values["scan.delay_max"] * values["output.delay_to_mm"],
+                "position_mm = scan.delay_max x output.delay_to_mm")
+    if command == "engineer" and values["engineering.optimize_width"]:
+        _finite(4.0 * values["engineering.wideband_halfwidth"],
+                "4 x engineering.wideband_halfwidth (the widest width tried)")
 
     return RunConfig(
         command=command,

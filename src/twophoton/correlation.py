@@ -71,9 +71,20 @@ class CorrelationTrace:
         object.__setattr__(self, "samples", samples)
 
 
+def _half_phase(tau, frequency: float, name: str) -> np.ndarray:
+    """The phase frequency*tau/2.  Past the largest double it is undefined, and so is
+    every factor it sets: a GridError naming ``name``, the key that sets ``frequency``."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(tau, dtype=float) * (frequency / 2.0)
+    if np.isinf(x).any():
+        raise GridError(f"the phase {name} x tau/2 overflows at |tau| up to "
+                        f"{np.max(np.abs(tau)):.3e} s")
+    return x
+
+
 def _reduced_angle(tau, mode_spacing: float) -> np.ndarray:
     """x = mode_spacing*tau/2 reduced by whole multiples of pi to |u| <= pi/2."""
-    x = np.asarray(tau, dtype=float) * (mode_spacing / 2.0)
+    x = _half_phase(tau, mode_spacing, "comb.mode_spacing")
     return x - np.round(x / math.pi) * math.pi
 
 
@@ -243,7 +254,8 @@ def _line_profile(s, tau, power):
     # |tau| is taken inline: a copy held to the end would add a grid-sized array to the peak
     hw = s.halfwidth
     if s.shape is Shape.LORENTZIAN:
-        core, scale = math.pi * hw * np.exp(-hw * np.abs(tau)), math.pi * hw
+        with np.errstate(over="ignore"):  # hw |tau| past the largest double: g = 0
+            core, scale = math.pi * hw * np.exp(-hw * np.abs(tau)), math.pi * hw
     elif s.shape is Shape.GAUSSIAN:
         sigma = hw / math.sqrt(power)
         scale = math.sqrt(2.0 * math.pi) * sigma
@@ -379,7 +391,8 @@ def gamma1_coherence(comb: ModeComb, grid: TimeGrid) -> CorrelationTrace:
     f0 = abs(complex(generalized_F(0.0, comb)))
     if f0 < 1e-12 * comb.n_modes:
         raise NumericsError("comb phases make the zero-delay coherence vanish; cannot normalize")
-    samples = np.exp(1j * comb.pump_frequency * tau / 2.0) * G * F / f0
+    carrier = np.exp(1j * _half_phase(tau, comb.pump_frequency, "comb.pump_frequency"))
+    samples = carrier * G * F / f0
     return CorrelationTrace(
         grid,
         samples,

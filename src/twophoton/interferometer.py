@@ -140,8 +140,11 @@ def _window_sums(cfg: InterferometerConfig, delays):
     half = min(cfg.resolution_time / 2.0, delays.max() + envelope_support(comb.single_mode))
     dt_target = comb.round_trip_time / (comb.n_modes * SAMPLES_PER_PEAK)
     # an even number of Simpson panels puts tau = 0, the cusp of the Lorentzian
-    # envelope, on a panel edge; mid-panel it costs the rule two orders
-    tau, w = simpson_rule(-half, half, 4 * int(math.ceil(half / (2.0 * dt_target))) + 1)
+    # envelope, on a panel edge; mid-panel it costs the rule two orders.  An
+    # infinite quotient would overflow ``int``: one past 2^62 is taken as 2^62,
+    # far past the node cap, so ``simpson_rule`` refuses it with a lower bound
+    panels = min(half / (2.0 * dt_target), 2.0**62)
+    tau, w = simpson_rule(-half, half, 4 * int(math.ceil(panels)) + 1)
     x0 = comb_amplitude(tau, comb)
     r0 = float(np.sum(w * np.abs(x0) ** 2))
     s, v, c = np.empty(delays.size), np.empty(delays.size), np.empty(delays.size, complex)

@@ -932,6 +932,59 @@ class TestDelaysPastTheEnvelope:
             assert [float(row[0]) for row in rows] == [0.0, 2.5e294, 5e294, 7.5e294, 1e295]
 
 
+class TestOverflowingProducts:
+    """Finite keys whose products overflow a double: exit 2 or 3 naming a key, or 0 with
+    finite cells; no traceback, no warning and no file left behind."""
+
+    # id -> command, bundled config, keys set (None drops the key), exit code, named in stderr
+    CASES = {
+        "delay_max_with_position": ("homscan", "hom_delay_scan.cfg", {
+            "scan.delay_max_tr": None, "scan.delay_max": "1.7e308",
+            "detector.resolution_time": "1.7e308", "scan.points": "5",
+        }, 2, "scan.delay_max x output.delay_to_mm"),
+        "position_mm": ("homscan", "hom_delay_scan.cfg", {
+            "scan.delay_max_tr": None, "scan.delay_max": "8e307",
+            "detector.resolution_time": "1.7e308",
+        }, 2, "scan.delay_max x output.delay_to_mm"),
+        "phase_span": ("fringe", "fringe_full_trip.cfg", {
+            "scan.phase_min": "-1.7e308", "scan.phase_max": "1.7e308",
+        }, 2, "scan.phase_max - scan.phase_min"),
+        "wideband_halfwidth": ("engineer", "excise_peak.cfg", {
+            "engineering.wideband_halfwidth": "1e308",
+        }, 2, "engineering.wideband_halfwidth"),
+        "fringe_singles": ("fringe", "fringe_full_trip.cfg", {
+            "scan.delay_tr": None, "scan.delay": "1e300",
+            "detector.resolution_time": "1.7e308", "scan.points": None,
+        }, 3, "comb.mode_spacing"),
+        "coherence_carrier": ("correlation", "comb_correlation.cfg", {
+            "comb.round_trip_time": "1e300", "comb.linewidth": None,
+        }, 3, "comb.pump_frequency"),
+        # the first case without a position column reaches the Simpson window
+        "delay_max_without_position": ("homscan", "hom_delay_scan.cfg", {
+            "scan.delay_max_tr": None, "scan.delay_max": "1.7e308",
+            "detector.resolution_time": "1.7e308", "scan.points": "5", "output.delay_to_mm": None,
+        }, 3, f"cap is {MAX_QUAD_POINTS}"),
+        "round_trip_product": ("homscan", "hom_delay_scan.cfg", {
+            "scan.delay_max_tr": "1e307", "comb.round_trip_time": "1e10", "comb.linewidth": None,
+            "detector.resolution_time": "1.7e308",
+        }, 2, "scan.delay_max_tr x comb.round_trip_time"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_naming_the_key_and_leaves_no_file(self, tmp_path, capsys, case):
+        command, config, keys, code, named = self.CASES[case]
+        lines = (CONFIGS / config).read_text(encoding="utf-8").splitlines()
+        body = [line for line in lines if line.split("=")[0].strip() not in keys]
+        body += [f"{key} = {value}" for key, value in keys.items() if value is not None]
+        cfg = write_cfg(tmp_path, "\n".join(body) + "\n")
+        out = tmp_path / "out"
+        # warnings are errors in this suite: a RuntimeWarning would fail the run
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+
 class TestThreads:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_thread_count_below_one_exits_2(self, tmp_path, capsys, value):

@@ -94,6 +94,15 @@ class TestDirichletF:
             dirichlet_F(tau, 10, TWO_PI), dirichlet_oracle(tau, 10, TWO_PI), rtol=0, atol=1e-9 * 21
         )
 
+    def test_an_overflowing_phase_is_a_grid_error_naming_its_key(self):
+        # spacing tau / 2 passes the largest double at tau = 1e300; warnings are errors here
+        assert dirichlet_F(np.array([0.0, 5e295]), 10, 6.2832e12)[0] == 21.0
+        with pytest.raises(GridError, match="comb.mode_spacing"):
+            dirichlet_F(np.array([0.0, 1e300]), 10, 6.2832e12)
+        comb = make_comb(round_trip=1e300, pump_frequency=3.54e15)
+        with pytest.raises(GridError, match="comb.pump_frequency"):
+            gamma1_coherence(comb, TimeGrid(-2e300, 2e300, 4096))
+
     @settings(max_examples=80, deadline=None)
     @given(tau=st.floats(-10.0, 10.0), n=st.integers(0, 25))
     def test_periodicity(self, tau, n):
