@@ -1,7 +1,8 @@
 """Command-line front end emitting figure-ready scan data.
 
-    twophoton <correlation|homscan|fringe|engineer|mc>
-              --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
+    usage: twophoton <correlation|homscan|fringe|engineer|mc>
+                     --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
+           twophoton -h | --help
 
 Each ``cmd_<name>(cfg, threads)`` returns its files as ``{file name: body}``
 in write order, a body being a list of ``bytes`` chunks, touching no file;
@@ -10,15 +11,18 @@ in write order, a body being a list of ``bytes`` chunks, touching no file;
 run can be reproduced from its own output (strip the leading ``# `` or use
 ``config_from_output_header``).  All files of a run are written to a staging
 directory inside ``--out`` and renamed into place once every one is written.
-Exit codes: 0 success, 2 bad configuration or an unusable ``--out``, 3
-numerical precondition failure.
+Long options may be abbreviated to a unique prefix and given as ``--name
+value`` or ``--name=value``, before or after the command.  ``-h``/``--help``
+prints the usage above.  Exit codes: 0 success (or help), 2 a malformed
+command line (the usage and the reason go to stderr), bad configuration or
+an unusable ``--out``, 3 numerical precondition failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
+import getopt
 import os
 import shutil
 import sys
@@ -105,7 +109,7 @@ def _layouts() -> np.ndarray:
 _LAYOUT = _layouts()
 # cells per ``_cell_bytes`` call: a larger chunk spends less per NumPy call but
 # holds more temporaries
-_FLOAT_CHUNK = 2048
+_FLOAT_CHUNK = 4096
 
 
 def _fill_g(ks) -> None:
@@ -432,45 +436,70 @@ def _write_run(out: Path, header: bytes, files: dict) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twophoton",
-        description="Mode-locked two-photon correlation and interferometry scans.",
-    )
-    parser.add_argument("command", choices=COMMANDS, help="the pipeline to run")
-    parser.add_argument("--config", required=True, help="path to a key = value config file")
-    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    threads = "worker threads for Monte Carlo chunks (default: 1; results do not depend on it)"
-    parser.add_argument("--threads", type=int, default=1, help=threads)
-    return parser
+_USAGE = (
+    f"usage: twophoton <{'|'.join(COMMANDS)}>\n"
+    "                 --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]\n"
+    "       twophoton -h | --help"
+)
+
+
+def _parse_args(argv) -> tuple | None:
+    """(command, config, out, seed, threads) from ``argv``, or None for ``-h``/``--help``.
+
+    A malformed command line raises ``getopt.GetoptError`` saying what is
+    wrong.  A repeated option takes its last value.
+    """
+    opts, args = getopt.gnu_getopt(argv, "h", ["config=", "out=", "seed=", "threads=", "help"])
+    given = dict(opts)
+    if "-h" in given or "--help" in given:
+        return None
+    if len(args) != 1 or args[0] not in COMMANDS:
+        got = " ".join(args) or "none"
+        raise getopt.GetoptError(f"expected one command of {', '.join(COMMANDS)}, got {got}")
+    if "--config" not in given:
+        raise getopt.GetoptError("--config is required")
+    numbers = {}
+    for name in ("--seed", "--threads"):
+        if name in given:
+            try:
+                numbers[name] = int(given[name])
+            except ValueError:
+                raise getopt.GetoptError(f"{name} takes an integer, got {given[name]!r}") from None
+    threads = numbers.get("--threads", 1)
+    if threads < 1:
+        raise getopt.GetoptError("--threads must be an integer >= 1")
+    return args[0], given["--config"], given.get("--out", "."), numbers.get("--seed"), threads
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        raw = parse_config_file(args.config)
-        cfg = resolve_config(raw, args.command, seed_override=args.seed)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except getopt.GetoptError as exc:
+        print(f"{_USAGE}\ntwophoton: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(_USAGE)
+        return 0
+    command, config, out_arg, seed, threads = args
+    try:
+        cfg = resolve_config(parse_config_file(config), command, seed_override=seed)
     except ConfigError as exc:
         print(f"twophoton: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"twophoton: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.threads < 1:
-        print("twophoton: --threads must be an integer >= 1", file=sys.stderr)
-        return 2
     try:
-        files = _DISPATCH[args.command](cfg, args.threads)
+        files = _DISPATCH[command](cfg, threads)
     except NumericsError as exc:
         print(f"twophoton: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     header = _text([f"# twophoton {cfg.command}"] + cfg.echo_lines())
-    out = Path(args.out)
+    out = Path(out_arg)
     try:
         _write_run(out, header, files)
     except OSError as exc:
-        print(f"twophoton: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        print(f"twophoton: cannot write --out {out_arg}: {exc}", file=sys.stderr)
         return 2
     for name in files:
         print(out / name)

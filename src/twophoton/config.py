@@ -218,7 +218,11 @@ def parse_config_text(text: str) -> dict:
 
 def parse_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config_text(text)
 
 
 def config_from_output_header(path) -> dict:

@@ -718,6 +718,15 @@ class TestConfigParsing:
         assert "cannot read config" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_config_file_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"comb.n_side_modes = 10\xff\n")
+        out = tmp_path / "out"
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "UTF-8" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_scan_points_are_capped_before_allocation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, f"scan.points = {MAX_QUAD_POINTS + 1}\n")
         out = tmp_path / "out"
@@ -996,6 +1005,61 @@ class TestThreads:
         assert not out.exists()
 
 
+class TestCommandLine:
+    # each argv follows "--out <dir>"; CFG stands for a valid config's path
+    MALFORMED = {
+        "no_command": ["--config", "CFG"],
+        "unknown_command": ["nope", "--config", "CFG"],
+        "two_commands": ["correlation", "mc", "--config", "CFG"],
+        "no_config": ["correlation"],
+        "unknown_option": ["correlation", "--config", "CFG", "--bogus"],
+        "option_without_value": ["correlation", "--config"],
+        "value_on_a_flag": ["correlation", "--config", "CFG", "--help=yes"],
+        "float_seed": ["correlation", "--config", "CFG", "--seed", "1.5"],
+        "word_threads": ["correlation", "--config", "CFG", "--threads", "two"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_command_line_exits_2_with_the_usage(self, tmp_path, capsys, case):
+        cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
+        out = tmp_path / "out"
+        argv = [str(cfg) if a == "CFG" else a for a in self.MALFORMED[case]]
+        assert main(["--out", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(cli._USAGE + "\ntwophoton: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_prints_the_usage_and_returns_0(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert main(["correlation", "--out", str(out), flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli._USAGE + "\n" and captured.err == ""
+        assert not out.exists()
+        # the module docstring shows the same usage
+        assert all(line in cli.__doc__ for line in cli._USAGE.splitlines())
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            ["--config={cfg}", "--out={out}", "--seed=7", "--threads=2", "correlation"],
+            ["correlation", "--conf", "{cfg}", "--o", "{out}", "--se", "7", "--th", "2"],
+            ["--threads", "2", "--seed", "7", "--out", "{out}", "--config", "{cfg}", "correlation"],
+            ["--seed", "3", "correlation", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
+        ],
+        ids=["equals_signs", "prefixes", "options_first", "repeated_last_wins"],
+    )
+    def test_spellings_write_the_bytes_of_the_canonical_order(self, tmp_path, spelling):
+        cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
+        canonical, out = tmp_path / "canonical", tmp_path / "out"
+        argv = ["correlation", "--config", str(cfg), "--out", str(canonical), "--seed", "7"]
+        assert main(argv) == 0
+        assert main([a.format(cfg=cfg, out=out) for a in spelling]) == 0
+        assert "# seed = 7\n" in (canonical / "correlation.csv").read_text(encoding="utf-8")
+        assert (out / "correlation.csv").read_bytes() == (canonical / "correlation.csv").read_bytes()
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("name", sorted(BUNDLED_ECHO))
     def test_commands_return_their_files_and_main_writes_them(
@@ -1248,10 +1312,19 @@ class TestHeaderEcho:
         assert again == first
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, twophoton.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize(
+    "run, modules",
+    [(False, ["scipy"]), (True, ["scipy", "argparse", "locale"])],
+    ids=["import", "successful_run"],
+)
+def test_cli_import_leaves_scipy_out(tmp_path, run, modules):
+    argv = ["correlation", "--config", str(CONFIGS / "comb_correlation.cfg"), "--out", str(tmp_path)]
+    code = "import sys, twophoton.cli\n"
+    if run:
+        code += f"assert twophoton.cli.main({argv!r}) == 0\n"
+    code += f"print([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
