@@ -3,6 +3,10 @@
     usage: twophoton <correlation|homscan|fringe|engineer|mc>
                      --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]
            twophoton -h | --help
+      --config   the run's configuration file (required)
+      --out      directory the files are written to (default .)
+      --seed     overrides the config's seed
+      --threads  Monte Carlo threads (default 1); never changes the output
 
 Each ``cmd_<name>(cfg, threads)`` returns its files as ``{file name: body}``
 in write order, a body being a list of ``bytes`` chunks, touching no file;
@@ -12,10 +16,11 @@ run can be reproduced from its own output (strip the leading ``# `` or use
 ``config_from_output_header``).  All files of a run are written to a staging
 directory inside ``--out`` and renamed into place once every one is written.
 Long options may be abbreviated to a unique prefix and given as ``--name
-value`` or ``--name=value``, before or after the command.  ``-h``/``--help``
-prints the usage above.  Exit codes: 0 success (or help), 2 a malformed
-command line (the usage and the reason go to stderr), bad configuration or
-an unusable ``--out``, 3 numerical precondition failure.
+value`` or ``--name=value``, before or after the command, whatever the
+environment holds; ``--`` ends the options.  ``-h``/``--help`` prints the
+usage above.  Exit codes: 0 success (or help), 2 a malformed command line
+(the usage and the reason go to stderr), bad configuration or an unusable
+``--out``, 3 numerical precondition failure.
 """
 
 from __future__ import annotations
@@ -439,8 +444,33 @@ def _write_run(out: Path, header: bytes, files: dict) -> None:
 _USAGE = (
     f"usage: twophoton <{'|'.join(COMMANDS)}>\n"
     "                 --config <path> [--out <dir>] [--seed <u64>] [--threads <n>]\n"
-    "       twophoton -h | --help"
+    "       twophoton -h | --help\n"
+    "  --config   the run's configuration file (required)\n"
+    "  --out      directory the files are written to (default .)\n"
+    "  --seed     overrides the config's seed\n"
+    "  --threads  Monte Carlo threads (default 1); never changes the output"
 )
+_LONGS = ["config=", "out=", "seed=", "threads=", "help"]
+
+
+def _getopt(argv) -> tuple:
+    """``getopt.gnu_getopt(argv, "h", _LONGS)``, whatever the environment holds.
+
+    ``gnu_getopt`` stops at the command when ``POSIXLY_CORRECT`` is set;
+    here options may always follow it.  ``--`` ends the options, so it is
+    never an option's separate value (as with argparse).
+    """
+    opts, args, rest = [], [], list(argv)
+    while rest:
+        cut = rest.index("--") if "--" in rest else len(rest)
+        found, after = getopt.getopt(rest[:cut], "h", _LONGS)
+        opts += found
+        if not after:
+            args += rest[cut + 1 :]
+            break
+        args.append(after[0])
+        rest = after[1:] + rest[cut:]
+    return opts, args
 
 
 def _parse_args(argv) -> tuple | None:
@@ -449,7 +479,7 @@ def _parse_args(argv) -> tuple | None:
     A malformed command line raises ``getopt.GetoptError`` saying what is
     wrong.  A repeated option takes its last value.
     """
-    opts, args = getopt.gnu_getopt(argv, "h", ["config=", "out=", "seed=", "threads=", "help"])
+    opts, args = _getopt(argv)
     given = dict(opts)
     if "-h" in given or "--help" in given:
         return None

@@ -1013,6 +1013,7 @@ class TestCommandLine:
         "two_commands": ["correlation", "mc", "--config", "CFG"],
         "no_config": ["correlation"],
         "unknown_option": ["correlation", "--config", "CFG", "--bogus"],
+        "options_after_double_dash": ["--", "correlation", "--config", "CFG"],
         "option_without_value": ["correlation", "--config"],
         "value_on_a_flag": ["correlation", "--config", "CFG", "--help=yes"],
         "float_seed": ["correlation", "--config", "CFG", "--seed", "1.5"],
@@ -1058,6 +1059,15 @@ class TestCommandLine:
         assert main([a.format(cfg=cfg, out=out) for a in spelling]) == 0
         assert "# seed = 7\n" in (canonical / "correlation.csv").read_text(encoding="utf-8")
         assert (out / "correlation.csv").read_bytes() == (canonical / "correlation.csv").read_bytes()
+
+    def test_options_follow_the_command_whatever_the_environment(self, tmp_path, monkeypatch):
+        # getopt.gnu_getopt would stop at the command with POSIXLY_CORRECT set
+        cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
+        first, out = tmp_path / "first", tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(first), "correlation"]) == 0
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        assert main(["correlation", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "correlation.csv").read_bytes() == (first / "correlation.csv").read_bytes()
 
 
 class TestOutputFiles:
