@@ -6,7 +6,7 @@
       --config   the run's configuration file (required)
       --out      directory the files are written to (default .)
       --seed     overrides the config's seed
-      --threads  Monte Carlo threads (default 1); never changes the output
+      --threads  Monte Carlo threads (default 1, at most one per CPU); never changes the output
 
 Each ``cmd_<name>(cfg, threads)`` returns its files as ``{file name: body}``
 in write order, a body being a list of ``bytes`` chunks, touching no file;
@@ -260,82 +260,70 @@ def _float_cells(x) -> np.ndarray:
 _BLOCK_ROWS = 4096
 
 
-def _csv(columns, *tables) -> list:
-    """One CSV body per table: the ``columns`` line, then one chunk per block of rows.
+def _csv(table) -> list:
+    """One CSV body of ``table``, ``{name: values}`` with equal-length values:
+    the line of names, then one chunk per block of rows.
 
-    A table is a list of equal-length columns.  Rows go ``_BLOCK_ROWS`` at a
-    time: one ``_float_cells`` call formats the block of every distinct column,
-    so a shared column is formatted once per block, each cell ``repr(float(x))``.
-    A table's block is joined with ``,`` and ``\\n`` and its NUL padding dropped
-    in one pass over its bytes, the chunk that goes to the file as it is.
+    Rows go ``_BLOCK_ROWS`` at a time: one ``_float_cells`` call formats the
+    block of every column, each cell ``repr(float(x))``.  The block is joined
+    with ``,`` and ``\\n`` and its NUL padding dropped in one pass over its
+    bytes, the chunk that goes to the file as it is.
     """
-    files = [[_text([",".join(columns)])] for _ in tables]
-    for lo in range(0, len(tables[0][0]), _BLOCK_ROWS):
-        index, blocks = {}, []
-        for table in tables:
-            for col in table:
-                if id(col) not in index:
-                    index[id(col)] = len(blocks)
-                    blocks.append(col[lo : lo + _BLOCK_ROWS])
-        cells = _float_cells(np.concatenate(blocks)).reshape(len(blocks), -1, _CELL)
-        for table, chunks in zip(tables, files):
-            text = np.empty((cells.shape[1], len(table), _CELL + 1), np.uint8)
-            for j, col in enumerate(table):
-                text[:, j, :_CELL] = cells[index[id(col)]]
-            text[:, :, _CELL] = ord(",")
-            text[:, -1, _CELL] = ord("\n")
-            chunks.append(text.tobytes().translate(None, b"\0"))
-    return files
+    columns = list(table.values())
+    body = [_text([",".join(table)])]
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        blocks = np.concatenate([col[lo : lo + _BLOCK_ROWS] for col in columns])
+        cells = _float_cells(blocks).reshape(len(columns), -1, _CELL)
+        text = np.empty((cells.shape[1], len(columns), _CELL + 1), np.uint8)
+        for j, col in enumerate(cells):
+            text[:, j, :_CELL] = col
+        text[:, :, _CELL] = ord(",")
+        text[:, -1, _CELL] = ord("\n")
+        body.append(text.tobytes().translate(None, b"\0"))
+    return body
+
+
+def _interferometer(cfg: RunConfig, delay: float, pump_phase: float = 0.0) -> InterferometerConfig:
+    """The run's interferometer at ``delay`` and ``pump_phase``."""
+    return InterferometerConfig(
+        comb=cfg.comb,
+        delay=delay,
+        resolution_time=cfg["detector.resolution_time"],
+        pump_phase=pump_phase,
+        mode_match=cfg["interferometer.mode_match"],
+    )
 
 
 def cmd_correlation(cfg: RunConfig, threads: int) -> dict:
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
-    trace = gamma2_mode_locked(cfg.comb, grid)
-    columns = ["tau_s", "gamma2"]
-    series = [grid.values, trace.samples]
+    table = {"tau_s": grid.values, "gamma2": gamma2_mode_locked(cfg.comb, grid).samples}
     if cfg["scan.include_coherence"]:
-        columns.append("coherence_abs")
-        series.append(np.abs(gamma1_coherence(cfg.comb, grid).samples))
-    return {"correlation.csv": _csv(columns, series)[0]}
+        table["coherence_abs"] = np.abs(gamma1_coherence(cfg.comb, grid).samples)
+    return {"correlation.csv": _csv(table)}
 
 
 def cmd_homscan(cfg: RunConfig, threads: int) -> dict:
     delays = np.linspace(cfg["scan.delay_min"], cfg["scan.delay_max"], cfg["scan.points"])
-    icfg = InterferometerConfig(
-        comb=cfg.comb,
-        delay=cfg["scan.delay_min"],
-        resolution_time=cfg["detector.resolution_time"],
-        pump_phase=cfg["interferometer.pump_phase"],
-        mode_match=cfg["interferometer.mode_match"],
-    )
+    icfg = _interferometer(cfg, cfg["scan.delay_min"], cfg["interferometer.pump_phase"])
     scan = delay_scan(icfg, delays, dithered=cfg["scan.dithered"])
-    columns = ["delay_s"]
-    series = [scan.abscissa]
+    table = {"delay_s": scan.abscissa}
     if cfg["output.delay_to_mm"] != 0.0:
-        columns.append("position_mm")
-        series.append(scan.abscissa * cfg["output.delay_to_mm"])
-    columns += ["coincidence", "singles_1", "singles_2"]
-    series += [scan.coincidence, scan.singles_1, scan.singles_2]
-    return {"homscan.csv": _csv(columns, series)[0]}
+        table["position_mm"] = scan.abscissa * cfg["output.delay_to_mm"]
+    table.update(coincidence=scan.coincidence, singles_1=scan.singles_1, singles_2=scan.singles_2)
+    return {"homscan.csv": _csv(table)}
 
 
 def cmd_fringe(cfg: RunConfig, threads: int) -> dict:
     phases = np.linspace(cfg["scan.phase_min"], cfg["scan.phase_max"], cfg["scan.points"])
-    icfg = InterferometerConfig(
-        comb=cfg.comb,
-        delay=cfg["scan.delay"],
-        resolution_time=cfg["detector.resolution_time"],
-        mode_match=cfg["interferometer.mode_match"],
-    )
-    scan = phase_fringe_scan(icfg, phases)
+    scan = phase_fringe_scan(_interferometer(cfg, cfg["scan.delay"]), phases)
     results = {
         "singles_visibility": scan.metadata["singles_visibility"],
         "overlap_visibility": scan.metadata["visibility_v"],
         **{f"fit_visibility_{c}": v for c, v in scan.metadata["fitted_visibility"].items()},
     }
-    columns = ["phase_rad", "coincidence", "singles_1", "singles_2"]
-    series = [scan.abscissa, scan.coincidence, scan.singles_1, scan.singles_2]
-    return {"fringe.csv": [_text(value_lines(results, "# result.")), *_csv(columns, series)[0]]}
+    table = {"phase_rad": scan.abscissa, "coincidence": scan.coincidence}
+    table.update(singles_1=scan.singles_1, singles_2=scan.singles_2)
+    return {"fringe.csv": [_text(value_lines(results, "# result.")), *_csv(table)]}
 
 
 def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
@@ -345,21 +333,11 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
     else:
         template = matched_wideband(cfg.comb, shape)
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
-    solution = solve_excision(
-        cfg.comb,
-        template,
-        cfg["engineering.target_peak"],
-        grid,
-        optimize_width=cfg["engineering.optimize_width"],
-    )
+    target, optimize = cfg["engineering.target_peak"], cfg["engineering.optimize_width"]
+    solution = solve_excision(cfg.comb, template, target, grid, optimize_width=optimize)
     before = gamma2_mode_locked(cfg.comb, grid)
-    after = combined_gamma2(
-        cfg.comb,
-        WidebandState(solution.wideband, solution.delay),
-        solution.eta,
-        solution.zeta,
-        grid,
-    )
+    wideband = WidebandState(solution.wideband, solution.delay)
+    after = combined_gamma2(cfg.comb, wideband, solution.eta, solution.zeta, grid)
     results = {
         "eta_real": solution.eta.real,
         "eta_imag": solution.eta.imag,
@@ -372,12 +350,9 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
         "wideband_halfwidth": solution.wideband.halfwidth,
         **{f"neighbor_retention_{k}": v for k, v in sorted(solution.neighbor_retention.items())},
     }
-    before_csv, after_csv = _csv(
-        ["tau_s", "gamma2"], [grid.values, before.samples], [grid.values, after.samples]
-    )
     return {
-        "engineer_before.csv": before_csv,
-        "engineer_after.csv": after_csv,
+        "engineer_before.csv": _csv({"tau_s": grid.values, "gamma2": before.samples}),
+        "engineer_after.csv": _csv({"tau_s": grid.values, "gamma2": after.samples}),
         "engineer_solution.txt": [_text([""] + value_lines(results))],
     }
 
@@ -408,7 +383,7 @@ def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     counts = {"n_events_requested": cfg["mc.n_events"], **summary}
     counts.update(n_histogrammed=hist.n_counted, comb_contrast=contrast)
     return {
-        "mc_histogram.csv": _csv(["bin_center_s", "count"], [hist.centers, hist.counts])[0],
+        "mc_histogram.csv": _csv({"bin_center_s": hist.centers, "count": hist.counts}),
         "mc_summary.txt": [_text([""] + value_lines(counts))],
     }
 
@@ -448,7 +423,7 @@ _USAGE = (
     "  --config   the run's configuration file (required)\n"
     "  --out      directory the files are written to (default .)\n"
     "  --seed     overrides the config's seed\n"
-    "  --threads  Monte Carlo threads (default 1); never changes the output"
+    "  --threads  Monte Carlo threads (default 1, at most one per CPU); never changes the output"
 )
 _LONGS = ["config=", "out=", "seed=", "threads=", "help"]
 
@@ -460,24 +435,22 @@ def _getopt(argv) -> tuple:
     here options may always follow it.  ``--`` ends the options, so it is
     never an option's separate value (as with argparse).
     """
-    opts, args, rest = [], [], list(argv)
-    while rest:
-        cut = rest.index("--") if "--" in rest else len(rest)
-        found, after = getopt.getopt(rest[:cut], "h", _LONGS)
+    argv = list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    opts, args, rest = [], [], argv[:cut]
+    while rest:  # getopt.getopt stops at each operand: take it and go on
+        found, rest = getopt.getopt(rest, "h", _LONGS)
         opts += found
-        if not after:
-            args += rest[cut + 1 :]
-            break
-        args.append(after[0])
-        rest = after[1:] + rest[cut:]
-    return opts, args
+        args, rest = args + rest[:1], rest[1:]
+    return opts, args + argv[cut + 1 :]
 
 
 def _parse_args(argv) -> tuple | None:
     """(command, config, out, seed, threads) from ``argv``, or None for ``-h``/``--help``.
 
     A malformed command line raises ``getopt.GetoptError`` saying what is
-    wrong.  A repeated option takes its last value.
+    wrong.  A repeated option takes its last value.  ``--threads`` above the
+    CPU count is lowered to it: threads past one per CPU add memory, not speed.
     """
     opts, args = _getopt(argv)
     given = dict(opts)
@@ -498,6 +471,7 @@ def _parse_args(argv) -> tuple | None:
     threads = numbers.get("--threads", 1)
     if threads < 1:
         raise getopt.GetoptError("--threads must be an integer >= 1")
+    threads = min(threads, os.cpu_count() or 1)
     return args[0], given["--config"], given.get("--out", "."), numbers.get("--seed"), threads
 
 

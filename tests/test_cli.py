@@ -1004,6 +1004,11 @@ class TestThreads:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_thread_count_is_capped_at_the_cpu_count(self):
+        # parsed only: no run, so no thread is started
+        args = cli._parse_args(["mc", "--config", "run.cfg", "--threads", "1000000"])
+        assert 1 <= args[-1] <= (os.cpu_count() or 1)
+
 
 class TestCommandLine:
     # each argv follows "--out <dir>"; CFG stands for a valid config's path
@@ -1038,8 +1043,10 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == cli._USAGE + "\n" and captured.err == ""
         assert not out.exists()
-        # the module docstring shows the same usage
+        # the module docstring and README's CLI block show the same usage
         assert all(line in cli.__doc__ for line in cli._USAGE.splitlines())
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert readme.split("## CLI\n\n```\n", 1)[1].split("\n```", 1)[0] == cli._USAGE
 
     @pytest.mark.parametrize(
         "spelling",
@@ -1048,8 +1055,9 @@ class TestCommandLine:
             ["correlation", "--conf", "{cfg}", "--o", "{out}", "--se", "7", "--th", "2"],
             ["--threads", "2", "--seed", "7", "--out", "{out}", "--config", "{cfg}", "correlation"],
             ["--seed", "3", "correlation", "--config", "{cfg}", "--out", "{out}", "--seed", "7"],
+            ["--config={cfg}", "--out", "{out}", "--seed", "7", "--", "correlation"],
         ],
-        ids=["equals_signs", "prefixes", "options_first", "repeated_last_wins"],
+        ids=["equals_signs", "prefixes", "options_first", "repeated_last_wins", "double_dash"],
     )
     def test_spellings_write_the_bytes_of_the_canonical_order(self, tmp_path, spelling):
         cfg = write_cfg(tmp_path, BASE.format(linewidth="0.0628") + "scan.points = 512\n")
@@ -1153,10 +1161,10 @@ class TestCsv:
 
     def test_special_values_and_counts(self):
         floats = [self.SPECIAL, self.SPECIAL[::-1]]
-        (chunks,) = cli._csv(["a", "b"], floats)
+        chunks = cli._csv({"a": floats[0], "b": floats[1]})
         assert b"".join(chunks) == csv_bytes(["a", "b"], floats)
         counts = [self.COUNTS, self.COUNTS.astype(float)]
-        (chunks,) = cli._csv(["n", "x"], counts)
+        chunks = cli._csv({"n": counts[0], "x": counts[1]})
         assert b"".join(chunks) == csv_bytes(["n", "x"], counts)
 
     @pytest.mark.parametrize("extra", [-cli._BLOCK_ROWS, 1 - cli._BLOCK_ROWS, -1, 0, 1])
@@ -1168,26 +1176,9 @@ class TestCsv:
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             rng.integers(-(2**62), 2**62, n),
         ]
-        (chunks,) = cli._csv(["tau_s", "value", "count"], series)
+        chunks = cli._csv(dict(zip(["tau_s", "value", "count"], series)))
         assert b"".join(chunks).count(b"\n") == n + 1
         assert b"".join(chunks) == csv_bytes(["tau_s", "value", "count"], series)
-
-    def test_a_shared_column_is_formatted_once_per_block(self):
-        class Sliced(np.ndarray):
-            slices = 0
-
-            def __getitem__(self, key):
-                if isinstance(key, slice):
-                    Sliced.slices += 1
-                return super().__getitem__(key)
-
-        n = 2 * cli._BLOCK_ROWS + 3
-        tau = np.linspace(-2.5e-12, 2.5e-12, n).view(Sliced)
-        before, after = np.cos(np.arange(n)), np.sin(np.arange(n))
-        tables = cli._csv(["tau_s", "gamma2"], [tau, before], [tau, after])
-        assert Sliced.slices == 3
-        oracles = [csv_bytes(["tau_s", "gamma2"], [tau, col]) for col in (before, after)]
-        assert [b"".join(chunks) for chunks in tables] == oracles
 
     @staticmethod
     def kernel_oracle_values():
@@ -1234,10 +1225,10 @@ class TestCsv:
         n = 16384
         tau = np.linspace(-2.5e-12, 2.5e-12, n)
         before, after = np.cos(np.arange(n) * 0.37) ** 2 * 441.0, np.sin(np.arange(n)) ** 2 * 1e-7
-        cli._csv(["tau_s", "gamma2"], [tau[:8], before[:8]], [tau[:8], after[:8]])
+        cli._csv({"tau_s": tau[:8], "gamma2": before[:8]})
         tracemalloc.start()
         try:
-            tables = cli._csv(["tau_s", "gamma2"], [tau, before], [tau, after])
+            tables = [cli._csv({"tau_s": tau, "gamma2": col}) for col in (before, after)]
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1267,7 +1258,7 @@ class TestWriteAtomic:
         bodies = {
             "fringe.csv": (
                 results + csv_oracle(columns, series),
-                [cli._text(results), *cli._csv(columns, series)[0]],
+                [cli._text(results), *cli._csv(dict(zip(columns, series)))],
             ),
             "mc_summary.txt": ([""] + value_lines(counts), [cli._text([""] + value_lines(counts))]),
         }
