@@ -359,15 +359,15 @@ def cmd_engineer(cfg: RunConfig, threads: int) -> dict:
 
 def cmd_mc(cfg: RunConfig, threads: int) -> dict:
     grid = TimeGrid(cfg["scan.tau_min"], cfg["scan.tau_max"], cfg["scan.points"])
-    trace = gamma2_mode_locked(cfg.comb, grid)
     det = DetectorModel(
         resolution_time=cfg["detector.resolution_time"],
         coincidence_window=cfg["detector.coincidence_window"],
         efficiency=cfg["detector.efficiency"],
         dark_rate=cfg["detector.dark_rate"],
     )
+    # the trace has no name here, so it is freed once the sampler holds its CDF
     hist, summary = stream_histogram(
-        trace,
+        gamma2_mode_locked(cfg.comb, grid),
         cfg["mc.n_events"],
         det,
         cfg["seed"],

@@ -83,9 +83,13 @@ def _half_phase(tau, frequency: float, name: str) -> np.ndarray:
 
 
 def _reduced_angle(tau, mode_spacing: float) -> np.ndarray:
-    """x = mode_spacing*tau/2 reduced by whole multiples of pi to |u| <= pi/2."""
-    x = _half_phase(tau, mode_spacing, "comb.mode_spacing")
-    return x - np.round(x / math.pi) * math.pi
+    """x = mode_spacing*tau/2 reduced by whole multiples of pi to |u| <= pi/2, a new array."""
+    u = np.asarray(_half_phase(tau, mode_spacing, "comb.mode_spacing"))
+    k = np.divide(u, math.pi, out=np.empty_like(u))  # an array also where tau is a scalar
+    np.rint(k, out=k)
+    k *= math.pi
+    u -= k
+    return u
 
 
 def dirichlet_F(tau, n_side_modes: int, mode_spacing: float):
@@ -99,10 +103,15 @@ def dirichlet_F(tau, n_side_modes: int, mode_spacing: float):
     if not mode_spacing > 0:
         raise ValueError("mode_spacing must be > 0")
     n_modes = 2 * n_side_modes + 1
+    # the kernel is formed inside the reduced-angle array, which it returns
     u = _reduced_angle(tau, mode_spacing)
     den = np.sin(u)
-    out = np.divide(np.sin(n_modes * u), den, out=np.full_like(u, n_modes), where=den != 0.0)
-    return out if out.ndim else float(out)
+    pole = den == 0.0
+    u *= n_modes
+    np.sin(u, out=u)
+    np.divide(u, den, out=u, where=~pole)
+    u[pole] = n_modes
+    return u if u.ndim else float(u)
 
 
 def generalized_F(tau, comb: ModeComb):
@@ -251,19 +260,29 @@ def _line_profile(s, tau, power):
     """Real transform of the line profile to the ``power``, normalized to 1 at tau = 0,
     and the scale divided out: its closed-form cosine transform at tau = 0.
     """
-    # |tau| is taken inline: a copy held to the end would add a grid-sized array to the peak
     hw = s.halfwidth
+    if s.shape is Shape.RECTANGULAR:
+        scale = 2.0 * hw
+        return scale * np.sinc(hw * np.abs(tau) / math.pi) / scale, scale
+    # a smooth profile is formed inside the array of |tau| that it returns
+    core = np.abs(tau, out=np.empty(np.shape(tau)))
     if s.shape is Shape.LORENTZIAN:
+        scale = math.pi * hw
         with np.errstate(over="ignore"):  # hw |tau| past the largest double: g = 0
-            core, scale = math.pi * hw * np.exp(-hw * np.abs(tau)), math.pi * hw
-    elif s.shape is Shape.GAUSSIAN:
+            core *= -hw
+    else:
         sigma = hw / math.sqrt(power)
         scale = math.sqrt(2.0 * math.pi) * sigma
         with np.errstate(over="ignore"):  # sigma |tau| past 1.3e154 squares to inf: g = 0
-            core = scale * np.exp(-((sigma * np.abs(tau)) ** 2) / 2.0)
-    else:
-        core, scale = 2.0 * hw * np.sinc(hw * np.abs(tau) / math.pi), 2.0 * hw
-    return core / scale, scale
+            core *= sigma
+            np.square(core, out=core)
+        np.negative(core, out=core)
+        core /= 2.0
+    np.exp(core, out=core)
+    # times the scale, then over it: the rounding the outputs were written with
+    core *= scale
+    core /= scale
+    return core, scale
 
 
 def _line_transform(s, tau, power):

@@ -8,12 +8,13 @@ correlation comb directly; a slow one only its envelope.
 Randomness is chunked: every block of draws gets its own generator derived
 from (seed, chunk index), so the event stream is identical whether chunks
 run serially or on a thread pool.  ``stream_histogram`` runs every stage
-chunk by chunk in one pass, in memory that does not grow with the number of
-draws.
+chunk by chunk in one pass, in memory that grows with neither the number of
+draws nor the number of accidental rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -25,13 +26,16 @@ from .correlation import MAX_QUAD_POINTS, CorrelationTrace, TraceKind
 from .errors import DegenerateDensity, GridError, NumericsError
 
 CHUNK = 1 << 16
-# the largest mc.n_events a config may ask for, and the most dark counts per
-# detector and accidental rows a run may expect; an mc run keeps no per-event
-# array (50 MB at 2e6 events; 58 MB and 2.6-2.8 s at the cap with 1.7e5 dark
-# counts per detector, 2 threads), and its photon-dark rows stay in their
-# chunk, so the cap bounds its run time, the dark lists and the dark-dark
-# rows, which are built whole (25-27 B per expected row)
+# the largest mc.n_events a config may ask for, and the most accidental rows a
+# run may expect.  An mc run keeps no per-event array and builds every
+# accidental row, photon-dark or dark-dark, CHUNK rows at a time, so this cap
+# bounds its run time, not its memory (a whole process at 2 threads: 47 MB at
+# 2e6 events, 58 MB at this many; 45 MB darks-only at this many rows)
 MAX_EVENTS = 1 << 25
+# the most dark counts per detector a run may expect.  The dark lists and
+# their bounds, 48 B per dark count of one detector, are what still grows:
+# a darks-only run at this cap peaks at 208 MB (tracemalloc), 242 MB whole
+MAX_DARKS = 1 << 22
 # spawn-key namespaces keep sampling, detection, and dark streams uncorrelated
 _DARK_KEY = 1 << 32
 _DETECT_KEY = 1 << 33
@@ -67,7 +71,7 @@ def _chunk_rng(seed: int, key: int) -> np.random.Generator:
 
 
 def _run_chunks(worker, n: int, threads: int):
-    """Yield worker(k) for every chunk k of n draws, in order; n = 0 is one empty chunk.
+    """Yield worker(k) for every chunk k of n draws or rows, in order; n = 0 is one empty chunk.
 
     With threads > 1 the chunks run on a pool, at most one more than
     ``threads`` ahead of the caller, so a caller that stores each result and
@@ -113,10 +117,16 @@ class _Sampler:
             raise ValueError("n must be >= 0")
         y = trace.samples
         dt = trace.grid.spacing
+        # the trapezoid masses and their running sum are formed in the CDF array
+        cdf = np.empty(y.size + 1)
+        cdf[0], cdf[-1] = 0.0, math.inf
+        mass = cdf[1:-1]
         with np.errstate(over="ignore"):  # an overflow is refused below, with its cause
-            mass = 0.5 * (y[1:] + y[:-1]) * dt
+            np.add(y[1:], y[:-1], out=mass)
+            mass *= 0.5
+            mass *= dt
             total = float(mass.sum())
-            cdf = np.concatenate([[0.0], np.cumsum(mass), [math.inf]])
+            np.cumsum(mass, out=mass)
         # the pairwise sum and the running sum round apart: both must be finite
         if not (math.isfinite(total) and math.isfinite(cdf[-2])):
             cause = "a sample is not finite" if not np.isfinite(y).all() else "its sum overflows"
@@ -127,21 +137,26 @@ class _Sampler:
         cdf[-2] = 1.0
         buckets = 1 << mass.size.bit_length()
         # guide[j] counts the CDF points <= j / G, less one; G is a power of
-        # two, so cdf[i] <= j / G exactly when ceil(cdf[i] G) <= j.  The table
-        # is allocated after the ceilings are freed: about 1 MB less peak RSS
-        count = np.bincount(np.ceil(cdf[:-1] * buckets).astype(np.intp), minlength=buckets + 1)
-        guide = np.cumsum(count[:buckets], dtype=np.int32)
+        # two, so cdf[i] <= j / G exactly when ceil(cdf[i] G) <= j.  The
+        # ceilings are cast as they are formed, and the table is allocated
+        # after they are freed
+        cells = np.empty(mass.size + 1, np.intp)
+        np.ceil(cdf[:-1] * buckets, out=cells, casting="unsafe")
+        count = np.bincount(cells, minlength=buckets + 1)
+        del cells
+        np.cumsum(count, out=count)  # at most the K CDF points: exact in int32
+        guide = count[:buckets].astype(np.int32)
         guide -= 1
         return cls(cdf, guide, trace.grid.t_min, dt, n, seed)
 
     def _index(self, u: np.ndarray) -> np.ndarray:
         """``np.searchsorted(cdf, u, "right") - 1`` for uniforms in [0, 1), bit for bit."""
         cdf = self.cdf
-        lo = self.guide[(u * self.guide.size).astype(np.intp)].astype(np.intp)
+        idx = self.guide[(u * self.guide.size).astype(np.intp)].astype(np.intp)
         # a draw below the second CDF point past its guide entry needs one
         # comparison; the rest, a few percent, are searched in sorted order
-        idx = lo + (cdf[1:][lo] <= u)
-        far = np.flatnonzero(cdf[2:][lo] <= u)
+        far = np.flatnonzero(cdf[2:][idx] <= u)
+        idx += cdf[1:][idx] <= u
         far = far[np.argsort(u[far])]
         idx[far] = np.searchsorted(cdf, u[far], side="right") - 1
         return idx
@@ -155,8 +170,15 @@ class _Sampler:
         idx = self._index(u)
         low = self.cdf[idx]
         # cdf[idx] <= u < cdf[idx + 1], both finite and distinct: the width is never 0
-        frac = (u - low) / (self.cdf[1:][idx] - low)
-        return self.t0 + (idx + frac) * self.dt
+        width = self.cdf[1:][idx]
+        width -= low
+        # t0 + (idx + (u - low) / width) dt, formed inside the array of low
+        delays = np.subtract(u, low, out=low)
+        delays /= width
+        delays += idx
+        delays *= self.dt
+        delays += self.t0
+        return delays
 
     def chunk(self, k: int) -> np.ndarray:
         """The delays of chunk k, in draw order."""
@@ -209,10 +231,12 @@ class _Darks:
         if not (span < math.inf and 0.0 < scale < math.inf):
             return one_cell
         darks = cls(times, lo, hi, float(lo[0]), scale, np.zeros(int(span * scale) + 1, dtype=bool))
-        first, last = darks._cell(lo), darks._cell(hi)
-        # a window covers one or two cells, and more only by rounding
-        for step in range(int(np.max(last - first)) + 1):
-            darks.marked[np.minimum(first + step, last)] = True
+        # CHUNK windows at a time, so no index array is as long as the list
+        for k in range(0, times.size, CHUNK):
+            first, last = darks._cell(lo[k : k + CHUNK]), darks._cell(hi[k : k + CHUNK])
+            # a window covers one or two cells, and more only by rounding
+            for step in range(int(np.max(last - first)) + 1):
+                darks.marked[np.minimum(first + step, last)] = True
         return darks
 
     def _cell(self, t: np.ndarray) -> np.ndarray:
@@ -222,15 +246,8 @@ class _Darks:
             cell *= self.scale
         return np.clip(cell, 0, self.marked.size - 1, out=cell).astype(np.intp)
 
-    def pairs(self, t: np.ndarray, keep=True):
-        """The index pairs (i, j) of every kept time j in dark count i's window.
-
-        The times come in any order; only the kept ones in marked cells are
-        searched in the bounds.  The pairs come out in time order, each
-        time's dark counts in order.
-        """
-        near = np.flatnonzero(keep & self.marked[self._cell(t)])
-        t = t[near]
+    def _windows(self, t: np.ndarray):
+        """(first, end): the dark counts in [first, end) are those whose windows hold each time."""
         first = np.searchsorted(self.hi, t, side="left")
         # a time's range is empty unless window first holds it; most are, so the
         # lower bounds are searched only where it does
@@ -238,10 +255,63 @@ class _Darks:
         hit = first < self.lo.size
         hit[hit] = self.lo[first[hit]] <= t[hit]
         end[hit] = np.searchsorted(self.lo, t[hit], side="right")
-        count = end - first
-        # every window in [first, end) of each time, in order
-        dark = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        return dark, np.repeat(near, count)
+        return first, end
+
+    def rows(self, t: np.ndarray, keep=None) -> _Rows:
+        """The rows (i, j), kept time j in dark count i's window, numbered in order.
+
+        The times come in any order and are searched CHUNK at a time; only
+        the kept ones in marked cells are searched in the bounds.  The rows
+        are numbered in time order, each time's dark counts in order, and
+        ``_Rows.block`` builds any range of them alone: what is kept is two
+        indices per time that meets a dark count, however many rows it makes.
+        """
+        who, count = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for k in range(0, t.size, CHUNK):
+            hits = self.marked[self._cell(t[k : k + CHUNK])]
+            if keep is not None:
+                hits &= keep[k : k + CHUNK]
+            near = k + np.flatnonzero(hits)
+            first, end = self._windows(t[near])
+            met = end > first
+            who.append(near[met])
+            count.append((end - first)[met])
+        start = np.zeros(sum(c.size for c in count) + 1, np.intp)
+        np.concatenate(count, out=start[1:])
+        np.cumsum(start, out=start)
+        return _Rows(self, t, np.concatenate(who), start)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Times ``t`` in the windows of ``darks``, their rows numbered from 0.
+
+    Time ``t[who[m]]`` makes rows ``start[m]`` to ``start[m + 1] - 1``, one
+    per dark count whose window holds it, in order.
+    """
+
+    darks: _Darks
+    t: np.ndarray
+    who: np.ndarray
+    start: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.start[-1])
+
+    def block(self, r0: int, r1: int):
+        """The rows (i, j) numbered r0 to r1 - 1, clipped to the rows there are."""
+        r0 = min(max(r0, 0), self.size)
+        r1 = min(max(r1, r0), self.size)
+        # the times that make these rows, each making at least one
+        a = int(np.searchsorted(self.start, r0, side="right")) - 1
+        b = int(np.searchsorted(self.start, r1, side="left"))
+        start = self.start[a : b + 1]
+        count = np.minimum(start[1:], r1) - np.maximum(start[:-1], r0)
+        who = self.who[a:b]
+        first = np.searchsorted(self.darks.hi, self.t[who], side="left")
+        # row r of a time is its dark count first + (r - its start)
+        return np.repeat(first - start[:-1], count) + np.arange(r0, r1), np.repeat(who, count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,10 +340,10 @@ class _Detector:
                 )
         if not 0 < duration < math.inf:
             raise ValueError(f"duration must be > 0 and finite, got {duration}")
-        if det.dark_rate * duration > MAX_EVENTS:
+        if det.dark_rate * duration > MAX_DARKS:
             raise NumericsError(
                 f"detector.dark_rate {det.dark_rate:.3e} over mc.duration {duration:.3e} s "
-                f"expects more than {MAX_EVENTS} dark counts per detector"
+                f"expects more than {MAX_DARKS} dark counts per detector"
             )
         rows = accidental_rows(det, n, duration)
         if rows > MAX_EVENTS:
@@ -287,12 +357,17 @@ class _Detector:
             for d in (0, 1):
                 rng = _chunk_rng(seed, _DARK_KEY + d)
                 count = rng.poisson(det.dark_rate * duration)
-                times = np.sort(rng.uniform(0.0, duration, count))
+                times = rng.uniform(0.0, duration, count)
+                times.sort()
                 darks.append(_Darks.of(times, det.coincidence_window))
         return cls(det, seed, duration, tuple(darks))
 
     def chunk(self, k: int, delays: np.ndarray):
-        """Chunk k's pair record delays and its photon-dark accidental delays t2 - t1."""
+        """Yield (pairs, accidentals): chunk k's pair record delays, and t2 - t1 of its photon-dark rows.
+
+        The rows come CHUNK at a time, detector 1's dark counts with detector
+        2's photons first; the pair delays come with the first block only.
+        """
         m = delays.size
         tr = self.det.resolution_time
         rng = _chunk_rng(self.seed, _DETECT_KEY + k)
@@ -305,30 +380,44 @@ class _Detector:
             t2 += rng.uniform(-tr / 2.0, tr / 2.0, m)
         keep1 = rng.random(m) < self.det.efficiency
         keep2 = rng.random(m) < self.det.efficiency
-        accidentals = np.empty(0)
-        if self.darks:
-            # detector 1's dark counts meet detector 2's photons, and the other way round
-            dark1, dark2 = self.darks
-            i, j = dark1.pairs(t2, keep2)
-            from_1 = t2[j] - dark1.times[i]
-            i, j = dark2.pairs(t1, keep1)
-            accidentals = np.concatenate([from_1, dark2.times[i] - t1[j]])
-        return (t2 - t1)[keep1 & keep2], accidentals
+        pairs = (t2 - t1)[keep1 & keep2]
+        if not self.darks:
+            yield pairs, np.empty(0)
+            return
+        # detector 1's dark counts meet detector 2's photons, and the other way round
+        dark1, dark2 = self.darks
+        rows1, rows2 = dark1.rows(t2, keep2), dark2.rows(t1, keep1)
+        for r0 in range(0, max(1, rows1.size + rows2.size), CHUNK):
+            (i1, j2), (i2, j1) = _blocks(rows1, rows2, r0)
+            yield pairs, np.concatenate([t2[j2] - dark1.times[i1], dark2.times[i2] - t1[j1]])
+            pairs = pairs[:0]
 
-    def dark_pairs(self) -> np.ndarray:
-        """The accidental delays t2 - t1 of the dark-dark pairs, each pair once.
+    def dark_pairs(self):
+        """(rows, block): the dark-dark rows, and block(k) the delays t2 - t1 of rows k CHUNK on.
 
-        A pair within an ulp of the window can lie inside one side's rounded
-        bounds only, so detector 2's bounds add the pairs that detector 1's miss.
+        Each pair comes out once.  The rows are detector 2's times in
+        detector 1's windows, then detector 1's times in detector 2's: a pair
+        within an ulp of the window can lie inside one side's rounded bounds
+        only, so the second side keeps the pairs that the first one misses.
         """
         if not self.darks:
-            return np.empty(0)
+            return 0, lambda k: np.empty(0)
         dark1, dark2 = self.darks
         t1, t2 = dark1.times, dark2.times
-        i, j = dark1.pairs(t2)
-        j2, i1 = dark2.pairs(t1)
-        missed = (t2[j2] < dark1.lo[i1]) | (t2[j2] > dark1.hi[i1])
-        return np.concatenate([t2[j] - t1[i], t2[j2[missed]] - t1[i1[missed]]])
+        rows1, rows2 = dark1.rows(t2), dark2.rows(t1)
+
+        def block(k: int) -> np.ndarray:
+            (i, j), (j2, i1) = _blocks(rows1, rows2, k * CHUNK)
+            missed = (t2[j2] < dark1.lo[i1]) | (t2[j2] > dark1.hi[i1])
+            return np.concatenate([t2[j] - t1[i], t2[j2[missed]] - t1[i1[missed]]])
+
+        return rows1.size + rows2.size, block
+
+
+def _blocks(rows1: _Rows, rows2: _Rows, r0: int):
+    """Rows r0 to r0 + CHUNK - 1 of ``rows1`` followed by ``rows2``: the part in each."""
+    r2 = r0 - rows1.size
+    return rows1.block(r0, r0 + CHUNK), rows2.block(r2, r2 + CHUNK)
 
 
 @dataclass(frozen=True)
@@ -392,14 +481,16 @@ def stream_histogram(
     Records are delays t2 - t1.  Chunk k's pairs are drawn from sampling
     stream k and detected with detection stream k; the same worker tallies
     its pair delays and its photons' accidental delays with the dark counts,
-    so no record leaves its chunk and the caller only adds counts.  The
-    dark-dark pairs are tallied once, first.  Every uniform is drawn once:
+    CHUNK rows at a time, so no record leaves its chunk and the caller only
+    adds counts.  The dark-dark pairs are tallied first, in blocks of CHUNK
+    rows on the same pool.  Every uniform is drawn once:
     the trace grid bounds the delays, so the default duration needs no pass
     over the draws.
     """
     edges = _edges(bin_width, delay_range)
     sampler = _Sampler.of(trace, n, seed)
     bound = max(abs(trace.grid.t_min), abs(trace.grid.t_max))
+    del trace  # the sampler holds the CDF: a caller that keeps no name frees the samples
     run = _Detector.of(det, seed, n, bound, duration)
     w = det.coincidence_window
 
@@ -408,11 +499,22 @@ def stream_histogram(
         found = [(d.size, np.count_nonzero(np.abs(d) <= w)) for d in (pairs, accidentals)]
         return np.histogram(np.concatenate([pairs, accidentals]), bins=edges)[0], np.array(found)
 
-    counts, found = tally(np.empty(0), run.dark_pairs())
-    chunks = _run_chunks(lambda k: tally(*run.chunk(k, sampler.chunk(k))), n, threads)
-    for chunk_counts, chunk_found in chunks:
-        counts += chunk_counts
-        found += chunk_found
+    def add(tallies):
+        """The sum of the (counts, found) of one or more tallies, added into the first."""
+        counts, found = next(tallies)
+        for block_counts, block_found in tallies:
+            counts += block_counts
+            found += block_found
+        return counts, found
+
+    def detect(k: int):
+        return add(itertools.starmap(tally, run.chunk(k, sampler.chunk(k))))
+
+    rows, dark_block = run.dark_pairs()
+    counts, found = add(itertools.chain(
+        _run_chunks(lambda k: tally(np.empty(0), dark_block(k)), rows, threads),
+        _run_chunks(detect, n, threads),
+    ))
     (n_pair, in_pair), (n_accidental, in_accidental) = found.tolist()
     return DelayHistogram(counts=counts, edges=edges), {
         "n_records": n_pair + n_accidental,

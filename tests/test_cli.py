@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twophoton import cli
+from twophoton import cli, montecarlo
 from twophoton.cli import main
 from twophoton.config import (
     COMMANDS,
@@ -24,7 +24,7 @@ from twophoton.config import (
 from twophoton.correlation import MAX_QUAD_POINTS
 from twophoton.engineering import matched_wideband
 from twophoton.errors import ConfigError
-from twophoton.montecarlo import MAX_EVENTS, _edges
+from twophoton.montecarlo import MAX_DARKS, MAX_EVENTS, _edges
 
 from conftest import csv_oracle
 
@@ -763,6 +763,20 @@ class TestMcBounds:
         assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "detector.dark_rate" in err and "mc.duration" in err
+        assert not out.exists()
+
+    def test_dark_counts_just_past_their_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        def no_draws(seed, key):
+            raise AssertionError(f"stream {key} drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        # 2^22 + 1 dark counts per detector, far fewer accidental rows than their cap
+        body = f"mc.n_events = 1000\nmc.duration = 1.0\ndetector.dark_rate = {MAX_DARKS + 1}\n"
+        out = tmp_path / "out"
+        assert main(["mc", "--config", str(write_cfg(tmp_path, body)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "detector.dark_rate" in err and "mc.duration" in err and str(MAX_DARKS) in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_accidental_rows_past_the_event_cap_exit_3(self, tmp_path, capsys):

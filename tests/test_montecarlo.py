@@ -26,6 +26,7 @@ from twophoton.montecarlo import (
     _DARK_KEY,
     _DETECT_KEY,
     CHUNK,
+    MAX_DARKS,
     MAX_EVENTS,
     DelayHistogram,
     _Darks,
@@ -79,17 +80,41 @@ def records(delays, det, seed, duration, threads=1):
     run = _Detector.of(det, seed, delays.size, bound, duration)
 
     def chunk(k):
-        return run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK])
+        blocks = run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK])
+        return tuple(map(np.concatenate, zip(*blocks)))
 
     chunks = list(_run_chunks(chunk, delays.size, threads))
     pairs = np.concatenate([pair for pair, _ in chunks])
-    return pairs, np.sort(np.concatenate([run.dark_pairs()] + [found for _, found in chunks]))
+    return pairs, np.sort(np.concatenate([dark_delays(run)] + [found for _, found in chunks]))
+
+
+def dark_delays(run):
+    """The accidental delays of every dark-dark block of ``run``, in order."""
+    rows, block = run.dark_pairs()
+    return np.concatenate([block(k) for k in range(max(1, math.ceil(rows / CHUNK)))])
 
 
 def oracle_records(delays, det, seed, duration):
     """``detect_oracle``'s records, its accidental delays sorted as ``records`` sorts them."""
     pairs, accidentals = detect_oracle(delays, det, seed=seed, duration=duration)
     return pairs, np.sort(accidentals)
+
+
+def traced_peak(call):
+    """(call(), the tracemalloc peak of the call above the memory traced when it starts)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def all_rows(darks, t, keep=None):
+    """Every row (dark count i, time j) of times ``t`` in the windows of ``darks``, in one block."""
+    rows = darks.rows(t, keep)
+    return rows.block(0, rows.size)
 
 
 def hand_built(darks, w):
@@ -226,6 +251,61 @@ def oracle_cdf(trace):
     cdf = np.concatenate([[0.0], np.cumsum(mass)]) / float(mass.sum())
     cdf[-1] = 1.0
     return cdf
+
+
+class TestInputsStayUnchanged:
+    """The set-up and the chunks work in place only in arrays of their own."""
+
+    def test_the_sampler_leaves_its_trace_and_uniforms(self):
+        trace = gapped_trace()
+        samples = trace.samples.copy()
+        sampler = _Sampler.of(trace, 10, seed=1)
+        np.testing.assert_array_equal(trace.samples, samples)
+        u = np.random.default_rng(3).random(CHUNK + 5)
+        drawn = u.copy()
+        delays = sampler._delays(u)
+        np.testing.assert_array_equal(u, drawn)
+        assert not np.shares_memory(delays, u)
+
+    @pytest.mark.parametrize("resolution_time", [0.0, 0.3])
+    def test_the_detector_leaves_its_delays(self, resolution_time):
+        # two chunks, with photon-dark rows expected in both
+        det = DetectorModel(resolution_time, 0.5, efficiency=0.8, dark_rate=2.0)
+        delays = np.random.default_rng(4).normal(0.0, 0.1, CHUNK + 7)
+        assert accidental_rows(det, delays.size, 100.0) > 1000
+        given = delays.copy()
+        run = _Detector.of(det, 5, delays.size, 1.0, 100.0)
+        for k in (0, 1):
+            list(run.chunk(k, delays[k * CHUNK : (k + 1) * CHUNK]))
+        np.testing.assert_array_equal(delays, given)
+
+
+class TestSetUpMemory:
+    """The trace and the sampler are built in place: a few grid-sized arrays at most.
+
+    On the 131073-point trace of the ``mc`` benchmark one grid-sized array is
+    1 MiB.  The trace peaks at 3.25 MiB above its start and the sampler at
+    4.0 MiB (the CDF, the guide counts of 2 MiB and the 1 MiB guide); each
+    bound leaves a quarter of an array more.  Before both were built in
+    place they peaked at 5.1 and 6.0 MiB.
+    """
+
+    POINTS = 2**17 + 1
+
+    def test_the_trace(self):
+        comb = make_comb(10, 0.01)
+        grid = TimeGrid(-2.0 * T_R, 2.0 * T_R, self.POINTS)
+        gamma2_mode_locked(comb, grid)  # warm-up
+        trace, peak = traced_peak(lambda: gamma2_mode_locked(comb, grid))
+        assert trace.samples.nbytes == 8 * self.POINTS
+        assert peak < 3.5 * 2**20
+
+    def test_the_sampler(self):
+        trace = comb_trace(span=2.0, points=self.POINTS)[1]
+        _Sampler.of(trace, 10, seed=1)  # warm-up
+        sampler, peak = traced_peak(lambda: _Sampler.of(trace, 10, seed=1))
+        assert sampler.cdf.size == self.POINTS + 1 and sampler.guide.nbytes == 2**20
+        assert peak < 4.25 * 2**20
 
 
 class TestGuideTable:
@@ -446,7 +526,7 @@ class TestDarkCells:
             assert darks._cell(darks.lo).min() == 0
             assert darks._cell(darks.hi).max() == darks.marked.size - 1
             photons = self.adversarial_photons(times, window, darks)
-            got = set(zip(*darks.pairs(photons)))
+            got = set(zip(*all_rows(darks, photons)))
             # the unfiltered rows, by brute force over every (dark count, photon)
             inside = (darks.lo[:, None] <= photons) & (photons <= darks.hi[:, None])
             want = set(zip(*np.nonzero(inside)))
@@ -480,7 +560,7 @@ class TestDarkCells:
         # is 5e309 cells from the origin, which overflows without a warning
         darks = _Darks.of(np.array([0.0]), 1e-300)
         assert 1.0 / darks.scale == 2e-300
-        i, j = darks.pairs(np.array([-1e10, -1.0, 0.0, 1.0, 1e10]))
+        i, j = all_rows(darks, np.array([-1e10, -1.0, 0.0, 1.0, 1e10]))
         assert i.tolist() == [0] and j.tolist() == [2]
 
     def test_an_empty_dark_list_marks_nothing(self):
@@ -534,8 +614,9 @@ class TestAccidentalRowCap:
         """The accidental rows of n <= CHUNK zero delays, both dark-dark searches included."""
         run = _Detector.of(det, seed, n, 0.0, duration)
         dark1, dark2 = run.darks
-        dark_rows = [dark1.pairs(dark2.times), dark2.pairs(dark1.times)]
-        return run.chunk(0, np.zeros(n))[1].size + sum(i.size for i, _ in dark_rows)
+        dark_rows = [all_rows(dark1, dark2.times), all_rows(dark2, dark1.times)]
+        photon_rows = sum(found.size for _, found in run.chunk(0, np.zeros(n)))
+        return photon_rows + sum(i.size for i, _ in dark_rows)
 
     @pytest.mark.parametrize(
         "window", [3e-3, 0.3, 2.0], ids=["narrow", "comparable", "wider_than_the_run"]
@@ -565,6 +646,48 @@ class TestAccidentalRowCap:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_dark_counts_past_their_cap_draw_nothing(self, monkeypatch):
+        def no_draws(seed, key):
+            raise AssertionError(f"stream {key} drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", no_draws)
+        # one dark count per detector past the cap, each alone in its window
+        det = DetectorModel(0.0, 1e-12, dark_rate=float(MAX_DARKS + 1))
+        assert accidental_rows(det, 1000, 1.0) < MAX_EVENTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericsError, match="dark_rate .* mc.duration .* per detector"):
+                stream_histogram(flat_trace(), 1000, det, 1, 0.01, (-1.0, 1.0), duration=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_dark_count_memory(self):
+        # the dark lists and their bounds, 8 bytes each on both detectors, are
+        # about 48 bytes per dark count; the rest does not grow with them
+        darks = 2**18
+        det = DetectorModel(0.0, 1e-12, dark_rate=float(darks))
+        _, peak = traced_peak(
+            lambda: stream_histogram(flat_trace(), 1000, det, 1, 0.01, (-1.0, 1.0), duration=1.0)
+        )
+        assert peak < 50 * darks + (6 << 20)
+
+    @pytest.mark.parametrize(
+        "n, dark_rate", [(0, 512.0), (0, 1024.0), (CHUNK, 16.0)], ids=["dark_dark", "4x", "photon_dark"]
+    )
+    def test_memory_does_not_grow_with_the_rows(self, n, dark_rate):
+        # the window spans the run, so every dark count meets every other and
+        # each photon meets every dark count: 5.2e5, 2.1e6 and 2.1e6 rows,
+        # built CHUNK rows at a time, the photon-dark ones all in one chunk
+        det = DetectorModel(0.0, 2.0, dark_rate=dark_rate)
+        assert accidental_rows(det, n, 1.0) > 5e5
+        (_, summary), peak = traced_peak(
+            lambda: stream_histogram(flat_trace(), n, det, 1, 0.01, (-1.0, 1.0), duration=1.0)
+        )
+        assert summary["n_accidental_records"] > 2.5e5
+        assert peak < 12 << 20
 
     def test_an_overflowing_derived_duration_draws_nothing(self, monkeypatch):
         def no_draws(seed, key):
@@ -755,7 +878,7 @@ class TestWindowPairs:
 
     def pairs(self, left, right):
         """The (left, right) values of the pairs found in the windows of dark counts ``left``."""
-        i, j = _Darks.of(left, self.W).pairs(right)
+        i, j = all_rows(_Darks.of(left, self.W), right)
         return sorted(zip(left[i], right[j]))
 
     def edge_case(self):
@@ -785,7 +908,7 @@ class TestWindowPairs:
         left, right = self.edge_case()
         shuffled = np.random.default_rng(35).permutation(right)
         assert not np.array_equal(shuffled, right)
-        i, j = _Darks.of(left, self.W).pairs(shuffled)
+        i, j = all_rows(_Darks.of(left, self.W), shuffled)
         # each time's windows come out together, in the times' order
         assert np.all(np.diff(j) >= 0)
         assert self.pairs(left, shuffled) == self.brute_force(left, right)
@@ -798,10 +921,36 @@ class TestWindowPairs:
         for chunk in chunks:
             assert left[0] in [a for a, _ in self.pairs(left, chunk)]
 
+    def test_any_block_is_a_slice_of_the_rows(self):
+        rng = np.random.default_rng(36)
+        left, right = np.sort(rng.uniform(0.0, 10.0, 300)), rng.uniform(-1.0, 11.0, 2000)
+        rows = _Darks.of(left, self.W).rows(right)
+        i, j = rows.block(0, rows.size)
+        assert sorted(zip(left[i], right[j])) == self.brute_force(left, right)
+        # cuts inside a time's rows, at its ends, and past both ends
+        cuts = [-5, 0, 1, *np.sort(rng.integers(2, rows.size, 20)), rows.size, rows.size + 9]
+        for r0, r1 in zip(cuts, cuts[1:]):
+            got = rows.block(r0, r1)
+            lo, hi = max(r0, 0), min(r1, rows.size)
+            np.testing.assert_array_equal(got[0], i[lo:hi])
+            np.testing.assert_array_equal(got[1], j[lo:hi])
+        assert rows.block(7, 3)[0].size == 0
+
+    def test_a_chunk_yields_its_rows_chunk_by_chunk(self):
+        # every dark count meets every photon: about 2e5 rows in one chunk
+        det = DetectorModel(0.0, 2.0, dark_rate=100.0)
+        run = _Detector.of(det, 6, 1000, 0.0, 1.0)
+        blocks = list(run.chunk(0, np.zeros(1000)))
+        sizes = [found.size for _, found in blocks]
+        assert len(blocks) > 2 and set(sizes[:-1]) == {CHUNK} and 0 < sizes[-1] <= CHUNK
+        assert blocks[0][0].size == 1000 and all(pairs.size == 0 for pairs, _ in blocks[1:])
+        darks = sum(d.times.size for d in run.darks)
+        assert sum(sizes) == 1000 * darks
+
     def test_empty_sides(self):
         empty = np.empty(0)
         for a, b in ((empty, np.array([1.0])), (np.array([1.0]), empty), (empty, empty)):
-            got = _Darks.of(a, self.W).pairs(b)
+            got = all_rows(_Darks.of(a, self.W), b)
             assert got[0].size == 0 and got[1].size == 0
 
 
@@ -814,7 +963,7 @@ class TestDarkPairs:
     D1, D2 = 0.03124999719478273, 0.03125000019478273
 
     def accidentals(self, dark1, dark2):
-        return np.sort(hand_built((dark1, dark2), self.W).dark_pairs())
+        return np.sort(dark_delays(hand_built((dark1, dark2), self.W)))
 
     def test_the_rounded_bounds_differ_by_side(self):
         assert self.D1 - self.W <= self.D2 <= self.D1 + self.W
@@ -837,7 +986,7 @@ class TestDarkPairs:
         # two dark counts at 1.0 on detector 1 and two at 1.2 on detector 2,
         # each pair inside both sides' bounds: each count meets both of the
         # other's, 4 records of one delay; 3.0 and 5.0 meet nothing
-        got = hand_built(([1.0, 1.0, 3.0], [1.2, 1.2, 5.0]), 0.5).dark_pairs()
+        got = dark_delays(hand_built(([1.0, 1.0, 3.0], [1.2, 1.2, 5.0]), 0.5))
         np.testing.assert_array_equal(got, [1.2 - 1.0] * 4)
 
 
@@ -853,8 +1002,8 @@ class TestHistogramAndContrast:
         # outside the window and the histogram range, -0.9 alone in its bin
         pairs, accidentals = np.array([-0.5, 0.5, 0.1, 0.15, 2.0]), np.array([0.05, 0.3, -0.9])
         # two accidentals come from the chunk, one from the dark-dark pairs
-        monkeypatch.setattr(_Detector, "chunk", lambda self, k, delays: (pairs, accidentals[:2]))
-        monkeypatch.setattr(_Detector, "dark_pairs", lambda self: accidentals[2:])
+        monkeypatch.setattr(_Detector, "chunk", lambda self, k, delays: [(pairs, accidentals[:2])])
+        monkeypatch.setattr(_Detector, "dark_pairs", lambda self: (1, lambda k: accidentals[2:]))
         det = DetectorModel(resolution_time=0.0, coincidence_window=0.5)
         hist, summary = stream_histogram(flat_trace(), 5, det, 0, 0.25, (-1.0, 1.0), duration=1.0)
         assert summary == {
