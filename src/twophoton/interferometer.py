@@ -248,7 +248,7 @@ def singles_fringe_visibility(cfg: InterferometerConfig) -> float:
 
 
 def _singles(cfg: InterferometerConfig, delays, phases):
-    """Singles 1 +- |gamma(Delta)| cos(phase); flat when dithered (``phases`` None)."""
+    """Delay-scan singles 1 +- |gamma(Delta)| cos(phase); flat when dithered (``phases`` None)."""
     if phases is None:
         return np.ones(len(delays)), np.ones(len(delays))
     fringe = _singles_visibilities(cfg, np.asarray(delays)) * np.cos(phases)
@@ -266,15 +266,15 @@ def phase_fringe_scan(cfg: InterferometerConfig, phase_points) -> ScanResult:
     """
     phase = np.asarray(phase_points, dtype=float)
     coincidence, (r0,), (s,), (v,), _ = _rate(cfg, [cfg.delay], phase)
-    singles_1, singles_2 = _singles(cfg, [cfg.delay], phase)
     s_vis = singles_fringe_visibility(cfg)
+    fringe = s_vis * np.cos(phase)
     coinc_vis = 0.5 / (0.5 + 0.5 * (s - v))
     fits = {"coincidence": coinc_vis, "singles_1": s_vis, "singles_2": s_vis}
     return ScanResult(
         abscissa=phase,
         coincidence=coincidence,
-        singles_1=singles_1,
-        singles_2=singles_2,
+        singles_1=1.0 + fringe,
+        singles_2=1.0 - fringe,
         metadata={
             "kind": "phase_fringe",
             "delay": cfg.delay,

@@ -9,7 +9,8 @@ Randomness is chunked: every block of draws gets its own generator derived
 from (seed, chunk index), so the event stream is identical whether chunks
 run serially or on a thread pool.  ``stream_histogram`` runs every stage
 chunk by chunk in one pass, in memory that grows with neither the number of
-draws nor the number of accidental rows.
+draws nor the number of accidental rows: each window search takes at most
+CHUNK times and yields its rows in blocks of at most CHUNK.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _chunk_rng(seed: int, key: int) -> np.random.Generator:
 
 
 def _run_chunks(worker, n: int, threads: int):
-    """Yield worker(k) for every chunk k of n draws or rows, in order; n = 0 is one empty chunk.
+    """Yield worker(k) for every chunk k of n items, CHUNK each, in order; n = 0 is one empty chunk.
 
     With threads > 1 the chunks run on a pool, at most one more than
     ``threads`` ahead of the caller, so a caller that stores each result and
@@ -246,72 +247,40 @@ class _Darks:
             cell *= self.scale
         return np.clip(cell, 0, self.marked.size - 1, out=cell).astype(np.intp)
 
-    def _windows(self, t: np.ndarray):
-        """(first, end): the dark counts in [first, end) are those whose windows hold each time."""
-        first = np.searchsorted(self.hi, t, side="left")
-        # a time's range is empty unless window first holds it; most are, so the
-        # lower bounds are searched only where it does
-        end = first.copy()
-        hit = first < self.lo.size
-        hit[hit] = self.lo[first[hit]] <= t[hit]
-        end[hit] = np.searchsorted(self.lo, t[hit], side="right")
-        return first, end
+    def rows(self, t: np.ndarray, keep=None):
+        """Yield the rows (i, j), kept time j in dark count i's window, CHUNK rows at a time.
 
-    def rows(self, t: np.ndarray, keep=None) -> _Rows:
-        """The rows (i, j), kept time j in dark count i's window, numbered in order.
-
-        The times come in any order and are searched CHUNK at a time; only
-        the kept ones in marked cells are searched in the bounds.  The rows
-        are numbered in time order, each time's dark counts in order, and
-        ``_Rows.block`` builds any range of them alone: what is kept is two
-        indices per time that meets a dark count, however many rows it makes.
+        The times come in any order; only the kept ones in marked cells are
+        searched in the bounds.  The rows come in time order, each time's
+        dark counts in order, and a time's rows may be split across blocks.
+        A caller that lets each block go before it asks for the next (through
+        ``map``, not a ``for`` loop) holds one block at a time.
         """
-        who, count = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        for k in range(0, t.size, CHUNK):
-            hits = self.marked[self._cell(t[k : k + CHUNK])]
-            if keep is not None:
-                hits &= keep[k : k + CHUNK]
-            near = k + np.flatnonzero(hits)
-            first, end = self._windows(t[near])
-            met = end > first
-            who.append(near[met])
-            count.append((end - first)[met])
-        start = np.zeros(sum(c.size for c in count) + 1, np.intp)
-        np.concatenate(count, out=start[1:])
-        np.cumsum(start, out=start)
-        return _Rows(self, t, np.concatenate(who), start)
-
-
-@dataclass(frozen=True, eq=False)
-class _Rows:
-    """Times ``t`` in the windows of ``darks``, their rows numbered from 0.
-
-    Time ``t[who[m]]`` makes rows ``start[m]`` to ``start[m + 1] - 1``, one
-    per dark count whose window holds it, in order.
-    """
-
-    darks: _Darks
-    t: np.ndarray
-    who: np.ndarray
-    start: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.start[-1])
-
-    def block(self, r0: int, r1: int):
-        """The rows (i, j) numbered r0 to r1 - 1, clipped to the rows there are."""
-        r0 = min(max(r0, 0), self.size)
-        r1 = min(max(r1, r0), self.size)
-        # the times that make these rows, each making at least one
-        a = int(np.searchsorted(self.start, r0, side="right")) - 1
-        b = int(np.searchsorted(self.start, r1, side="left"))
-        start = self.start[a : b + 1]
-        count = np.minimum(start[1:], r1) - np.maximum(start[:-1], r0)
-        who = self.who[a:b]
-        first = np.searchsorted(self.darks.hi, self.t[who], side="left")
-        # row r of a time is its dark count first + (r - its start)
-        return np.repeat(first - start[:-1], count) + np.arange(r0, r1), np.repeat(who, count)
+        hits = self.marked[self._cell(t)]
+        if keep is not None:
+            hits &= keep
+        near = np.flatnonzero(hits)
+        del hits
+        # fl(d - w) <= fl(d + w), both sorted: the windows [first, end) hold each time
+        first = np.searchsorted(self.hi, t[near], side="left")
+        count = np.searchsorted(self.lo, t[near], side="right") - first
+        met = count > 0
+        who, first, count = near[met], first[met], count[met]
+        del near, met
+        start = np.zeros(count.size + 1, np.intp)
+        np.cumsum(count, out=start[1:])
+        size = int(start[-1])
+        for r0 in range(0, size, CHUNK):
+            r1 = min(r0 + CHUNK, size)
+            # the times that make these rows, each making at least one
+            a = int(np.searchsorted(start, r0, side="right")) - 1
+            b = int(np.searchsorted(start, r1, side="left"))
+            share = np.minimum(start[a + 1 : b + 1], r1) - np.maximum(start[a:b], r0)
+            # row r of a time is its dark count first + (r - its start)
+            yield (
+                np.repeat(first[a:b] - start[a:b], share) + np.arange(r0, r1),
+                np.repeat(who[a:b], share),
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,43 +350,40 @@ class _Detector:
         keep1 = rng.random(m) < self.det.efficiency
         keep2 = rng.random(m) < self.det.efficiency
         pairs = (t2 - t1)[keep1 & keep2]
-        if not self.darks:
-            yield pairs, np.empty(0)
-            return
-        # detector 1's dark counts meet detector 2's photons, and the other way round
-        dark1, dark2 = self.darks
-        rows1, rows2 = dark1.rows(t2, keep2), dark2.rows(t1, keep1)
-        for r0 in range(0, max(1, rows1.size + rows2.size), CHUNK):
-            (i1, j2), (i2, j1) = _blocks(rows1, rows2, r0)
-            yield pairs, np.concatenate([t2[j2] - dark1.times[i1], dark2.times[i2] - t1[j1]])
-            pairs = pairs[:0]
+        blocks = iter(())
+        if self.darks:
+            # detector 1's dark counts meet detector 2's photons, and the other way round
+            dark1, dark2 = self.darks
+            blocks = itertools.chain(
+                itertools.starmap(lambda i, j: t2[j] - dark1.times[i], dark1.rows(t2, keep2)),
+                itertools.starmap(lambda i, j: dark2.times[i] - t1[j], dark2.rows(t1, keep1)),
+            )
+        yield pairs, next(blocks, np.empty(0))
+        yield from map(lambda accidentals: (pairs[:0], accidentals), blocks)
 
-    def dark_pairs(self):
-        """(rows, block): the dark-dark rows, and block(k) the delays t2 - t1 of rows k CHUNK on.
+    def dark_pairs(self, k: int):
+        """The delays t2 - t1 of dark slice k's dark-dark rows, CHUNK rows at a time.
 
-        Each pair comes out once.  The rows are detector 2's times in
-        detector 1's windows, then detector 1's times in detector 2's: a pair
-        within an ulp of the window can lie inside one side's rounded bounds
-        only, so the second side keeps the pairs that the first one misses.
+        Each pair comes out once.  The first slices are detector 2's times,
+        CHUNK at a time, in detector 1's windows, the rest detector 1's times
+        in detector 2's: a pair within an ulp of the window can lie inside
+        one side's rounded bounds only, so the second side keeps the pairs
+        that the first one missed.
         """
-        if not self.darks:
-            return 0, lambda k: np.empty(0)
         dark1, dark2 = self.darks
         t1, t2 = dark1.times, dark2.times
-        rows1, rows2 = dark1.rows(t2), dark2.rows(t1)
+        split = math.ceil(t2.size / CHUNK)
+        if k < split:
+            part = t2[k * CHUNK : (k + 1) * CHUNK]
+            return itertools.starmap(lambda i, j: part[j] - t1[i], dark1.rows(part))
+        cut = slice((k - split) * CHUNK, (k - split + 1) * CHUNK)
+        part, lo, hi = t1[cut], dark1.lo[cut], dark1.hi[cut]
 
-        def block(k: int) -> np.ndarray:
-            (i, j), (j2, i1) = _blocks(rows1, rows2, k * CHUNK)
-            missed = (t2[j2] < dark1.lo[i1]) | (t2[j2] > dark1.hi[i1])
-            return np.concatenate([t2[j] - t1[i], t2[j2[missed]] - t1[i1[missed]]])
+        def missed(j, i):
+            out = (t2[j] < lo[i]) | (t2[j] > hi[i])
+            return t2[j[out]] - part[i[out]]
 
-        return rows1.size + rows2.size, block
-
-
-def _blocks(rows1: _Rows, rows2: _Rows, r0: int):
-    """Rows r0 to r0 + CHUNK - 1 of ``rows1`` followed by ``rows2``: the part in each."""
-    r2 = r0 - rows1.size
-    return rows1.block(r0, r0 + CHUNK), rows2.block(r2, r2 + CHUNK)
+        return itertools.starmap(missed, dark2.rows(part))
 
 
 @dataclass(frozen=True)
@@ -482,10 +448,10 @@ def stream_histogram(
     stream k and detected with detection stream k; the same worker tallies
     its pair delays and its photons' accidental delays with the dark counts,
     CHUNK rows at a time, so no record leaves its chunk and the caller only
-    adds counts.  The dark-dark pairs are tallied first, in blocks of CHUNK
-    rows on the same pool.  Every uniform is drawn once:
-    the trace grid bounds the delays, so the default duration needs no pass
-    over the draws.
+    adds counts.  The dark-dark pairs are tallied first, one slice of CHUNK
+    dark counts per worker call on the same pool, so a run starts one pool.
+    Every uniform is drawn once: the trace grid bounds the delays, so the
+    default duration needs no pass over the draws.
     """
     edges = _edges(bin_width, delay_range)
     sampler = _Sampler.of(trace, n, seed)
@@ -500,21 +466,24 @@ def stream_histogram(
         return np.histogram(np.concatenate([pairs, accidentals]), bins=edges)[0], np.array(found)
 
     def add(tallies):
-        """The sum of the (counts, found) of one or more tallies, added into the first."""
-        counts, found = next(tallies)
+        """The sum of the (counts, found) of any number of tallies."""
+        counts, found = np.zeros(edges.size - 1, np.intp), np.zeros((2, 2), np.intp)
         for block_counts, block_found in tallies:
             counts += block_counts
             found += block_found
         return counts, found
 
-    def detect(k: int):
+    # the dark slices, then the pair chunks; n = 0 beside dark counts runs no
+    # pair chunk, which would find nothing
+    slices = sum(math.ceil(d.times.size / CHUNK) for d in run.darks)
+
+    def work(k: int):
+        if k < slices:
+            return add(map(lambda block: tally(np.empty(0), block), run.dark_pairs(k)))
+        k -= slices
         return add(itertools.starmap(tally, run.chunk(k, sampler.chunk(k))))
 
-    rows, dark_block = run.dark_pairs()
-    counts, found = add(itertools.chain(
-        _run_chunks(lambda k: tally(np.empty(0), dark_block(k)), rows, threads),
-        _run_chunks(detect, n, threads),
-    ))
+    counts, found = add(_run_chunks(work, slices * CHUNK + n, threads))
     (n_pair, in_pair), (n_accidental, in_accidental) = found.tolist()
     return DelayHistogram(counts=counts, edges=edges), {
         "n_records": n_pair + n_accidental,

@@ -89,9 +89,9 @@ def records(delays, det, seed, duration, threads=1):
 
 
 def dark_delays(run):
-    """The accidental delays of every dark-dark block of ``run``, in order."""
-    rows, block = run.dark_pairs()
-    return np.concatenate([block(k) for k in range(max(1, math.ceil(rows / CHUNK)))])
+    """The accidental delays of every dark-dark block of ``run``, slice by slice, in order."""
+    slices = sum(math.ceil(d.times.size / CHUNK) for d in run.darks)
+    return np.concatenate([np.empty(0)] + [b for k in range(slices) for b in run.dark_pairs(k)])
 
 
 def oracle_records(delays, det, seed, duration):
@@ -113,8 +113,8 @@ def traced_peak(call):
 
 def all_rows(darks, t, keep=None):
     """Every row (dark count i, time j) of times ``t`` in the windows of ``darks``, in one block."""
-    rows = darks.rows(t, keep)
-    return rows.block(0, rows.size)
+    empty = np.empty(0, np.intp)
+    return tuple(map(np.concatenate, zip((empty, empty), *darks.rows(t, keep))))
 
 
 def hand_built(darks, w):
@@ -828,6 +828,19 @@ class TestStreamHistogram:
             assert summary == runs[0][1]
         assert runs[0][1]["n_accidental_records"] > 0
 
+    def test_several_dark_slices_do_not_depend_on_the_thread_count(self):
+        # 1.5 CHUNK dark counts per detector: each side's search runs in two slices
+        det = DetectorModel(resolution_time=0.0, coincidence_window=1e-6, dark_rate=1.5 * CHUNK)
+        run = _Detector.of(det, 40, 1000, 1.0, 1.0)
+        assert all(CHUNK < d.times.size <= 2 * CHUNK for d in run.darks)
+        runs = [
+            stream_histogram(flat_trace(), 1000, det, 40, 0.01, (-1.0, 1.0), duration=1.0, threads=t)
+            for t in (1, 2)
+        ]
+        np.testing.assert_array_equal(runs[1][0].counts, runs[0][0].counts)
+        assert runs[1][1] == runs[0][1]
+        assert runs[0][1]["n_accidental_records"] > 1e4
+
     def test_memory_does_not_grow_with_the_event_count(self):
         trace = flat_trace()
         det = DetectorModel(
@@ -921,20 +934,24 @@ class TestWindowPairs:
         for chunk in chunks:
             assert left[0] in [a for a, _ in self.pairs(left, chunk)]
 
-    def test_any_block_is_a_slice_of_the_rows(self):
+    def test_the_blocks_cut_the_rows_in_time_order(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "CHUNK", 7)
         rng = np.random.default_rng(36)
-        left, right = np.sort(rng.uniform(0.0, 10.0, 300)), rng.uniform(-1.0, 11.0, 2000)
-        rows = _Darks.of(left, self.W).rows(right)
-        i, j = rows.block(0, rows.size)
-        assert sorted(zip(left[i], right[j])) == self.brute_force(left, right)
-        # cuts inside a time's rows, at its ends, and past both ends
-        cuts = [-5, 0, 1, *np.sort(rng.integers(2, rows.size, 20)), rows.size, rows.size + 9]
-        for r0, r1 in zip(cuts, cuts[1:]):
-            got = rows.block(r0, r1)
-            lo, hi = max(r0, 0), min(r1, rows.size)
-            np.testing.assert_array_equal(got[0], i[lo:hi])
-            np.testing.assert_array_equal(got[1], j[lo:hi])
-        assert rows.block(7, 3)[0].size == 0
+        left, right = np.sort(rng.uniform(0.0, 10.0, 100)), rng.uniform(-1.0, 11.0, 200)
+        darks = _Darks.of(left, self.W)
+        blocks = list(darks.rows(right))
+        assert all(i.size == j.size <= 7 for i, j in blocks)
+        # the rows by brute force, in time order, each time's dark counts in order
+        inside = (darks.lo <= right[:, None]) & (right[:, None] <= darks.hi)
+        j, i = np.nonzero(inside)
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), i)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), j)
+        assert len(blocks) > 20
+        # some time's rows are split across the end of a block
+        assert any(a[1][-1] == b[1][0] for a, b in zip(blocks, blocks[1:]))
+        # no time, or no dark count, gives no block
+        assert list(darks.rows(np.empty(0))) == []
+        assert list(_Darks.of(np.empty(0), self.W).rows(right)) == []
 
     def test_a_chunk_yields_its_rows_chunk_by_chunk(self):
         # every dark count meets every photon: about 2e5 rows in one chunk
@@ -942,7 +959,7 @@ class TestWindowPairs:
         run = _Detector.of(det, 6, 1000, 0.0, 1.0)
         blocks = list(run.chunk(0, np.zeros(1000)))
         sizes = [found.size for _, found in blocks]
-        assert len(blocks) > 2 and set(sizes[:-1]) == {CHUNK} and 0 < sizes[-1] <= CHUNK
+        assert len(blocks) > 2 and max(sizes) <= CHUNK
         assert blocks[0][0].size == 1000 and all(pairs.size == 0 for pairs, _ in blocks[1:])
         darks = sum(d.times.size for d in run.darks)
         assert sum(sizes) == 1000 * darks
@@ -1003,8 +1020,9 @@ class TestHistogramAndContrast:
         pairs, accidentals = np.array([-0.5, 0.5, 0.1, 0.15, 2.0]), np.array([0.05, 0.3, -0.9])
         # two accidentals come from the chunk, one from the dark-dark pairs
         monkeypatch.setattr(_Detector, "chunk", lambda self, k, delays: [(pairs, accidentals[:2])])
-        monkeypatch.setattr(_Detector, "dark_pairs", lambda self: (1, lambda k: accidentals[2:]))
-        det = DetectorModel(resolution_time=0.0, coincidence_window=0.5)
+        monkeypatch.setattr(_Detector, "dark_pairs", lambda self, k: [accidentals[2:]][k:])
+        # about 100 dark counts per detector make two dark slices, only the first with rows
+        det = DetectorModel(resolution_time=0.0, coincidence_window=0.5, dark_rate=100.0)
         hist, summary = stream_histogram(flat_trace(), 5, det, 0, 0.25, (-1.0, 1.0), duration=1.0)
         assert summary == {
             "n_records": 8,
